@@ -21,12 +21,11 @@ import json
 import math
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, convergence_study, diagnose
+from .diagnostics import DiagnosticsReport, diagnose, error_table, finest_run_reference
 from .errors import ConfigError, ProxsweepError, SimulationAbort
 from .geometry import good_direction
 from .integrator import run
@@ -274,27 +273,19 @@ def run_cli(args: argparse.Namespace) -> int:
             return 3 if problems else 0
         return 0
 
-    # sweep
-    def one(h):
+    # sweep: each h is integrated once; its trajectory also feeds the error table
+    trajectories, reports = [], []
+    for h in cfg.sweep:
         traj, contact, report = _single_run(scn, cfg, h, T)
         if not cfg.json_only:
             write_csv(f"{cfg.out}_h{h:g}.csv", scn, traj, contact)
         write_json(f"{cfg.out}_h{h:g}.json", report_to_json(scn.name, h, T, report))
-        return report
-
-    max_workers = len(cfg.sweep)
-    env_cap = os.environ.get("SWEEP2_THREADS")
-    if env_cap:
-        try:
-            max_workers = max(1, min(max_workers, int(env_cap)))
-        except ValueError as exc:
-            raise ConfigError(f"SWEEP2_THREADS must be an integer, got {env_cap!r}") from exc
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        reports = list(pool.map(one, cfg.sweep))
+        trajectories.append(traj)
+        reports.append(report)
 
     reference = scn.reference(q0, u0)
-    rows = convergence_study(scn.system, scn.force, q0, u0, T, cfg.sweep,
-                             reference=reference)
+    rows = error_table(cfg.sweep, trajectories, reference or finest_run_reference(
+        scn.system, scn.force, q0, u0, T, cfg.sweep))
     summary = report_to_json(scn.name, None, T, reports[-1], convergence=rows)
     write_json(f"{cfg.out}.json", summary)
     for h, rep, row in zip(cfg.sweep, reports, rows):

@@ -256,6 +256,38 @@ def interpolant_sup_error(traj: Trajectory, reference, samples_per_step: int = 4
     return worst
 
 
+def finest_run_reference(sys: ConstraintSystem, force: ForceField, q0, u0, T: float,
+                         h_list):
+    """Reference t -> (q, u) from a run at half the smallest sweep step."""
+    traj_ref, _ = run(sys, force, q0, u0, min(h_list) / 2.0, T)
+
+    def reference(t):
+        return traj_ref.position(t), traj_ref.velocity(t)
+
+    return reference
+
+
+def error_table(h_list, trajectories, reference) -> list[dict]:
+    """Error rows {h, err, order} for trajectories already integrated at h_list.
+
+    A ProxsweepError in place of a trajectory records a failed row.
+    """
+    rows: list[dict] = []
+    for h, traj in zip(h_list, trajectories):
+        if isinstance(traj, ProxsweepError):
+            rows.append({"h": float(h), "err": None, "order": None, "failed": str(traj)})
+        else:
+            err = interpolant_sup_error(traj, reference)
+            rows.append({"h": float(h), "err": float(err), "order": None})
+    for i in range(1, len(rows)):
+        e0, e1 = rows[i - 1].get("err"), rows[i].get("err")
+        h0, h1 = rows[i - 1]["h"], rows[i]["h"]
+        # no meaningful order below the roundoff floor
+        if e0 and e1 and e0 > 1e-12 and e1 > 1e-12 and h0 != h1:
+            rows[i]["order"] = float(math.log(e0 / e1) / math.log(h0 / h1))
+    return rows
+
+
 def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float,
                       h_list, reference=None) -> list[dict]:
     """Error table over an h sweep; rows are {h, err, order} dicts.
@@ -265,28 +297,14 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
     recorded as failed rows, not raised.
     """
     if reference is None:
-        h_ref = min(h_list) / 2.0
-        traj_ref, _ = run(sys, force, q0, u0, h_ref, T)
-
-        def reference(t):
-            return traj_ref.position(t), traj_ref.velocity(t)
-
-    rows: list[dict] = []
+        reference = finest_run_reference(sys, force, q0, u0, T, h_list)
+    trajectories = []
     for h in h_list:
         try:
-            traj, _ = run(sys, force, q0, u0, h, T)
-            err = interpolant_sup_error(traj, reference)
-            rows.append({"h": float(h), "err": float(err), "order": None})
+            trajectories.append(run(sys, force, q0, u0, h, T)[0])
         except ProxsweepError as exc:
-            rows.append({"h": float(h), "err": None, "order": None,
-                         "failed": str(exc)})
-    for i in range(1, len(rows)):
-        e0, e1 = rows[i - 1].get("err"), rows[i].get("err")
-        h0, h1 = rows[i - 1]["h"], rows[i]["h"]
-        # no meaningful order below the roundoff floor
-        if e0 and e1 and e0 > 1e-12 and e1 > 1e-12 and h0 != h1:
-            rows[i]["order"] = float(math.log(e0 / e1) / math.log(h0 / h1))
-    return rows
+            trajectories.append(exc)
+    return error_table(h_list, trajectories, reference)
 
 
 def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,

@@ -21,6 +21,12 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
 * pointwise hypomonotonicity residuals used to check prox-regularity
   empirically.
 
+Every polyhedral optimum in the package goes through one least-distance
+kernel, least_distance: min |x| s.t. G x >= h, solved as a single NNLS
+problem.  gamma and the good direction are both read off its solution for
+the unit active normals, and projection.py builds the point and velocity
+projections on it.
+
 All operations are pure; a ConstraintSystem is shareable read-only across
 threads.
 """
@@ -29,19 +35,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
-from .errors import ConstraintEvaluationError, InvalidConstantsError
+from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConstantsError
 
 # eta cap for affine constraints (M = 0 means a convex half-space, eta = inf)
 DEFAULT_ETA_MAX = 1.0e6
 
 # below this, reverse-triangle / admissibility optima count as failures
 TOL_SINGULAR = 1.0e-6
+
+# least-distance programs count as infeasible once the optimum would lie
+# farther than about 3e6 times the largest right-hand side
+_INFEASIBLE = 1.0e-13
 
 
 def activity_tolerance(q: np.ndarray) -> float:
@@ -256,84 +265,68 @@ def prox_constant(sys: ConstraintSystem, eta_max: float | None = None) -> float:
     return min(sys.alpha / sys.hess_bound, cap)
 
 
-def _simplex_grid(k: int, m: int):
-    """All weight vectors on the k-simplex with m subdivisions per axis."""
-    for comb in combinations_with_replacement(range(k), m):
-        counts = np.bincount(np.array(comb), minlength=k)
-        yield counts / m
+def least_distance(rows: np.ndarray, rhs: np.ndarray,
+                   base_point=None) -> tuple[np.ndarray, np.ndarray]:
+    """Least-norm x with rows @ x >= rhs, and its multipliers mu >= 0.
 
-
-def _min_combination_norm(unit_normals: np.ndarray) -> float:
-    """min |sum_i mu_i n_i| over the unit simplex, n_i given unit vectors.
-
-    Dense simplex grid followed by pairwise coordinate descent; the objective
-    is convex in mu so the refinement is reliable.
+    One NNLS solve of [rows^T; rhs^T] u ~ e_{d+1} (Lawson & Hanson 1974,
+    ch. 23): its residual r gives x = -r[:d] / r[d] and mu = -u / r[d], so
+    x = rows^T mu with mu_i > 0 only on rows that hold with equality.  At a
+    feasible optimum -r[d] = 1 / (1 + |x|^2) in units of max|rhs|; when it
+    vanishes the rows admit no x and InfeasibleConeError(base_point) is
+    raised.  x is finally re-solved on the rows with mu_i > 0 as equalities,
+    so points on affine faces come out exact rather than within roundoff.
     """
-    k = unit_normals.shape[0]
-    gram = unit_normals @ unit_normals.T
+    d = rows.shape[1]
+    scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
+    lhs = np.vstack([rows.T, rhs / scale])
+    target = np.zeros(d + 1)
+    target[-1] = 1.0
+    u, _ = nnls(lhs, target)
+    r = lhs @ u - target
+    if -r[-1] <= _INFEASIBLE:
+        raise InfeasibleConeError(base_point)
+    mu = -(scale / r[-1]) * u
+    face = mu > 0.0
+    x, *_ = np.linalg.lstsq(rows[face], rhs[face], rcond=None)
+    return x, mu
 
-    def norm2(mu):
-        return float(mu @ gram @ mu)
 
-    if k <= 4:
-        best_mu, best = None, np.inf
-        for mu in _simplex_grid(k, 20):
-            v = norm2(mu)
-            if v < best:
-                best, best_mu = v, mu
-        mu = np.array(best_mu, dtype=float)
-    else:
-        rng = np.random.default_rng(0)
-        draws = rng.dirichlet(np.ones(k), size=2 ** 14)
-        vals = np.einsum("ij,jk,ik->i", draws, gram, draws)
-        mu = draws[int(np.argmin(vals))]
+def _least_inward(grads: np.ndarray) -> np.ndarray | None:
+    """x* = argmin |x| s.t. <n_i / |n_i|, x> >= 1 over the rows n_i of grads.
 
-    # pairwise descent: move mass t from i to j, exact line minimum, clamp
-    for _ in range(200):
-        improved = False
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                d = np.zeros(k)
-                d[i], d[j] = -1.0, 1.0
-                a = float(d @ gram @ d)
-                b = float(mu @ gram @ d)
-                if a <= 1e-300:
-                    continue
-                tstar = np.clip(-b / a, -mu[j], mu[i])
-                if abs(tstar) < 1e-16:
-                    continue
-                cand = mu + tstar * d
-                if norm2(cand) < norm2(mu) - 1e-16:
-                    mu = cand
-                    improved = True
-        if not improved:
-            break
-    return math.sqrt(max(norm2(mu), 0.0))
+    |x*| = 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}; None when a
+    gradient vanishes or no such x exists (0 is in the hull of the unit
+    normals).
+    """
+    norms = np.linalg.norm(grads, axis=1)
+    if np.any(norms <= 0.0):
+        return None
+    try:
+        x, _ = least_distance(grads / norms[:, None], np.ones(len(norms)))
+    except InfeasibleConeError:
+        return None
+    return x
 
 
 def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
                               rho: float = 0.0) -> float:
     """gamma with sum lam_i |n_i| <= gamma |sum lam_i n_i| over near-active i.
 
-    Equals 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}; returns +inf when
-    the minimum falls below the singularity tolerance (the inequality fails).
+    Equals 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}, which is the
+    norm of the least-distance point of {x : <n_i/|n_i|, x> >= 1}; returns
+    +inf when the minimum falls below the singularity tolerance (the
+    inequality fails).
     """
     q = np.asarray(q, dtype=float)
     active = _active_constraints(sys, t, q, rho)
-    if not active:
+    if len(active) <= 1:
         return 1.0
-    if len(active) == 1:
-        return 1.0
-    grads = np.vstack([c.gradient_at(t, q) for c in active])
-    norms = np.linalg.norm(grads, axis=1)
-    if np.any(norms <= 0.0):
+    x = _least_inward(np.vstack([c.gradient_at(t, q) for c in active]))
+    if x is None:
         return math.inf
-    m = _min_combination_norm(grads / norms[:, None])
-    if m < TOL_SINGULAR:
-        return math.inf
-    return 1.0 / m
+    gamma = float(np.linalg.norm(x))
+    return math.inf if 1.0 / gamma < TOL_SINGULAR else gamma
 
 
 def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0,
@@ -341,55 +334,23 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 
     """Best uniform-angle certificate (u, delta) at (t, q), or None on failure.
 
     Solves max delta s.t. <u, -n_i> >= delta |n_i| over the near-active
-    gradients with u in the unit box, breaks ties toward sparse u, then
-    renormalizes to the Euclidean sphere.  delta is recomputed from the
-    returned direction so the certificate is exact by construction.
+    gradients and Euclidean unit vectors u.  The optimum is u = -x*/|x*| with
+    delta = 1/|x*|, where x* is the least-distance point of
+    {x : <n_i/|n_i|, x> >= 1}.  delta is recomputed from the returned
+    direction so the certificate is exact by construction.
     """
     q = np.asarray(q, dtype=float)
-    d = sys.dim
     active = _active_constraints(sys, t, q, rho)
     if not active:
-        direction = np.zeros(d)
+        direction = np.zeros(sys.dim)
         direction[0] = -1.0
         return _estimate(sys, 1.0, direction, radius_r, tau)
-
     grads = np.vstack([c.gradient_at(t, q) for c in active])
-    norms = np.linalg.norm(grads, axis=1)
-    if np.any(norms <= 0.0):
+    x = _least_inward(grads)
+    if x is None:
         return None
-
-    # phase A: maximize delta, variables (u, delta)
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([grads, norms[:, None]])  # <u, n_i> + delta |n_i| <= 0
-    b_ub = np.zeros(len(active))
-    bounds = [(-1.0, 1.0)] * d + [(0.0, 2.0 * math.sqrt(d))]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x is None:
-        return None
-    delta_box = float(res.x[-1])
-    if delta_box <= TOL_SINGULAR:
-        return None
-
-    # phase B: among optimal u, minimize sum |u_j| (tie break, makes the
-    # returned direction deterministic and axis-aligned where possible)
-    delta_fix = delta_box * (1.0 - 1e-9) - 1e-12
-    c2 = np.concatenate([np.zeros(d), np.ones(d)])
-    rows = [np.hstack([grads, np.zeros((len(active), d))])]
-    b2 = [-delta_fix * norms]
-    eye = np.eye(d)
-    rows.append(np.hstack([eye, -eye]))      # u_j - s_j <= 0
-    rows.append(np.hstack([-eye, -eye]))     # -u_j - s_j <= 0
-    b2.extend([np.zeros(d), np.zeros(d)])
-    res2 = linprog(c2, A_ub=np.vstack(rows), b_ub=np.concatenate(b2),
-                   bounds=[(-1.0, 1.0)] * d + [(0.0, 1.0)] * d, method="highs")
-    u = res2.x[:d] if (res2.success and res2.x is not None) else res.x[:d]
-
-    nu = float(np.linalg.norm(u))
-    if nu <= 0.0:
-        return None
-    direction = u / nu
-    delta = float(np.min((-grads @ direction) / norms))
+    direction = -x / np.linalg.norm(x)
+    delta = float(np.min((-grads @ direction) / np.linalg.norm(grads, axis=1)))
     if delta <= TOL_SINGULAR:
         return None
     return _estimate(sys, delta, direction, radius_r, tau)

@@ -1,32 +1,28 @@
 """Euclidean projections onto the admissible set and onto velocity polyhedra.
 
-Point projection handles the possibly nonconvex set C(t): a damped semismooth
-Newton method solves the KKT system
+Both reduce to the least-distance kernel of geometry.least_distance, which
+projects onto a polyhedron {z : b + N z >= 0} with one NNLS solve.
 
-    y - x - sum_i lam_i grad g_i(t, y) = 0,
-    phi(g_i(t, y), lam_i) = 0            (Fischer-Burmeister complementarity),
-
-seeded at x, with cyclic single-constraint projections as a fallback seed.
-The result is the unique nearest point whenever dist(x, C(t)) < eta; farther
-out it is a local solution flagged non-certified.
-
-Velocity projection is a convex QP onto {u : b_i + <n_i, u> >= 0} solved by a
-primal active-set method, with LP phase-1 feasibility detection.
+Velocity projection is one kernel call.  Point projection handles the
+possibly nonconvex set C(t) by linearise-and-project: starting from y = x,
+x is projected onto {z : g_i(t, y) + <grad g_i(t, y), z - y> >= 0} and y is
+moved to the result until it stops moving.  Affine sets are done in one
+projection.  The result is the unique nearest point whenever
+dist(x, C(t)) < eta; farther out it is a local solution flagged
+non-certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import InfeasibleConeError
-from .geometry import ConstraintSystem, VelocityPolyhedron, activity_tolerance
+from .geometry import (ConstraintSystem, VelocityPolyhedron, activity_tolerance,
+                       least_distance)
 
-MAX_NEWTON_ITER = 100
-_TIKHONOV = 1e-12
+MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -50,223 +46,15 @@ class ProjectionResult:
     diagnostic: str = ""
 
 
-def _fb(a: float, b: float) -> float:
-    # Fischer-Burmeister: zero iff a >= 0, b >= 0, a*b = 0
-    return a + b - np.hypot(a, b)
-
-
-def _fb_grad(a: float, b: float) -> tuple[float, float]:
-    r = np.hypot(a, b)
-    if r < 1e-300:
-        s = 1.0 - 1.0 / np.sqrt(2.0)
-        return s, s
-    return 1.0 - a / r, 1.0 - b / r
-
-
-def _fd_hessian(con, t: float, y: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of one constraint from its gradient."""
-    d = y.size
-    eps = 1e-6 * (1.0 + float(np.linalg.norm(y)))
-    h = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = eps
-        h[:, j] = (con.gradient_at(t, y + e) - con.gradient_at(t, y - e)) / (2.0 * eps)
-    return 0.5 * (h + h.T)
-
-
-def _kkt_residual(sys: ConstraintSystem, t, x, y, lam):
-    g = sys.values(t, y)
-    grads = sys.gradients(t, y)
-    f_stat = y - x - grads.T @ lam
-    f_comp = np.array([_fb(g[i], lam[i]) for i in range(sys.p)])
-    return f_stat, f_comp, g, grads
-
-
-def _newton(sys: ConstraintSystem, t, x, y0, lam0, tol):
-    y = y0.copy()
-    lam = lam0.copy()
-    d, p = sys.dim, sys.p
-    iters = 0
-    for iters in range(1, MAX_NEWTON_ITER + 1):
-        f_stat, f_comp, g, grads = _kkt_residual(sys, t, x, y, lam)
-        fnorm = max(np.max(np.abs(f_stat)) if d else 0.0,
-                    np.max(np.abs(f_comp)) if p else 0.0)
-        if fnorm <= tol:
-            return y, lam, True, iters - 1
-        jyy = np.eye(d)
-        for i in range(p):
-            if lam[i] != 0.0:
-                jyy -= lam[i] * _fd_hessian(sys.constraints[i], t, y)
-        da = np.empty(p)
-        db = np.empty(p)
-        for i in range(p):
-            da[i], db[i] = _fb_grad(g[i], lam[i])
-        jac = np.zeros((d + p, d + p))
-        jac[:d, :d] = jyy
-        jac[:d, d:] = -grads.T
-        jac[d:, :d] = da[:, None] * grads
-        jac[d:, d:] = np.diag(db)
-        rhs = -np.concatenate([f_stat, f_comp])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            step = np.linalg.solve(jac.T @ jac + _TIKHONOV * np.eye(d + p), jac.T @ rhs)
-        # Armijo backtracking on the squared residual
-        theta0 = 0.5 * (f_stat @ f_stat + f_comp @ f_comp)
-        alpha = 1.0
-        while alpha >= 2.0 ** -24:
-            y_try = y + alpha * step[:d]
-            lam_try = lam + alpha * step[d:]
-            fs, fc, _, _ = _kkt_residual(sys, t, x, y_try, lam_try)
-            if 0.5 * (fs @ fs + fc @ fc) <= (1.0 - 2e-4 * alpha) * theta0:
-                y, lam = y_try, lam_try
-                break
-            alpha *= 0.5
-        else:
-            return y, lam, False, iters
-    return y, lam, False, iters
-
-
-def _restore(sys: ConstraintSystem, t, y, rel_tol: float, passes: int,
-             cap: float = np.inf):
-    """Cyclic Newton projections onto violated constraint manifolds."""
-    y = y.copy()
-    for _ in range(passes):
-        worst = 0.0
-        for con in sys.constraints:
-            for _ in range(30):
-                g = con.value_at(t, y)
-                if g >= -rel_tol * (1.0 + np.linalg.norm(y)):
-                    break
-                grad = con.gradient_at(t, y)
-                n2 = float(grad @ grad)
-                if n2 <= 1e-300:
-                    break
-                move = -(g / n2) * grad
-                size = float(np.linalg.norm(move))
-                if size > cap:
-                    move *= cap / size
-                y = y + move
-            worst = max(worst, -con.value_at(t, y))
-        if worst <= rel_tol * (1.0 + np.linalg.norm(y)):
-            break
-    return y
-
-
-def _pocs_seed(sys: ConstraintSystem, t, x):
-    """Cyclic single-constraint projections; a feasible-ish warm start."""
-    return _restore(sys, t, x, rel_tol=1e-13, passes=50,
-                    cap=2.0 * (1.0 + float(np.linalg.norm(x))))
-
-
-def _manifold_seed(cons, t, x, cap):
-    """Pull x onto the intersection of the given zero sets (capped steps)."""
-    y = x.copy()
-    for _ in range(60):
-        moved = 0.0
-        for con in cons:
-            g = con.value_at(t, y)
-            grad = con.gradient_at(t, y)
-            n2 = float(grad @ grad)
-            if n2 <= 1e-300:
-                continue
-            move = -(g / n2) * grad
-            size = float(np.linalg.norm(move))
-            if size > cap:
-                move *= cap / size
-            y = y + move
-            moved = max(moved, size)
-        if moved <= 1e-14 * (1.0 + np.linalg.norm(y)):
-            break
-    return y
-
-
-def _equality_kkt(cons, t, x, seed, tol):
-    """Damped Newton on (y - x - G^T lam, g_S(y)) for one active subset."""
-    d, k = x.size, len(cons)
-    y = seed.copy()
-    grads = np.vstack([c.gradient_at(t, y) for c in cons])
-    lam, *_ = np.linalg.lstsq(grads.T, y - x, rcond=None)
-    for _ in range(60):
-        g = np.array([c.value_at(t, y) for c in cons])
-        grads = np.vstack([c.gradient_at(t, y) for c in cons])
-        f1 = y - x - grads.T @ lam
-        if max(np.max(np.abs(f1)), np.max(np.abs(g))) <= tol:
-            return y, lam, True
-        jyy = np.eye(d)
-        for i, con in enumerate(cons):
-            if lam[i] != 0.0:
-                jyy -= lam[i] * _fd_hessian(con, t, y)
-        jac = np.zeros((d + k, d + k))
-        jac[:d, :d] = jyy
-        jac[:d, d:] = -grads.T
-        jac[d:, :d] = grads
-        rhs = -np.concatenate([f1, g])
-        try:
-            stp = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            stp = np.linalg.solve(jac.T @ jac + _TIKHONOV * np.eye(d + k), jac.T @ rhs)
-        theta0 = 0.5 * float(f1 @ f1 + g @ g)
-        alpha = 1.0
-        while alpha >= 2.0 ** -20:
-            y_try = y + alpha * stp[:d]
-            lam_try = lam + alpha * stp[d:]
-            g_t = np.array([c.value_at(t, y_try) for c in cons])
-            grads_t = np.vstack([c.gradient_at(t, y_try) for c in cons])
-            f1_t = y_try - x - grads_t.T @ lam_try
-            if 0.5 * float(f1_t @ f1_t + g_t @ g_t) <= (1.0 - 2e-4 * alpha) * theta0:
-                y, lam = y_try, lam_try
-                break
-            alpha *= 0.5
-        else:
-            return y, lam, False
-    return y, lam, False
-
-
-def _enumerate_active_subsets(sys: ConstraintSystem, t, x, tol):
-    """Exact nonlinear active-set search: best KKT point over small subsets.
-
-    Fallback for seeds where the semismooth iteration stalls (e.g. near the
-    medial axis of a nonconvex set, where constraint gradients nearly vanish
-    along the way).  Constraint counts are small here, so this is cheap.
-    """
-    cap = 2.0 * (1.0 + float(np.linalg.norm(x)))
-    best = None
-    for size in range(1, min(sys.p, sys.dim) + 1):
-        for subset in combinations(sys.constraints, size):
-            for seed in (x, _manifold_seed(subset, t, x, cap)):
-                y, lam, ok = _equality_kkt(subset, t, x, seed, tol)
-                if not ok:
-                    continue
-                if not sys.feasible(t, y, 1e-9 * (1.0 + np.linalg.norm(x))):
-                    continue
-                if lam.size and np.min(lam) < -1e-9:
-                    continue
-                dist = float(np.linalg.norm(y - x))
-                if best is None or dist < best[1]:
-                    best = (y, dist)
-                break
-    return None if best is None else best[0]
-
-
-def _extract_point_multipliers(sys: ConstraintSystem, t, x, y):
-    """Clean nonnegative multipliers on the active set via least squares."""
-    tol = activity_tolerance(y)
-    active = [c for c in sys.constraints if c.value_at(t, y) <= tol]
-    if not active:
-        return np.zeros(0), ()
-    cols = np.vstack([c.gradient_at(t, y) for c in active]).T
-    lam, _ = nnls(cols, y - x)
-    return lam, tuple(c.id for c in active)
-
-
 def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionResult:
     """Nearest point of C(t) to x, with Kuhn-Tucker certificate.
 
-    Feasible x is returned unchanged.  Results with distance >= eta are
-    flagged non-certified ("outside the prox-regular tube"): uniqueness is
-    not guaranteed there and the integrator refuses to continue on them.
+    Feasible x is returned unchanged.  The iteration stops once it moves
+    less than 1e-12 (1 + |x|); an infeasible linearisation or MAX_ITER
+    projections without that leave converged False.  Results with
+    distance >= eta are flagged non-certified ("outside the prox-regular
+    tube"): uniqueness is not guaranteed there and the integrator refuses to
+    continue on them.
     """
     x = np.asarray(x, dtype=float)
     if sys.p == 0 or np.all(sys.values(t, x) >= 0.0):
@@ -274,112 +62,50 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
                                 distance=0.0, converged=True, iterations=0)
 
     tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
-    y, lam, ok, iters = _newton(sys, t, x, x.copy(), np.zeros(sys.p), tol)
-    if not ok or not sys.feasible(t, y, 1e-9 * (1.0 + np.linalg.norm(x))):
-        seed = _pocs_seed(sys, t, x)
-        lam0, _ids = _extract_point_multipliers(sys, t, x, seed)
-        lam_full = np.zeros(sys.p)
-        k = 0
-        for i, c in enumerate(sys.constraints):
-            if c.id in _ids:
-                lam_full[i] = lam0[k]
-                k += 1
-        y2, lam2, ok2, iters2 = _newton(sys, t, x, seed, lam_full, tol)
-        iters += iters2
-        if ok2:
-            y, ok = y2, True
-        else:
-            y3 = _enumerate_active_subsets(sys, t, x, tol)
-            if y3 is not None:
-                y, ok = y3, True
-            elif sys.feasibility_gap(t, y2) < sys.feasibility_gap(t, y):
-                y = y2  # keep the better stalled iterate
+    y, mu = x, np.zeros(sys.p)
+    converged, diag = False, ""
+    for iters in range(1, MAX_ITER + 1):
+        grads = sys.gradients(t, y)
+        try:
+            move, mu = least_distance(grads, grads @ (y - x) - sys.values(t, y))
+        except InfeasibleConeError:
+            diag = "linearised constraints infeasible"
+            break
+        z = x + move
+        converged = float(np.linalg.norm(z - y)) < tol
+        y = z
+        if converged:
+            break
+    else:
+        diag = f"no convergence in {MAX_ITER} projections"
 
-    # restoration polish: pull the tiny residual infeasibility (~Newton
-    # tolerance) back onto the constraint manifolds; makes resting contacts
-    # exact and keeps feasibility gaps at machine precision
-    y = _restore(sys, t, y, rel_tol=5e-16, passes=5)
-
-    mult, ids = _extract_point_multipliers(sys, t, x, y)
+    tol_act = activity_tolerance(y)
+    active = [i for i, c in enumerate(sys.constraints) if c.value_at(t, y) <= tol_act]
     dist = float(np.linalg.norm(x - y))
     certified = dist < sys.eta
-    diag = "" if ok else "newton stalled"
     if not certified:
         diag = (diag + "; " if diag else "") + "outside prox-regular tube"
-    return ProjectionResult(point=y, multipliers=mult, active_ids=ids, distance=dist,
-                            converged=ok, iterations=iters, certified=certified,
-                            diagnostic=diag)
-
-
-def _phase1_feasible(poly: VelocityPolyhedron, scale: float) -> np.ndarray:
-    """LP phase-1 start; raises InfeasibleConeError when the polyhedron is empty."""
-    m, d = poly.normals.shape
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([-poly.normals, -np.ones((m, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=poly.offsets,
-                  bounds=[(None, None)] * d + [(0.0, None)], method="highs")
-    if not res.success or res.x is None or res.x[-1] > 1e-9 * scale:
-        raise InfeasibleConeError(poly.base_point)
-    return res.x[:d]
+    return ProjectionResult(point=y, multipliers=mu[active],
+                            active_ids=tuple(sys.constraints[i].id for i in active),
+                            distance=dist, converged=converged,
+                            iterations=iters, certified=certified, diagnostic=diag)
 
 
 def project_velocity(poly: VelocityPolyhedron, u: np.ndarray) -> ProjectionResult:
-    """Euclidean projection of u onto the velocity polyhedron (primal active set).
+    """Euclidean projection of u onto the velocity polyhedron (one kernel call).
 
     Feasible u is returned unchanged; multipliers come back one per row with
-    u_projected = u + sum_i lam_i n_i, lam_i >= 0.
+    u_projected = u + sum_i lam_i n_i, lam_i >= 0.  An empty polyhedron
+    raises InfeasibleConeError.
     """
     u = np.asarray(u, dtype=float)
-    m, d = poly.normals.shape
+    m = poly.nrows
     scale = 1.0 + float(np.linalg.norm(u)) + (float(np.max(np.abs(poly.offsets))) if m else 0.0)
     if poly.membership(u, tol=1e-12 * scale):
         return ProjectionResult(point=u.copy(), multipliers=np.zeros(m),
                                 active_ids=(), distance=0.0, converged=True, iterations=0)
-
-    w = _phase1_feasible(poly, scale)
-    work: list[int] = []
-    lam_work = np.zeros(0)
-    iters = 0
-    for iters in range(1, 200 * (m + 1)):
-        if work:
-            a = poly.normals[work]
-            rhs = -(poly.offsets[work] + a @ u)
-            mu = np.linalg.solve(a @ a.T + _TIKHONOV * np.eye(len(work)), rhs)
-            w_eq = u + a.T @ mu
-        else:
-            mu = np.zeros(0)
-            w_eq = u.copy()
-        step = w_eq - w
-        if np.linalg.norm(step) <= 1e-12 * scale:
-            lam_work = mu
-            if lam_work.size == 0 or np.min(lam_work) >= -1e-11 * scale:
-                break
-            work.pop(int(np.argmin(lam_work)))
-            continue
-        # largest feasible fraction of the step
-        alpha, blocker = 1.0, -1
-        for i in range(m):
-            if i in work:
-                continue
-            ndot = float(poly.normals[i] @ step)
-            if ndot < -1e-14 * scale:
-                room = float(poly.offsets[i] + poly.normals[i] @ w)
-                a_i = max(room, 0.0) / (-ndot)
-                if a_i < alpha:
-                    alpha, blocker = a_i, i
-        w = w + alpha * step
-        if blocker >= 0:
-            work.append(blocker)
-        else:
-            lam_work = mu
-            if lam_work.size == 0 or np.min(lam_work) >= -1e-11 * scale:
-                break
-            work.pop(int(np.argmin(lam_work)))
-
-    multipliers = np.zeros(m)
-    for k, i in enumerate(work):
-        multipliers[i] = max(float(lam_work[k]), 0.0) if k < lam_work.size else 0.0
-    return ProjectionResult(point=w, multipliers=multipliers,
-                            active_ids=tuple(work), distance=float(np.linalg.norm(w - u)),
-                            converged=True, iterations=iters)
+    move, mu = least_distance(poly.normals, -poly.residuals(u), poly.base_point)
+    return ProjectionResult(point=u + move, multipliers=mu,
+                            active_ids=tuple(np.flatnonzero(mu > 0.0).tolist()),
+                            distance=float(np.linalg.norm(move)), converged=True,
+                            iterations=1)

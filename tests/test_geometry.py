@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsweep import (InvalidConstantsError, active_set, good_direction,
+from proxsweep import (ConstraintFunction, ConstraintSystem, InvalidConstantsError,
+                       active_set, good_direction,
                        hypomonotonicity_residual, normal_cone_generators,
                        prox_constant, reverse_triangle_constant,
                        velocity_polyhedron)
@@ -189,6 +190,33 @@ class TestReverseTriangle:
     def test_antipodal_failure(self):
         sys = antipodal_pair()
         assert reverse_triangle_constant(sys, 0.0, np.array([0.0, 0.5])) == math.inf
+
+
+class TestFiveConstraintCone:
+    """Five planes through the origin with unit normals at angle theta to e3."""
+
+    THETA = 0.6
+
+    @pytest.fixture()
+    def cone(self):
+        cons = []
+        for i in range(5):
+            phi = 2.0 * math.pi * i / 5.0
+            n = np.array([math.sin(self.THETA) * math.cos(phi),
+                          math.sin(self.THETA) * math.sin(phi), math.cos(self.THETA)])
+            cons.append(ConstraintFunction(id=i + 1, value=lambda t, q, n=n: float(n @ q),
+                                           gradient_q=lambda t, q, n=n: n.copy(),
+                                           dt=lambda t, q: 0.0))
+        return ConstraintSystem(dim=3, constraints=tuple(cons))
+
+    def test_reverse_triangle_closed_form(self, cone):
+        gamma = reverse_triangle_constant(cone, 0.0, np.zeros(3))
+        assert gamma == pytest.approx(1.0 / math.cos(self.THETA), abs=1e-12)
+
+    def test_good_direction_closed_form(self, cone):
+        est = good_direction(cone, 0.0, np.zeros(3))
+        assert est.delta == pytest.approx(math.cos(self.THETA), abs=1e-12)
+        np.testing.assert_allclose(est.direction, [0.0, 0.0, -1.0], atol=1e-12)
 
 
 class TestGoodDirection:

@@ -105,6 +105,18 @@ class TestStep:
         assert "tube" in err.value.reason
         assert err.value.step_index == 1
 
+    def test_infeasible_linearisation_aborts(self):
+        # the prediction (0, -0.5) sits below the pocket's floor inside the
+        # disc: wall and floor linearised there ask for q2 <= -1.25 and q2 >= 0
+        sys = lookup("pocket").system
+        st = SchemeState(n=4, t_n=0.0, q_prev=np.array([0.0, 1.5]),
+                         q_curr=np.array([0.0, 1.0]), u_curr=np.array([0.0, -15.0]),
+                         h=0.1)
+        with pytest.raises(SimulationAbort) as err:
+            step(st, sys, ZERO_FORCE)
+        assert "did not converge" in err.value.reason
+        assert err.value.step_index == 4
+
 
 class TestExtractMultipliers:
     def test_zero_increment(self):

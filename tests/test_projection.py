@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsweep import (InfeasibleConeError, VelocityPolyhedron,
-                       hypomonotonicity_residual, project_point,
+from proxsweep import (ConstraintFunction, ConstraintSystem, InfeasibleConeError,
+                       VelocityPolyhedron, hypomonotonicity_residual, project_point,
                        project_velocity, velocity_polyhedron)
+from proxsweep.geometry import least_distance
+from proxsweep.projection import MAX_ITER
 from proxsweep.scenarios import lookup
 
 from conftest import disc_complement, half_space_1d, sample_boundary
@@ -106,6 +110,35 @@ class TestProjectPoint:
                     continue
                 assert hypomonotonicity_residual(sys, 0.0, res.point, z, v) <= 1e-9
 
+    @pytest.mark.parametrize("name, x", [("floor", [-0.37]), ("wedge", [-0.3, -0.7]),
+                                         ("wedge", [0.4, -0.9])])
+    def test_affine_faces_exact(self, name, x):
+        # one projection lands on the face to the last bit; the second only
+        # confirms that the iterate stopped moving
+        res = project_point(lookup(name).system, 0.0, np.array(x))
+        expected = np.maximum(x, 0.0)
+        np.testing.assert_array_equal(res.point, expected)
+        assert res.converged and res.iterations == 2
+
+    def test_infeasible_linearisation_not_converged(self):
+        sys = lookup("pocket").system
+        res = project_point(sys, 0.0, np.array([0.0, -0.5]))
+        assert not res.converged
+        assert res.diagnostic == "linearised constraints infeasible"
+        assert res.iterations == 1
+
+    def test_iteration_cap_not_converged(self):
+        # atan(q) >= 0: from x = -2 the linearised projection jumps to 3.54,
+        # whose linearisation admits x again, a two-cycle that never settles
+        con = ConstraintFunction(id=1, value=lambda t, q: math.atan(q[0]),
+                                 gradient_q=lambda t, q: np.array([1.0 / (1.0 + q[0] ** 2)]),
+                                 dt=lambda t, q: 0.0)
+        res = project_point(ConstraintSystem(dim=1, constraints=(con,)), 0.0,
+                            np.array([-2.0]))
+        assert not res.converged
+        assert res.iterations == MAX_ITER
+        assert res.diagnostic == f"no convergence in {MAX_ITER} projections"
+
     def test_grid_oracle_agreement(self):
         rng = np.random.default_rng(37)
         resolution = 1e-4
@@ -121,6 +154,35 @@ class TestProjectPoint:
             orc = grid_project(sys, 0.0, x, resolution,
                                (np.array([-3.0, -3.0]), np.array([3.0, 3.0])))
             assert np.linalg.norm(res.point - orc.value) <= 3 * resolution
+
+
+class TestLeastDistance:
+    def test_closed_form_with_multipliers(self):
+        rows = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0]])
+        rhs = np.array([0.5, 3.0, -10.0])
+        x, mu = least_distance(rows, rhs)
+        np.testing.assert_array_equal(x, [0.5, 1.5])
+        np.testing.assert_allclose(mu, [0.5, 0.75, 0.0], atol=1e-15)
+        np.testing.assert_allclose(rows.T @ mu, x, atol=1e-15)
+
+    @pytest.mark.parametrize("rhs", [-1.0, 0.0])
+    def test_origin_already_feasible(self, rhs):
+        x, mu = least_distance(np.array([[1.0, 1.0]]), np.array([rhs]))
+        np.testing.assert_array_equal(x, [0.0, 0.0])
+        np.testing.assert_array_equal(mu, [0.0])
+
+    def test_infeasible_carries_base_point(self):
+        base = (0.5, np.zeros(1))
+        with pytest.raises(InfeasibleConeError) as err:
+            least_distance(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), base)
+        assert err.value.base_point is base
+
+    def test_scale_invariant(self):
+        rows = np.array([[1.0, 0.2], [-0.3, 1.0]])
+        x1, mu1 = least_distance(rows, np.array([1.0, 2.0]))
+        x2, mu2 = least_distance(rows, np.array([1e9, 2e9]))
+        np.testing.assert_allclose(x2, 1e9 * x1, rtol=1e-14)
+        np.testing.assert_allclose(mu2, 1e9 * mu1, rtol=1e-12)
 
 
 def make_poly(normals, offsets, base=None):

@@ -1,16 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from proxsweep import ConfigError, run
+from proxsweep import ConfigError, cli, diagnostics, run
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
-
-CLI = [sys.executable, "-m", "proxsweep.cli"]
 
 
 class TestRegistry:
@@ -186,18 +181,32 @@ class TestSweepExecution:
             assert (tmp_path / f"sw_h{h}.json").exists()
         assert out.with_suffix(".json").exists()
 
-    def test_thread_cap_env(self, tmp_path):
-        env = dict(os.environ, SWEEP2_THREADS="1")
-        proc = subprocess.run(CLI + ["--scenario", "free", "--sweep", "0.04,0.02",
-                                     "--json-only", "--out", str(tmp_path / "s1")],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        serial = (tmp_path / "s1.json").read_bytes()
-        proc = subprocess.run(CLI + ["--scenario", "free", "--sweep", "0.04,0.02",
-                                     "--json-only", "--out", str(tmp_path / "s2")],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert serial == (tmp_path / "s2.json").read_bytes()
+    def test_sweep_rerun_byte_identical(self, tmp_path):
+        args = ["--scenario", "pocket", "--sweep", "0.04,0.02", "--T", "1"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out_a)]) == 0
+        assert main(args + ["--out", str(out_b)]) == 0
+        for suffix in ("_h0.04.csv", "_h0.02.csv", "_h0.04.json", "_h0.02.json", ".json"):
+            assert ((tmp_path / f"a{suffix}").read_bytes()
+                    == (tmp_path / f"b{suffix}").read_bytes()), suffix
+
+    @pytest.mark.parametrize("args, runs", [
+        (["--scenario", "floor"], 2),
+        (["--scenario", "pocket", "--q0", "0.5,2.25"], 3),  # plus a reference run at h/2
+    ], ids=["closed-form-reference", "reference-run"])
+    def test_sweep_integrates_each_h_once(self, tmp_path, monkeypatch, args, runs):
+        calls = []
+
+        def counting_run(*a, **k):
+            calls.append(a[4])
+            return run(*a, **k)
+
+        monkeypatch.setattr(cli, "run", counting_run)
+        monkeypatch.setattr(diagnostics, "run", counting_run)
+        rc = main(args + ["--sweep", "0.04,0.02", "--T", "1", "--json-only",
+                          "--out", str(tmp_path / "s")])
+        assert rc == 0
+        assert sorted(calls) == sorted([0.04, 0.02, 0.01][:runs])
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
