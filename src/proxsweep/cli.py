@@ -88,16 +88,16 @@ def read_config_file(path: str) -> dict:
 
 def _apply_file_values(cfg: RunConfig, values: dict) -> RunConfig:
     for key, value in values.items():
-        if key == "scenario":
-            cfg = replace(cfg, scenario=value)
+        if key in ("scenario", "out"):
+            cfg = replace(cfg, **{key: value})
         elif key in ("h", "T", "J", "jump_tol"):
-            cfg = replace(cfg, **{key: float(value)})
-        elif key in ("q0", "u0"):
+            try:
+                number = float(value)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse {key}={value!r} as a float") from exc
+            cfg = replace(cfg, **{key: number})
+        elif key in ("q0", "u0", "sweep"):
             cfg = replace(cfg, **{key: _parse_floats(value)})
-        elif key == "sweep":
-            cfg = replace(cfg, sweep=_parse_floats(value))
-        elif key == "out":
-            cfg = replace(cfg, out=value)
         elif key in ("verify", "json_only"):
             cfg = replace(cfg, **{key: value.lower() in ("1", "true", "yes")})
         else:
@@ -167,9 +167,8 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _single_run(scn: Scenario, cfg: RunConfig, h: float, T: float):
-    q0 = np.array(cfg.q0, dtype=float) if cfg.q0 is not None else scn.q0
-    u0 = np.array(cfg.u0, dtype=float) if cfg.u0 is not None else scn.u0
+def _single_run(scn: Scenario, cfg: RunConfig, q0: np.ndarray, u0: np.ndarray,
+                h: float, T: float):
     traj, contact = run(scn.system, scn.force, q0, u0, h, T)
     admiss = good_direction(scn.system, scn.probe[0], scn.probe[1])
     report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J,
@@ -221,22 +220,12 @@ def run_cli(args: argparse.Namespace) -> int:
     cfg = RunConfig(scenario="floor")
     if args.config:
         cfg = _apply_file_values(cfg, read_config_file(args.config))
-    if args.scenario is not None:
-        cfg = replace(cfg, scenario=args.scenario)
-    if args.h is not None:
-        cfg = replace(cfg, h=args.h)
-    if args.T is not None:
-        cfg = replace(cfg, T=args.T)
-    if args.q0 is not None:
-        cfg = replace(cfg, q0=_parse_floats(args.q0))
-    if args.u0 is not None:
-        cfg = replace(cfg, u0=_parse_floats(args.u0))
-    if args.sweep is not None:
-        cfg = replace(cfg, sweep=_parse_floats(args.sweep))
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.J is not None:
-        cfg = replace(cfg, J=args.J)
+    for key in ("scenario", "h", "T", "out", "J"):
+        if getattr(args, key) is not None:
+            cfg = replace(cfg, **{key: getattr(args, key)})
+    for key in ("q0", "u0", "sweep"):
+        if getattr(args, key) is not None:
+            cfg = replace(cfg, **{key: _parse_floats(getattr(args, key))})
     cfg = replace(cfg, verify=cfg.verify or args.verify,
                   json_only=cfg.json_only or args.json_only)
 
@@ -259,7 +248,7 @@ def run_cli(args: argparse.Namespace) -> int:
 
     if not cfg.sweep:
         h = cfg.h if cfg.h is not None else scn.h
-        traj, contact, report = _single_run(scn, cfg, h, T)
+        traj, contact, report = _single_run(scn, cfg, q0, u0, h, T)
         if not cfg.json_only:
             write_csv(f"{cfg.out}.csv", scn, traj, contact)
         write_json(f"{cfg.out}.json", report_to_json(scn.name, h, T, report))
@@ -276,7 +265,7 @@ def run_cli(args: argparse.Namespace) -> int:
     # sweep: each h is integrated once; its trajectory also feeds the error table
     trajectories, reports = [], []
     for h in cfg.sweep:
-        traj, contact, report = _single_run(scn, cfg, h, T)
+        traj, contact, report = _single_run(scn, cfg, q0, u0, h, T)
         if not cfg.json_only:
             write_csv(f"{cfg.out}_h{h:g}.csv", scn, traj, contact)
         write_json(f"{cfg.out}_h{h:g}.json", report_to_json(scn.name, h, T, report))

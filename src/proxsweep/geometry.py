@@ -58,6 +58,14 @@ def activity_tolerance(q: np.ndarray) -> float:
     return 1e-8 * (1.0 + float(np.linalg.norm(q)))
 
 
+def _active_mask(values: np.ndarray, q: np.ndarray, rho: float = 0.0) -> np.ndarray:
+    """values <= rho entrywise (rho = 0: activity_tolerance(q)); the one
+    activity rule behind active_set, project_point and extract_multipliers.
+    """
+    threshold = activity_tolerance(q) if rho == 0.0 else rho
+    return np.asarray(values, dtype=float) <= threshold
+
+
 @dataclass(frozen=True)
 class ConstraintFunction:
     """One scalar constraint g_i(t, q) >= 0 with its derivative evaluators.
@@ -220,8 +228,8 @@ class AdmissibilityEstimate:
 def active_set(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0) -> ActiveSet:
     """Indices { i : g_i(t, q) <= rho }; rho = 0 uses the activity tolerance."""
     q = np.asarray(q, dtype=float)
-    threshold = activity_tolerance(q) if rho == 0.0 else rho
-    idx = tuple(sorted(c.id for c in sys.constraints if c.value_at(t, q) <= threshold))
+    mask = _active_mask(sys.values(t, q), q, rho)
+    idx = tuple(sorted(c.id for c, on in zip(sys.constraints, mask) if on))
     return ActiveSet(indices=idx, rho=rho)
 
 

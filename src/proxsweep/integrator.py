@@ -16,8 +16,10 @@ positions piecewise linear.  Per step the contact increment
 
     dk^n = u^n + h f^n - u^{n+1}
 
-is an exact proximal normal at q^{n+1}; nonnegative least squares on the
-active gradients turns it into Kuhn-Tucker multipliers.
+is an exact proximal normal at q^{n+1}: h dk^n is the displacement the
+projection removed, so its Kuhn-Tucker multipliers are the projection's own
+divided by h.  extract_multipliers recovers them independently, by
+nonnegative least squares on the active gradients.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import SimulationAbort, StepSizeTooLargeError
-from .geometry import ConstraintSystem, activity_tolerance
+from .geometry import ConstraintSystem, _active_mask
 from .projection import project_point
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(3)
@@ -161,7 +163,7 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
     q = np.asarray(q, dtype=float)
     if tol_kkt is None:
         tol_kkt = 1e-8 * (1.0 + float(np.linalg.norm(increment)))
-    act = [c for c in sys.constraints if c.value_at(t, q) <= activity_tolerance(q)]
+    act = [c for c, on in zip(sys.constraints, _active_mask(sys.values(t, q), q)) if on]
     if not act:
         res = float(np.linalg.norm(increment))
         return MultiplierExtraction(np.zeros(0), (), res, res <= tol_kkt)
@@ -169,16 +171,6 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
     lam, res = nnls(cols, -increment)
     return MultiplierExtraction(lam, tuple(c.id for c in act), float(res),
                                 float(res) <= tol_kkt)
-
-
-def _full_multiplier_vector(sys: ConstraintSystem, ext: MultiplierExtraction) -> np.ndarray:
-    out = np.zeros(sys.p)
-    k = 0
-    for i, c in enumerate(sys.constraints):
-        if c.id in ext.active_ids:
-            out[i] = ext.values[k]
-            k += 1
-    return out
 
 
 def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
@@ -219,12 +211,17 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     q_next = proj.point
     u_next = (q_next - state.q_curr) / h
     increment = state.u_curr + h * f_avg - u_next
-    ext = extract_multipliers(increment, sys, t_next, q_next)
+    # h * increment = predicted - q^{n+1} is the projection's proximal normal
+    rows = [i for i, c in enumerate(sys.constraints) if c.id in proj.active_ids]
+    lam = np.zeros(sys.p)
+    lam[rows] = proj.multipliers / h
+    residual = float(np.linalg.norm(increment + sum(
+        lam[i] * sys.constraints[i].gradient_at(t_next, q_next) for i in rows)))
     new_state = SchemeState(n=state.n + 1, t_n=t_next, q_prev=state.q_curr,
                             q_curr=q_next, u_curr=u_next, h=h)
-    return StepOutcome(state=new_state, increment=increment,
-                       multipliers=_full_multiplier_vector(sys, ext),
-                       multiplier_residual=ext.residual, in_cone=ext.in_cone,
+    return StepOutcome(state=new_state, increment=increment, multipliers=lam,
+                       multiplier_residual=residual,
+                       in_cone=residual <= 1e-8 * (1.0 + float(np.linalg.norm(increment))),
                        force_average=f_avg)
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConeError
-from .geometry import (ConstraintSystem, VelocityPolyhedron, activity_tolerance,
-                       least_distance)
+from .geometry import ConstraintSystem, VelocityPolyhedron, _active_mask, least_distance
 
 MAX_ITER = 50
 
@@ -57,7 +56,8 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     continue on them.
     """
     x = np.asarray(x, dtype=float)
-    if sys.p == 0 or np.all(sys.values(t, x) >= 0.0):
+    g = sys.values(t, x)
+    if np.all(g >= 0.0):
         return ProjectionResult(point=x.copy(), multipliers=np.zeros(0), active_ids=(),
                                 distance=0.0, converged=True, iterations=0)
 
@@ -67,20 +67,19 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     for iters in range(1, MAX_ITER + 1):
         grads = sys.gradients(t, y)
         try:
-            move, mu = least_distance(grads, grads @ (y - x) - sys.values(t, y))
+            move, mu = least_distance(grads, grads @ (y - x) - g)
         except InfeasibleConeError:
             diag = "linearised constraints infeasible"
             break
         z = x + move
         converged = float(np.linalg.norm(z - y)) < tol
-        y = z
+        y, g = z, sys.values(t, z)
         if converged:
             break
     else:
         diag = f"no convergence in {MAX_ITER} projections"
 
-    tol_act = activity_tolerance(y)
-    active = [i for i, c in enumerate(sys.constraints) if c.value_at(t, y) <= tol_act]
+    active = np.flatnonzero(_active_mask(g, y))
     dist = float(np.linalg.norm(x - y))
     certified = dist < sys.eta
     if not certified:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from proxsweep import (ForceField, SimulationAbort, StepSizeTooLargeError,
-                       ZERO_FORCE, extract_multipliers, initialize, run, step)
+                       ZERO_FORCE, active_set, extract_multipliers, initialize,
+                       integrator, run, step)
 from proxsweep.integrator import SchemeState
 from proxsweep.scenarios import lookup
 
@@ -229,6 +230,28 @@ class TestRun:
                 for i, con in enumerate(sys.constraints):
                     if lam[i] > 1e-10:
                         assert con.id in act.indices
+
+    @pytest.mark.parametrize("name", ["wedge", "pocket", "floor"])
+    def test_step_multipliers_need_no_nnls(self, name, monkeypatch):
+        # step() reads the multipliers off the projection's certificate; the
+        # least-squares recovery is never needed on the way
+        def no_nnls(*args, **kwargs):
+            raise AssertionError("step() solved an NNLS problem")
+
+        monkeypatch.setattr(integrator, "nnls", no_nnls)
+        scn = lookup(name)
+        sys = scn.system
+        traj, contact = run(sys, scn.force, scn.q0, scn.u0, 0.01, scn.T)
+        assert np.min(contact.multipliers) >= 0.0
+        assert np.max(contact.multipliers) > 0.0
+        for j in range(traj.nsteps):
+            t1, q1 = float(traj.times[j + 1]), traj.positions[j + 1]
+            lam, inc = contact.multipliers[j], contact.increments[j]
+            tol = 1e-8 * (1.0 + np.linalg.norm(inc))
+            np.testing.assert_allclose(lam @ sys.gradients(t1, q1), -inc, atol=tol)
+            assert contact.residuals[j] <= tol
+            act = active_set(sys, t1, q1)
+            assert all(c.id in act for c, lam_i in zip(sys.constraints, lam) if lam_i > 0.0)
 
     def test_momentum_balance(self):
         from proxsweep import momentum_residual

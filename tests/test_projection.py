@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsweep import (ConstraintFunction, ConstraintSystem, InfeasibleConeError,
-                       VelocityPolyhedron, hypomonotonicity_residual, project_point,
-                       project_velocity, velocity_polyhedron)
+                       VelocityPolyhedron, active_set, extract_multipliers,
+                       hypomonotonicity_residual, project_point, project_velocity,
+                       velocity_polyhedron)
 from proxsweep.geometry import least_distance
 from proxsweep.projection import MAX_ITER
 from proxsweep.scenarios import lookup
@@ -138,6 +139,44 @@ class TestProjectPoint:
         assert not res.converged
         assert res.iterations == MAX_ITER
         assert res.diagnostic == f"no convergence in {MAX_ITER} projections"
+
+    def test_values_once_per_iterate(self):
+        # the feasibility test's values seed the first linearisation; each
+        # iterate's values seed the next one and, at the end, the active set
+        calls = []
+
+        def value(t, q):
+            calls.append(q.copy())
+            return float(q @ q) - 1.0
+
+        con = ConstraintFunction(id=1, value=value, gradient_q=lambda t, q: 2.0 * q,
+                                 dt=lambda t, q: 0.0, hessian_bound=2.0)
+        sys = ConstraintSystem(dim=2, constraints=(con,), alpha=2.0, beta=2.0,
+                               hess_bound=2.0)
+        res = project_point(sys, 0.0, np.array([0.3, 0.4]))
+        assert res.converged and res.iterations > 2
+        np.testing.assert_allclose(res.point, [0.6, 0.8], atol=1e-12)
+        assert len(calls) == res.iterations + 1
+        assert res.active_ids == (1,)
+
+    @pytest.mark.parametrize("offset, active", [(0.5e-8, True), (3e-8, False)])
+    def test_one_activity_rule(self, offset, active):
+        # (1, -1) projects onto (1, 0), where the wall q1 >= 1 - offset has
+        # value offset against the activity tolerance 1e-8 (1 + |q|) = 2e-8
+        floor = ConstraintFunction(id=1, value=lambda t, q: float(q[1]),
+                                   gradient_q=lambda t, q: np.array([0.0, 1.0]),
+                                   dt=lambda t, q: 0.0)
+        wall = ConstraintFunction(id=2, value=lambda t, q: float(q[0]) - (1.0 - offset),
+                                  gradient_q=lambda t, q: np.array([1.0, 0.0]),
+                                  dt=lambda t, q: 0.0)
+        sys = ConstraintSystem(dim=2, constraints=(floor, wall))
+        res = project_point(sys, 0.0, np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(res.point, [1.0, 0.0])
+        expected = (1, 2) if active else (1,)
+        assert res.active_ids == expected
+        assert active_set(sys, 0.0, res.point).indices == expected
+        ext = extract_multipliers(np.array([0.0, -1.0]), sys, 0.0, res.point)
+        assert ext.active_ids == expected
 
     def test_grid_oracle_agreement(self):
         rng = np.random.default_rng(37)

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from proxsweep import ConfigError, cli, diagnostics, run
+from proxsweep import ConfigError, cli, diagnose, diagnostics, run
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
@@ -78,6 +80,15 @@ class TestConfigFile:
             read_config_file(str(cfg))
 
 
+    @pytest.mark.parametrize("key", ["h", "T", "J", "jump_tol"])
+    def test_unparsable_float_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario=floor\n{key}=abc\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key}='abc'" in err
+
+
 class TestCliExitCodes:
     def test_happy_path(self, tmp_path):
         out = tmp_path / "run1"
@@ -122,6 +133,49 @@ class TestCliExitCodes:
         assert rc == 0
         assert out.with_suffix(".json").exists()
         assert not out.with_suffix(".csv").exists()
+
+
+class TestVerifyGate:
+    def test_single_run_green(self, tmp_path):
+        assert main(["--scenario", "floor", "--h", "0.01", "--verify", "--json-only",
+                     "--out", str(tmp_path / "v")]) == 0
+
+    def test_single_run_problems_are_exit_3(self, tmp_path, monkeypatch, capsys):
+        def broken_diagnose(*args, **kwargs):
+            report = diagnose(*args, **kwargs)
+            event = replace(report.impacts[0], law_residual=1.0, variational_max=1.0)
+            return replace(report, max_feasibility_gap=1e-6, velocity_bound_ok=False,
+                           momentum_residual=1e-6, impacts=[event])
+
+        monkeypatch.setattr(cli, "diagnose", broken_diagnose)
+        rc = main(["--scenario", "floor", "--h", "0.01", "--verify", "--json-only",
+                   "--out", str(tmp_path / "v")])
+        assert rc == 3
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("verify: ")]
+        assert [line.split()[1] for line in lines] == [
+            "feasibility", "per-step", "momentum", "impact", "variational"]
+
+    def test_sweep_error_increase_is_exit_3(self, tmp_path, capsys):
+        # a coarsening sweep: the error grows from h = 0.01 to h = 0.02
+        rc = main(["--scenario", "floor", "--sweep", "0.01,0.02", "--verify",
+                   "--json-only", "--out", str(tmp_path / "s")])
+        assert rc == 3
+        assert "verify: error not strictly decreasing at h=0.02" in capsys.readouterr().out
+
+    def test_sweep_checks(self):
+        def reports(*pairs):
+            return [SimpleNamespace(sup_velocity=s, total_variation=tv) for s, tv in pairs]
+
+        rows = [{"h": 0.02, "err": 0.1}, {"h": 0.01, "err": 0.08}]
+        assert cli._verify_sweep(reports((1.0, 1.0), (1.2, 1.5)), rows, True) == [
+            "sup |u| varies by >= 10% over the sweep",
+            "TV(u) varies by >= 25% over the sweep",
+            "final error 0.08 > 0.05 vs analytic reference"]
+        assert cli._verify_sweep(reports((1.0, 1.0), (1.0, 1.0)), rows, False) == []
+        failed = [{"h": 0.02, "err": 0.1}, {"h": 0.01, "err": None}]
+        assert cli._verify_sweep(reports((1.0, 1.0), (1.0, 1.0)), failed, True) == [
+            "a sweep run failed"]
 
 
 class TestOutputFiles:
