@@ -9,8 +9,14 @@ and a JSON diagnostics summary with the stable schema
      constants: {kappa0, nu_min, T0},
      convergence: [{h, err, order}]}
 
-Exit codes: 0 success, 1 configuration error, 2 simulation abort (tube exit
-or infeasibility) with the failing step index, 3 verification failure under
+Settings come from one table, SETTINGS: each config-file key is also a flag
+(jump_tol is file-only), flag values win over file values, and every value is
+parsed from text by the same parser whichever source gave it.  Booleans take
+only 1/true/yes/0/false/no in any case; --verify and --json-only set "true".
+
+Exit codes: 0 success, 1 configuration error (an unknown key or flag, a value
+that does not parse or fails validation), 2 simulation abort (tube exit or
+infeasibility) with the failing step index, 3 verification failure under
 --verify.
 """
 
@@ -21,7 +27,6 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,38 +39,39 @@ from .scenarios import Scenario, lookup
 CSV_DIGITS = 17
 
 
-@dataclass
-class RunConfig:
-    scenario: str
-    h: float | None = None
-    T: float | None = None
-    q0: list[float] | None = None
-    u0: list[float] | None = None
-    sweep: list[float] = field(default_factory=list)
-    out: str = "run"
-    verify: bool = False
-    json_only: bool = False
-    J: float = 1.0
-    jump_tol: float | None = None  # config-file tolerance override
-
-    def validate(self, scn: Scenario) -> None:
-        h = self.h if self.h is not None else scn.h
-        T = self.T if self.T is not None else scn.T
-        for hv in ([h] if not self.sweep else self.sweep):
-            if not (hv > 0.0):
-                raise ConfigError(f"h must be > 0, got {hv}")
-            if not (T > hv):
-                raise ConfigError(f"need T > h, got T={T}, h={hv}")
-        for name, vec in (("q0", self.q0), ("u0", self.u0)):
-            if vec is not None and len(vec) != scn.dim:
-                raise ConfigError(f"{name} must have length {scn.dim}, got {len(vec)}")
+def _floats(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
+def _vector(text: str) -> np.ndarray:
+    return np.array(_floats(text), dtype=float)
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _bool(text: str) -> bool:
+    return _BOOLS[text.lower()]
+
+
+_FROM_SCENARIO = object()
+
+# Every run setting: name -> (parser of its text, default, flag help).  Config
+# file keys and flags share these names (--json-only for json_only); a help of
+# None marks a file-only key, and _FROM_SCENARIO takes the scenario's value.
+SETTINGS = {
+    "scenario": (str, "floor", "scenario name (floor, wedge, piston, pocket, free)"),
+    "h": (float, _FROM_SCENARIO, "time step"),
+    "T": (float, _FROM_SCENARIO, "final time"),
+    "q0": (_vector, _FROM_SCENARIO, "initial position, comma separated"),
+    "u0": (_vector, _FROM_SCENARIO, "initial velocity, comma separated"),
+    "sweep": (_floats, (), "comma separated list of h values"),
+    "verify": (_bool, False, "check invariants and convergence; exit 3 on failure"),
+    "out": (str, "run", "output path stem (default: run)"),
+    "json_only": (_bool, False, "skip CSV output"),
+    "J": (float, 1.0, "horizon constant J (default 1)"),
+    "jump_tol": (float, None, None),
+}
 
 
 def read_config_file(path: str) -> dict:
@@ -86,23 +92,43 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _apply_file_values(cfg: RunConfig, values: dict) -> RunConfig:
-    for key, value in values.items():
-        if key in ("scenario", "out"):
-            cfg = replace(cfg, **{key: value})
-        elif key in ("h", "T", "J", "jump_tol"):
-            try:
-                number = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse {key}={value!r} as a float") from exc
-            cfg = replace(cfg, **{key: number})
-        elif key in ("q0", "u0", "sweep"):
-            cfg = replace(cfg, **{key: _parse_floats(value)})
-        elif key in ("verify", "json_only"):
-            cfg = replace(cfg, **{key: value.lower() in ("1", "true", "yes")})
-        else:
+def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, argparse.Namespace]:
+    """Parse, default and validate the run settings; flag values win over file values.
+
+    Both sources give text.  Each value is parsed once by its SETTINGS parser;
+    an unknown key or a value that does not parse is a ConfigError.
+    """
+    cfg = {}
+    for key, text in {**file_values, **flag_values}.items():
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-    return cfg
+        try:
+            cfg[key] = SETTINGS[key][0](text)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"cannot parse {key}={text!r}") from exc
+    scn = lookup(cfg.get("scenario", SETTINGS["scenario"][1]))
+    for key, (_, default, _) in SETTINGS.items():
+        cfg.setdefault(key, getattr(scn, key) if default is _FROM_SCENARIO else default)
+
+    T = cfg["T"]
+    for h in cfg["sweep"] or [cfg["h"]]:
+        if not h > 0.0:
+            raise ConfigError(f"h must be > 0, got {h}")
+        if not h < T < math.inf:
+            raise ConfigError(f"need T > h and T finite, got T={T}, h={h}")
+    for key in ("q0", "u0"):
+        if len(cfg[key]) != scn.dim:
+            raise ConfigError(f"{key} must have length {scn.dim}, got {len(cfg[key])}")
+        if not np.all(np.isfinite(cfg[key])):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+    if scn.system.p:
+        g0 = scn.system.values(0.0, cfg["q0"])
+        if np.min(g0) <= 0.0:
+            worst = int(np.argmin(g0))
+            raise ConfigError(
+                f"initial position infeasible: g_{scn.system.constraints[worst].id}"
+                f"(0, q0) = {g0[worst]:.6g} <= 0")
+    return scn, argparse.Namespace(**cfg)
 
 
 def _fmt(x: float) -> str:
@@ -156,8 +182,7 @@ def report_to_json(scn_name: str, h: float | None, T: float,
             "nu_min": _json_num(report.constants.nu_min),
             "T0": _json_num(report.constants.T0),
         },
-        "convergence": convergence if convergence is not None else
-        report.convergence_table,
+        "convergence": convergence or [],
     }
 
 
@@ -167,9 +192,8 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _single_run(scn: Scenario, cfg: RunConfig, q0: np.ndarray, u0: np.ndarray,
-                h: float, T: float):
-    traj, contact = run(scn.system, scn.force, q0, u0, h, T)
+def _single_run(scn: Scenario, cfg: argparse.Namespace, h: float):
+    traj, contact = run(scn.system, scn.force, cfg.q0, cfg.u0, h, cfg.T)
     admiss = good_direction(scn.system, scn.probe[0], scn.probe[1])
     report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J,
                       jump_tol=cfg.jump_tol)
@@ -217,38 +241,18 @@ def _verify_sweep(reports: list[DiagnosticsReport], rows: list[dict],
 
 
 def run_cli(args: argparse.Namespace) -> int:
-    cfg = RunConfig(scenario="floor")
-    if args.config:
-        cfg = _apply_file_values(cfg, read_config_file(args.config))
-    for key in ("scenario", "h", "T", "out", "J"):
-        if getattr(args, key) is not None:
-            cfg = replace(cfg, **{key: getattr(args, key)})
-    for key in ("q0", "u0", "sweep"):
-        if getattr(args, key) is not None:
-            cfg = replace(cfg, **{key: _parse_floats(getattr(args, key))})
-    cfg = replace(cfg, verify=cfg.verify or args.verify,
-                  json_only=cfg.json_only or args.json_only)
-
-    scn = lookup(cfg.scenario)
-    cfg.validate(scn)
-    q0 = np.array(cfg.q0, dtype=float) if cfg.q0 is not None else scn.q0
-    u0 = np.array(cfg.u0, dtype=float) if cfg.u0 is not None else scn.u0
-    T = cfg.T if cfg.T is not None else scn.T
-    if scn.system.p:
-        g0 = scn.system.values(0.0, q0)
-        if np.min(g0) <= 0.0:
-            worst = int(np.argmin(g0))
-            raise ConfigError(
-                f"initial position infeasible: g_{scn.system.constraints[worst].id}"
-                f"(0, q0) = {g0[worst]:.6g} <= 0")
+    flags = {key: value for key, value in vars(args).items()
+             if key != "config" and value is not None}
+    scn, cfg = resolve_settings(read_config_file(args.config) if args.config else {}, flags)
+    T = cfg.T
 
     out_dir = os.path.dirname(cfg.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     if not cfg.sweep:
-        h = cfg.h if cfg.h is not None else scn.h
-        traj, contact, report = _single_run(scn, cfg, q0, u0, h, T)
+        h = cfg.h
+        traj, contact, report = _single_run(scn, cfg, h)
         if not cfg.json_only:
             write_csv(f"{cfg.out}.csv", scn, traj, contact)
         write_json(f"{cfg.out}.json", report_to_json(scn.name, h, T, report))
@@ -265,16 +269,16 @@ def run_cli(args: argparse.Namespace) -> int:
     # sweep: each h is integrated once; its trajectory also feeds the error table
     trajectories, reports = [], []
     for h in cfg.sweep:
-        traj, contact, report = _single_run(scn, cfg, q0, u0, h, T)
+        traj, contact, report = _single_run(scn, cfg, h)
         if not cfg.json_only:
             write_csv(f"{cfg.out}_h{h:g}.csv", scn, traj, contact)
         write_json(f"{cfg.out}_h{h:g}.json", report_to_json(scn.name, h, T, report))
         trajectories.append(traj)
         reports.append(report)
 
-    reference = scn.reference(q0, u0)
+    reference = scn.reference(cfg.q0, cfg.u0)
     rows = error_table(cfg.sweep, trajectories, reference or finest_run_reference(
-        scn.system, scn.force, q0, u0, T, cfg.sweep))
+        scn.system, scn.force, cfg.q0, cfg.u0, T, cfg.sweep))
     summary = report_to_json(scn.name, None, T, reports[-1], convergence=rows)
     write_json(f"{cfg.out}.json", summary)
     for h, rep, row in zip(cfg.sweep, reports, rows):
@@ -293,31 +297,30 @@ def run_cli(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)  # exit 1 like any configuration error, not 2
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One flag per SETTINGS key with a help text, plus --config; values stay text."""
+    parser = _ArgumentParser(
         prog="proxsweep",
         description="Prediction-correction simulator for constrained second-order "
                     "dynamics with inelastic impacts.")
-    parser.add_argument("--scenario", help="scenario name (floor, wedge, piston, pocket, free)")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--h", type=float, help="time step")
-    parser.add_argument("--T", type=float, help="final time")
-    parser.add_argument("--q0", help="initial position, comma separated")
-    parser.add_argument("--u0", help="initial velocity, comma separated")
-    parser.add_argument("--sweep", help="comma separated list of h values")
-    parser.add_argument("--verify", action="store_true",
-                        help="check invariants and convergence; exit 3 on failure")
-    parser.add_argument("--out", help="output path stem (default: run)")
-    parser.add_argument("--json-only", dest="json_only", action="store_true",
-                        help="skip CSV output")
-    parser.add_argument("--J", type=float, help="horizon constant J (default 1)")
+    for key, (parse, _, text) in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _bool:  # a present flag reads as "true"
+            parser.add_argument(flag, dest=key, action="store_const", const="true", help=text)
+        elif text is not None:  # no help: a file-only key
+            parser.add_argument(flag, dest=key, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run_cli(args)
+        return run_cli(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 1

@@ -10,7 +10,7 @@ horizon T0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +20,9 @@ from .geometry import (AdmissibilityEstimate, ConstraintSystem, VelocityPolyhedr
                        active_set, velocity_polyhedron)
 from .integrator import ContactMeasure, ForceField, Trajectory, run
 from .projection import project_point, project_velocity
+
+SAMPLES_PER_STEP = 4        # interpolant samples per step (quarter intervals)
+VARIATIONAL_SAMPLES = 32    # random admissible velocities per impact
 
 
 @dataclass
@@ -59,7 +62,6 @@ class DiagnosticsReport:
     sup_velocity: float
     impacts: list[ImpactEvent]
     constants: ConstantsRecord
-    convergence_table: list[dict] = field(default_factory=list)
     velocity_bound_ok: bool = True        # |u^{n+1}| <= 2|u^n + h f^n| + c0
     momentum_residual: float = 0.0        # |u(T) - u0 - sum h f + sum dk|
     partial_final_step: bool = False
@@ -83,13 +85,12 @@ def max_feasibility_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
                 for t, q in zip(traj.times, traj.positions)), default=0.0)
 
 
-def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem,
-                      samples_per_step: int = 4) -> float:
+def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     """max over sampled intermediate times of dist(q_h(t), C(t))."""
     if sys.p == 0:
         return 0.0
     worst = 0.0
-    fractions = np.linspace(0.0, 1.0, samples_per_step + 1)[1:-1]
+    fractions = np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1]
     for n in range(traj.nsteps):
         t0, t1 = traj.times[n], traj.times[n + 1]
         for w in fractions:
@@ -145,8 +146,7 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
     return windows
 
 
-def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray,
-                       count: int = 32) -> list[np.ndarray]:
+def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray) -> list[np.ndarray]:
     """Polyhedron vertices plus random admissible points near `around`."""
     m, d = poly.normals.shape
     samples: list[np.ndarray] = []
@@ -162,7 +162,7 @@ def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray,
                 samples.append(v)
     rng = np.random.default_rng(2024)
     scale = 1.0 + float(np.linalg.norm(around))
-    for _ in range(count):
+    for _ in range(VARIATIONAL_SAMPLES):
         cand = around + scale * rng.standard_normal(d)
         samples.append(project_velocity(poly, cand).point)
     return samples
@@ -170,7 +170,6 @@ def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray,
 
 def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
                       sup_force: float = 0.0,
-                      variational_samples: int = 32,
                       jump_tol: float | None = None) -> list[ImpactEvent]:
     """Check u+ = P_V(u-) at every detected jump, plus its variational form.
 
@@ -193,7 +192,7 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
             continue
         residual = float(np.linalg.norm(u_plus - u_star))
         worst = -math.inf
-        for w in _sample_admissible(poly, u_plus, variational_samples):
+        for w in _sample_admissible(poly, u_plus):
             worst = max(worst, float((u_minus - u_plus) @ (w - u_plus)))
         events.append(ImpactEvent(t_ev, u_minus, u_plus, poly,
                                   law_residual=residual, variational_max=worst))
@@ -224,13 +223,13 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
 
 
 def velocity_bound_ok(traj: Trajectory, contact: ContactMeasure,
-                      sys: ConstraintSystem, tol: float = 1e-9) -> bool:
-    """|u^{n+1}| <= 2 |u^n + h f^n| + c0 at every step."""
+                      sys: ConstraintSystem) -> bool:
+    """|u^{n+1}| <= 2 |u^n + h f^n| + c0 at every step, up to 1e-9."""
     for n in range(traj.nsteps):
         h = traj.times[n + 1] - traj.times[n]
         lhs = np.linalg.norm(traj.velocities[n + 1])
         rhs = 2.0 * np.linalg.norm(traj.velocities[n] + h * contact.force_averages[n])
-        if lhs > rhs + sys.lipschitz_c0 + tol:
+        if lhs > rhs + sys.lipschitz_c0 + 1e-9:
             return False
     return True
 
@@ -243,12 +242,12 @@ def momentum_residual(traj: Trajectory, contact: ContactMeasure) -> float:
     return float(np.linalg.norm(lhs))
 
 
-def interpolant_sup_error(traj: Trajectory, reference, samples_per_step: int = 4) -> float:
+def interpolant_sup_error(traj: Trajectory, reference) -> float:
     """sup_t |q_h(t) - q_ref(t)| sampled at quarter-interval points."""
     worst = 0.0
     for n in range(traj.nsteps):
         t0, t1 = traj.times[n], traj.times[n + 1]
-        for w in np.linspace(0.0, 1.0, samples_per_step + 1):
+        for w in np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1):
             t = (1.0 - w) * t0 + w * t1
             q_ref, _ = reference(t)
             q_h = (1.0 - w) * traj.positions[n] + w * traj.positions[n + 1]
@@ -310,7 +309,6 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
 def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
              force: ForceField, admiss: AdmissibilityEstimate | None = None,
              J: float = 1.0, k: int = 1,
-             convergence_table: list[dict] | None = None,
              jump_tol: float | None = None) -> DiagnosticsReport:
     """Assemble the full report for one finished run."""
     T = float(traj.times[-1])
@@ -323,7 +321,6 @@ def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
         sup_velocity=sup_velocity(traj),
         impacts=events,
         constants=constants,
-        convergence_table=convergence_table or [],
         velocity_bound_ok=velocity_bound_ok(traj, contact, sys),
         momentum_residual=momentum_residual(traj, contact),
         partial_final_step=traj.partial_final_step,

@@ -70,8 +70,7 @@ def _active_mask(values: np.ndarray, q: np.ndarray, rho: float = 0.0) -> np.ndar
 class ConstraintFunction:
     """One scalar constraint g_i(t, q) >= 0 with its derivative evaluators.
 
-    hessian_bound is a bound on |D^2_q g_i| near the zero set; dt_bounds
-    bounds |d^2_t g_i| + |d_t grad_q g_i| there.
+    hessian_bound is a bound on |D^2_q g_i| near the zero set.
     """
 
     id: int
@@ -79,7 +78,6 @@ class ConstraintFunction:
     gradient_q: Callable[[float, np.ndarray], np.ndarray]
     dt: Callable[[float, np.ndarray], float]
     hessian_bound: float = 0.0
-    dt_bounds: float = 0.0
 
     def value_at(self, t: float, q: np.ndarray) -> float:
         try:

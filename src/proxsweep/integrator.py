@@ -35,6 +35,7 @@ from .geometry import ConstraintSystem, _active_mask
 from .projection import project_point
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(3)
+_BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,11 @@ class ForceField:
             acc = acc + weight * self(mid + half * node, q)
         return 0.5 * acc
 
-    def integral_bound(self, t0: float, t1: float, nodes: int = 64) -> float:
-        """integral of bound_F over [t0, t1] by Gauss-Legendre quadrature."""
-        xs, ws = np.polynomial.legendre.leggauss(nodes)
+    def integral_bound(self, t0: float, t1: float) -> float:
+        """integral of bound_F over [t0, t1] by 64-point Gauss-Legendre quadrature."""
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        return float(half * sum(w * self.bound_F(mid + half * x) for x, w in zip(xs, ws)))
+        return float(half * sum(w * self.bound_F(mid + half * x)
+                                for x, w in zip(_BOUND_NODES, _BOUND_WEIGHTS)))
 
 
 ZERO_FORCE = ForceField(f=lambda t, q: np.zeros_like(q))
@@ -139,10 +140,6 @@ class ContactMeasure:
     residuals: np.ndarray         # shape (N,)
     force_averages: np.ndarray    # shape (N, d), the f^n used per step
 
-    @property
-    def cumulative_variation(self) -> float:
-        return float(np.sum(np.linalg.norm(self.increments, axis=1)))
-
 
 @dataclass(frozen=True)
 class MultiplierExtraction:
@@ -153,16 +150,15 @@ class MultiplierExtraction:
 
 
 def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
-                        q: np.ndarray, tol_kkt: float | None = None) -> MultiplierExtraction:
+                        q: np.ndarray) -> MultiplierExtraction:
     """Nonnegative lambda minimizing |sum lambda_i grad g_i + increment|.
 
-    The residual exceeding tol_kkt flags an increment outside the generated
-    normal cone; that is diagnostic, not fatal.
+    The residual exceeding 1e-8 (1 + |increment|) flags an increment outside
+    the generated normal cone; that is diagnostic, not fatal.
     """
     increment = np.asarray(increment, dtype=float)
     q = np.asarray(q, dtype=float)
-    if tol_kkt is None:
-        tol_kkt = 1e-8 * (1.0 + float(np.linalg.norm(increment)))
+    tol_kkt = 1e-8 * (1.0 + float(np.linalg.norm(increment)))
     act = [c for c, on in zip(sys.constraints, _active_mask(sys.values(t, q), q)) if on]
     if not act:
         res = float(np.linalg.norm(increment))

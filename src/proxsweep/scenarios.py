@@ -54,7 +54,6 @@ def _affine(cid: int, normal, offset_fn=None, dt_value: float = 0.0) -> Constrai
         gradient_q=lambda t, q: n.copy(),
         dt=lambda t, q: dt_value,
         hessian_bound=0.0,
-        dt_bounds=0.0,
     )
 
 
@@ -200,7 +199,6 @@ def _make_piston(v_w: float = 1.0) -> Scenario:
         gradient_q=lambda t, q: np.array([1.0]),
         dt=lambda t, q: -v_w,
         hessian_bound=0.0,
-        dt_bounds=0.0,
     )
     sys = ConstraintSystem(dim=1, constraints=(wall,), alpha=1.0, beta=1.0,
                            hess_bound=0.0, kappa=0.5, lipschitz_c0=abs(v_w))
@@ -218,7 +216,6 @@ def _make_pocket() -> Scenario:
         gradient_q=lambda t, q: 2.0 * np.asarray(q, dtype=float),
         dt=lambda t, q: 0.0,
         hessian_bound=2.0,
-        dt_bounds=0.0,
     )
     # floor scaled so its gradient norm matches alpha = 2
     floor = _affine(2, [0.0, 2.0])

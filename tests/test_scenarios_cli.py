@@ -80,13 +80,80 @@ class TestConfigFile:
             read_config_file(str(cfg))
 
 
-    @pytest.mark.parametrize("key", ["h", "T", "J", "jump_tol"])
-    def test_unparsable_float_is_config_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value, as_flag", [
+        pytest.param("h", "abc", False, id="h"),
+        pytest.param("T", "abc", False, id="T"),
+        pytest.param("J", "abc", False, id="J"),
+        pytest.param("jump_tol", "abc", False, id="jump_tol"),
+        pytest.param("h", "abc", True, id="flag-h"),
+        pytest.param("T", "x", True, id="flag-T"),
+        pytest.param("J", "y", True, id="flag-J"),
+    ])
+    def test_unparsable_float_is_config_error(self, tmp_path, capsys, key, value, as_flag):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"scenario=floor\n{key}=abc\n")
+        cfg.write_text("scenario=floor\n" + ("" if as_flag else f"{key}={value}\n"))
+        flags = [f"--{key}", value] if as_flag else []
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x")] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key}={value!r}" in err
+
+    @pytest.mark.parametrize("line", ["verify=ture", "json_only=maybe"])
+    def test_unparsable_bool_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario=floor\nsweep=0.01,0.02\n{line}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"{key}='abc'" in err
+        assert err.startswith("config error: ") and line.replace("=", "='") + "'" in err
+        assert list(tmp_path.iterdir()) == [cfg]  # no output file written
+
+    @pytest.mark.parametrize("lines, flags, message", [
+        ("colour=red", [], "unknown config key 'colour'"),
+        ("", ["--colour", "red"], "unrecognized arguments: --colour red"),
+        ("", ["--h"], "argument --h: expected one argument"),
+        ("sweep=0.02,x", [], "cannot parse sweep='0.02,x'"),
+        ("", ["--q0", "1,a"], "cannot parse q0='1,a'"),
+        ("", ["--h", "0"], "h must be > 0, got 0.0"),
+        ("sweep=0.02,-0.01", [], "h must be > 0, got -0.01"),
+        ("", ["--T", "0.01", "--h", "0.02"], "need T > h and T finite, got T=0.01, h=0.02"),
+        ("T=inf", [], "need T > h and T finite, got T=inf, h=0.01"),
+        ("scenario=wedge\nu0=1", [], "u0 must have length 2, got 1"),
+        ("q0=nan", [], "q0 must be finite"),
+        ("scenario=banana", [], "unknown scenario 'banana'"),
+    ], ids=["unknown-key", "unknown-flag", "missing-flag-value", "bad-float-list",
+            "bad-flag-vector", "h-zero", "sweep-h-negative", "T-below-h", "T-infinite",
+            "vector-length", "q0-nan", "unknown-scenario"])
+    def test_config_errors_exit_1(self, tmp_path, capsys, lines, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x")] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config file ")
+
+    def test_every_key_from_file_equals_flags(self, tmp_path):
+        # jump_tol has no flag, so the flag run reads it alone from a file
+        settings = {"scenario": "wedge", "h": "0.02", "T": "0.6", "q0": "1.5,1.25",
+                    "u0": "-2,-3", "sweep": "0.04,0.02", "verify": "yes",
+                    "json_only": "TRUE", "J": "2", "jump_tol": "0.5"}
+        from_file = tmp_path / "all.cfg"
+        from_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items())
+                             + f"out={tmp_path / 'file'}\n")
+        only_jump_tol = tmp_path / "jump.cfg"
+        only_jump_tol.write_text("jump_tol=0.5\n")
+        flags = ["--config", str(only_jump_tol), "--out", str(tmp_path / "flag"),
+                 "--verify", "--json-only"]
+        for key in ("scenario", "h", "T", "q0", "u0", "sweep", "J"):
+            flags.append(f"--{key}={settings[key]}")  # "=" lets a value start with "-"
+        assert main(["--config", str(from_file)]) == 0
+        assert main(flags) == 0
+        for suffix in ("_h0.04.json", "_h0.02.json", ".json"):
+            assert ((tmp_path / f"file{suffix}").read_bytes()
+                    == (tmp_path / f"flag{suffix}").read_bytes()), suffix
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestCliExitCodes:
