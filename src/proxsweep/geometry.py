@@ -59,10 +59,14 @@ def activity_tolerance(q: np.ndarray) -> float:
 
 
 def _active_mask(values: np.ndarray, q: np.ndarray, rho: float = 0.0) -> np.ndarray:
-    """values <= rho entrywise (rho = 0: activity_tolerance(q)); the one
-    activity rule behind active_set, project_point and extract_multipliers.
+    """values <= max(rho, activity_tolerance(q)) entrywise; the one activity
+    rule behind active_set, project_point and extract_multipliers.
+
+    The tolerance is a floor, not a default for rho = 0 alone: a rho below it
+    still counts every numerically active constraint, so the set only grows
+    with rho.
     """
-    threshold = activity_tolerance(q) if rho == 0.0 else rho
+    threshold = max(rho, activity_tolerance(q))
     return np.asarray(values, dtype=float) <= threshold
 
 
@@ -224,7 +228,7 @@ class AdmissibilityEstimate:
 
 
 def active_set(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0) -> ActiveSet:
-    """Indices { i : g_i(t, q) <= rho }; rho = 0 uses the activity tolerance."""
+    """Indices { i : g_i(t, q) <= rho }, rho floored at the activity tolerance."""
     q = np.asarray(q, dtype=float)
     mask = _active_mask(sys.values(t, q), q, rho)
     idx = tuple(sorted(c.id for c, on in zip(sys.constraints, mask) if on))

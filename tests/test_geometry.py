@@ -40,6 +40,11 @@ class TestActiveSet:
         large = active_set(sys, 0.0, np.array(q), r2).indices
         assert set(small) <= set(large)
 
+    def test_rho_below_tolerance_keeps_numerically_active(self):
+        sys = lookup("wedge").system
+        q = np.array([0.0, 1e-116])
+        assert active_set(sys, 0.0, q, 1e-301).indices == active_set(sys, 0.0, q).indices
+
     def test_indices_sorted_despite_declaration_order(self):
         from proxsweep import ConstraintFunction, ConstraintSystem
         c2 = ConstraintFunction(id=2, value=lambda t, q: float(q[1]),
