@@ -116,6 +116,8 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
             raise ConfigError(f"h must be > 0, got {h}")
         if not h < T < math.inf:
             raise ConfigError(f"need T > h and T finite, got T={T}, h={h}")
+    if not 0.0 <= cfg["J"] < math.inf:
+        raise ConfigError(f"J must be finite and >= 0, got {cfg['J']}")
     for key in ("q0", "u0"):
         if len(cfg[key]) != scn.dim:
             raise ConfigError(f"{key} must have length {scn.dim}, got {len(cfg[key])}")
@@ -192,9 +194,8 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _single_run(scn: Scenario, cfg: argparse.Namespace, h: float):
+def _single_run(scn: Scenario, cfg: argparse.Namespace, h: float, admiss):
     traj, contact = run(scn.system, scn.force, cfg.q0, cfg.u0, h, cfg.T)
-    admiss = good_direction(scn.system, scn.probe[0], scn.probe[1])
     report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J,
                       jump_tol=cfg.jump_tol)
     return traj, contact, report
@@ -245,6 +246,7 @@ def run_cli(args: argparse.Namespace) -> int:
              if key != "config" and value is not None}
     scn, cfg = resolve_settings(read_config_file(args.config) if args.config else {}, flags)
     T = cfg.T
+    admiss = good_direction(scn.system, scn.probe[0], scn.probe[1])
 
     out_dir = os.path.dirname(cfg.out)
     if out_dir:
@@ -252,7 +254,7 @@ def run_cli(args: argparse.Namespace) -> int:
 
     if not cfg.sweep:
         h = cfg.h
-        traj, contact, report = _single_run(scn, cfg, h)
+        traj, contact, report = _single_run(scn, cfg, h, admiss)
         if not cfg.json_only:
             write_csv(f"{cfg.out}.csv", scn, traj, contact)
         write_json(f"{cfg.out}.json", report_to_json(scn.name, h, T, report))
@@ -269,7 +271,7 @@ def run_cli(args: argparse.Namespace) -> int:
     # sweep: each h is integrated once; its trajectory also feeds the error table
     trajectories, reports = [], []
     for h in cfg.sweep:
-        traj, contact, report = _single_run(scn, cfg, h)
+        traj, contact, report = _single_run(scn, cfg, h, admiss)
         if not cfg.json_only:
             write_csv(f"{cfg.out}_h{h:g}.csv", scn, traj, contact)
         write_json(f"{cfg.out}_h{h:g}.json", report_to_json(scn.name, h, T, report))

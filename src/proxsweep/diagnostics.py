@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleConeError, ProxsweepError
+from .errors import InfeasibleConeError, InvalidConstantsError, ProxsweepError
 from .geometry import (AdmissibilityEstimate, ConstraintSystem, VelocityPolyhedron,
                        active_set, velocity_polyhedron)
 from .integrator import ContactMeasure, ForceField, Trajectory, run
@@ -85,20 +85,22 @@ def max_feasibility_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
                 for t, q in zip(traj.times, traj.positions)), default=0.0)
 
 
+def _interpolant(traj: Trajectory, fractions) -> tuple[np.ndarray, np.ndarray]:
+    """(t, q_h(t)) at t = (1-w) t^n + w t^{n+1} for each w in fractions and every
+    step n, ordered step by step; q_h is linear in t on each step."""
+    w = np.asarray(fractions, dtype=float)[:, None]
+    grid = np.column_stack([traj.times, traj.positions])
+    samples = ((1.0 - w) * grid[:-1, None] + w * grid[1:, None]).reshape(-1, grid.shape[1])
+    return samples[:, 0], samples[:, 1:]
+
+
 def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     """max over sampled intermediate times of dist(q_h(t), C(t))."""
     if sys.p == 0:
         return 0.0
-    worst = 0.0
-    fractions = np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1]
-    for n in range(traj.nsteps):
-        t0, t1 = traj.times[n], traj.times[n + 1]
-        for w in fractions:
-            t = (1.0 - w) * t0 + w * t1
-            q = (1.0 - w) * traj.positions[n] + w * traj.positions[n + 1]
-            if sys.feasibility_gap(t, q) > 0.0:
-                worst = max(worst, project_point(sys, t, q).distance)
-    return worst
+    times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1])
+    return max((project_point(sys, t, q).distance for t, q in zip(times, points)
+                if sys.feasibility_gap(t, q) > 0.0), default=0.0)
 
 
 def _jump_thresholds(h: float, sup_force: float) -> tuple[float, float]:
@@ -139,10 +141,7 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
             a -= 1
         while b + 1 < traj.nsteps and jumps[b + 1] > extend_tol and in_contact(b + 1):
             b += 1
-        if windows and a <= windows[-1][1] + 1:
-            windows[-1] = (windows[-1][0], b)
-        else:
-            windows.append((a, b))
+        windows.append((a, b))
     return windows
 
 
@@ -207,8 +206,10 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     A(k) = |u0| + 2 k kappa0 + k * integral of F over [0, T];
     T0 = 1 / (2 (J+1) (2|u0| + 3 sup F + sqrt(sup F))), infinite when the
     denominator vanishes.  Without a positive certificate the record is
-    explicitly unavailable.
+    explicitly unavailable.  J must be finite and >= 0.
     """
+    if not 0.0 <= J < math.inf:
+        raise InvalidConstantsError(f"J must be finite and >= 0, got {J}")
     rec = ConstantsRecord(k=k, J=J)
     speed = float(np.linalg.norm(u0))
     denom = 2.0 * (J + 1.0) * (2.0 * speed + 3.0 * force.sup_F + math.sqrt(force.sup_F))
@@ -225,13 +226,10 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
 def velocity_bound_ok(traj: Trajectory, contact: ContactMeasure,
                       sys: ConstraintSystem) -> bool:
     """|u^{n+1}| <= 2 |u^n + h f^n| + c0 at every step, up to 1e-9."""
-    for n in range(traj.nsteps):
-        h = traj.times[n + 1] - traj.times[n]
-        lhs = np.linalg.norm(traj.velocities[n + 1])
-        rhs = 2.0 * np.linalg.norm(traj.velocities[n] + h * contact.force_averages[n])
-        if lhs > rhs + sys.lipschitz_c0 + 1e-9:
-            return False
-    return True
+    steps = np.diff(traj.times)[:, None]
+    lhs = np.linalg.norm(traj.velocities[1:], axis=1)
+    rhs = 2.0 * np.linalg.norm(traj.velocities[:-1] + steps * contact.force_averages, axis=1)
+    return not np.any(lhs > rhs + sys.lipschitz_c0 + 1e-9)
 
 
 def momentum_residual(traj: Trajectory, contact: ContactMeasure) -> float:
@@ -243,16 +241,11 @@ def momentum_residual(traj: Trajectory, contact: ContactMeasure) -> float:
 
 
 def interpolant_sup_error(traj: Trajectory, reference) -> float:
-    """sup_t |q_h(t) - q_ref(t)| sampled at quarter-interval points."""
-    worst = 0.0
-    for n in range(traj.nsteps):
-        t0, t1 = traj.times[n], traj.times[n + 1]
-        for w in np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1):
-            t = (1.0 - w) * t0 + w * t1
-            q_ref, _ = reference(t)
-            q_h = (1.0 - w) * traj.positions[n] + w * traj.positions[n + 1]
-            worst = max(worst, float(np.linalg.norm(q_h - np.atleast_1d(q_ref))))
-    return worst
+    """sup_t |q_h(t) - q_ref(t)| sampled at quarter-interval points and at T."""
+    times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[:-1])
+    # 1-D norms: the axis=1 form can differ from them in the last bit
+    return max(float(np.linalg.norm(q - np.atleast_1d(reference(t)[0])))
+               for t, q in zip([*times, traj.times[-1]], [*points, traj.positions[-1]]))
 
 
 def finest_run_reference(sys: ConstraintSystem, force: ForceField, q0, u0, T: float,

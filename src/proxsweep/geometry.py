@@ -128,6 +128,9 @@ class ConstraintSystem:
             raise InvalidConstantsError(f"dim must be >= 1, got {self.dim}")
         if self.lipschitz_c0 < 0:
             raise InvalidConstantsError("lipschitz_c0 must be >= 0")
+        ids = [c.id for c in self.constraints]
+        if len(set(ids)) < len(ids):
+            raise InvalidConstantsError(f"constraint ids must be distinct, got {ids}")
         if self.eta is None:
             object.__setattr__(self, "eta", prox_constant(self))
 
@@ -237,8 +240,8 @@ def active_set(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0)
 
 def _active_constraints(sys: ConstraintSystem, t: float, q: np.ndarray,
                         rho: float = 0.0) -> list[ConstraintFunction]:
-    act = active_set(sys, t, q, rho)
-    return [c for c in sys.constraints if c.id in act.indices]
+    mask = _active_mask(sys.values(t, q), q, rho)
+    return [c for c, on in zip(sys.constraints, mask) if on]
 
 
 def normal_cone_generators(sys: ConstraintSystem, t: float, q: np.ndarray,

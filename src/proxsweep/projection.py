@@ -28,11 +28,12 @@ MAX_ITER = 50
 class ProjectionResult:
     """Projected point with its KKT certificate.
 
-    multipliers are nonnegative, one per entry of active_ids, and satisfy
-    (x - point) + sum lam_i grad g_i(t, point) ~ 0 together with
-    complementarity lam_i g_i(t, point) ~ 0.  certified means the distance is
-    below the prox-regularity constant, i.e. the projection is provably the
-    unique nearest point.
+    project_point gives nonnegative multipliers, one per constraint id in
+    active_ids, with (x - point) + sum lam_i grad g_i(t, point) ~ 0 and
+    complementarity lam_i g_i(t, point) ~ 0; project_velocity gives one per
+    polyhedron row, with active_ids the positions of the rows where lam_i > 0.
+    certified means the distance is below the prox-regularity constant, i.e.
+    the projection is provably the unique nearest point.
     """
 
     point: np.ndarray

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from proxsweep import (Trajectory, compute_constants, convergence_study,
-                       detect_impacts, diagnose, good_direction,
+from proxsweep import (ConstraintFunction, ConstraintSystem, ContactMeasure,
+                       InvalidConstantsError, Trajectory, compute_constants,
+                       convergence_study, detect_impacts, diagnose, good_direction,
                        interpolant_sup_error, max_intergrid_gap, run,
-                       total_variation, verify_impact_law, ZERO_FORCE)
+                       total_variation, velocity_bound_ok, verify_impact_law,
+                       ZERO_FORCE)
 from proxsweep.scenarios import lookup
 
 from conftest import H_SWEEP, half_space_1d
@@ -143,6 +145,11 @@ class TestConstants:
                                 ZERO_FORCE)
         assert rec.T0 == math.inf
 
+    @pytest.mark.parametrize("J", [-2.0, -1.0, math.inf, math.nan])
+    def test_horizon_constant_out_of_range(self, J):
+        with pytest.raises(InvalidConstantsError, match="J must be finite and >= 0"):
+            compute_constants(lookup("free").system, None, np.array([1.0]), ZERO_FORCE, J=J)
+
 
 class TestConvergence:
     def test_free_flight_roundoff(self):
@@ -190,6 +197,25 @@ class TestGaps:
             gap = max_intergrid_gap(traj, scn.system)
             assert gap <= scn.system.lipschitz_c0 * h + 1e-8
 
+    def test_only_last_three_quarter_sample_leaves_set(self):
+        # C(t) = {q >= b(t)} rises to q >= 0.5 only around t = 2.75, the w = 3/4
+        # sample of the last step, where the interpolant sits at 0.75 * 0.4
+        wall = ConstraintFunction(
+            id=1, value=lambda t, q: float(q[0]) - (0.5 if abs(t - 2.75) < 0.05 else -1.0),
+            gradient_q=lambda t, q: np.array([1.0]), dt=lambda t, q: 0.0)
+        sys = ConstraintSystem(dim=1, constraints=(wall,))
+        traj = make_traj([0, 1, 2, 3], [0, 0, 0, 0.4], [0, 0, 0, 0.4])
+        assert max_intergrid_gap(traj, sys) == pytest.approx(0.2, abs=1e-12)
+
+    def test_sup_error_samples_final_time(self):
+        times, positions = [0.0, 0.5, 1.0], [0.0, 1.0, 3.0]
+        traj = make_traj(times, positions, [0, 2, 4])
+
+        def reference(t):  # the interpolant itself, off by 0.25 at t = T only
+            return np.interp(t, times, positions) + (0.25 if t == 1.0 else 0.0), None
+
+        assert interpolant_sup_error(traj, reference) == pytest.approx(0.25, abs=1e-12)
+
     def test_report_assembly(self):
         scn = lookup("floor")
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
@@ -217,3 +243,25 @@ class TestDetectImpacts:
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
         windows = detect_impacts(traj, scn.system, sup_force=0.0)
         assert len(windows) == 2
+
+
+def forces(*values):
+    """A ContactMeasure carrying only the per-step forces f^n of a 1-D run."""
+    f = np.asarray(values, dtype=float)[:, None]
+    return ContactMeasure(increments=np.zeros_like(f), multipliers=np.zeros((len(f), 1)),
+                          residuals=np.zeros(len(f)), force_averages=f)
+
+
+class TestVelocityBound:
+    """|u^{n+1}| <= 2 |u^n + h f^n| + c0 on hand-built runs with h = 1, c0 = 0."""
+
+    @pytest.mark.parametrize("u_last, ok", [(8.0, True), (9.0, False)])
+    def test_only_last_step_breaks_bound(self, u_last, ok):
+        traj = make_traj([0, 1, 2, 3], [0, 0, 0, 0], [0, 2, 4, u_last])
+        assert velocity_bound_ok(traj, forces(1, 0, 0), half_space_1d()) is ok
+
+    @pytest.mark.parametrize("f, ok", [((1, 0), True), ((0, 1), False)])
+    def test_step_uses_force_at_its_start(self, f, ok):
+        # reading f^{n+1} in place of f^n flips the first step's verdict in both cases
+        traj = make_traj([0, 1, 2], [0, 0, 0], [0, 2, 4])
+        assert velocity_bound_ok(traj, forces(*f), half_space_1d()) is ok

@@ -70,6 +70,17 @@ class TestActiveSet:
             active_set(sys, 0.0, np.array([0.0]))
         assert err.value.constraint_id == 7
 
+    def test_duplicate_ids_rejected(self):
+        # two walls sharing id 1 would share one multiplier and one activity flag
+        left = ConstraintFunction(id=1, value=lambda t, q: float(q[0]),
+                                  gradient_q=lambda t, q: np.array([1.0, 0.0]),
+                                  dt=lambda t, q: 0.0)
+        right = ConstraintFunction(id=1, value=lambda t, q: 10.0 - float(q[0]),
+                                   gradient_q=lambda t, q: np.array([-1.0, 0.0]),
+                                   dt=lambda t, q: 0.0)
+        with pytest.raises(InvalidConstantsError, match=r"distinct, got \[1, 1\]"):
+            ConstraintSystem(dim=2, constraints=(left, right))
+
 
 class TestVelocityPolyhedron:
     def test_floor_row(self):

@@ -119,9 +119,14 @@ class TestConfigFile:
         ("scenario=wedge\nu0=1", [], "u0 must have length 2, got 1"),
         ("q0=nan", [], "q0 must be finite"),
         ("scenario=banana", [], "unknown scenario 'banana'"),
+        ("J=-2", [], "J must be finite and >= 0, got -2.0"),
+        ("J=-1", [], "J must be finite and >= 0, got -1.0"),
+        ("J=inf", [], "J must be finite and >= 0, got inf"),
+        ("", ["--J=-2"], "J must be finite and >= 0, got -2.0"),
     ], ids=["unknown-key", "unknown-flag", "missing-flag-value", "bad-float-list",
             "bad-flag-vector", "h-zero", "sweep-h-negative", "T-below-h", "T-infinite",
-            "vector-length", "q0-nan", "unknown-scenario"])
+            "vector-length", "q0-nan", "unknown-scenario", "J-negative", "J-minus-one",
+            "J-infinite", "flag-J-negative"])
     def test_config_errors_exit_1(self, tmp_path, capsys, lines, flags, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines + "\n")
@@ -229,6 +234,14 @@ class TestVerifyGate:
                    "--json-only", "--out", str(tmp_path / "s")])
         assert rc == 3
         assert "verify: error not strictly decreasing at h=0.02" in capsys.readouterr().out
+
+    def test_sweep_exact_regime(self, tmp_path, capsys):
+        # free flight is exact: its roundoff errors 5.6e-16, 4.4e-16, 2.2e-14 do
+        # not decrease, and the gate must not read that as a failed convergence
+        rc = main(["--scenario", "free", "--sweep", "0.02,0.01,0.005", "--verify",
+                   "--json-only", "--out", str(tmp_path / "s")])
+        assert rc == 0
+        assert "verify:" not in capsys.readouterr().out
 
     def test_sweep_checks(self):
         def reports(*pairs):

@@ -1,5 +1,8 @@
-"""Smoke tests: each example script runs from the checkout and prints its report."""
+"""Smoke tests: each example script runs from the checkout and prints its report,
+and the benchmark harness in perfbench/ still finds what it uses of the package."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +26,24 @@ def test_script_runs(script, args, expected):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout.splitlines()
+
+
+def _load_perfbench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_contract(monkeypatch):
+    # a rename in the package would otherwise surface only in a traced benchmark run
+    for target in _load_perfbench("spans", monkeypatch).TARGETS:
+        module, function = target.split(".")
+        assert callable(getattr(importlib.import_module(f"proxsweep.{module}"), function,
+                                None)), target
+    discs = _load_perfbench("discs", monkeypatch)
+    system, force = discs.disc_system(3), discs.disc_force(3)
+    assert (system.dim, system.p) == (6, 6)
+    assert force.sup_F == pytest.approx(10.0 * 3 ** 0.5)
