@@ -18,8 +18,8 @@ from .errors import (ConfigError, ConstraintEvaluationError, InfeasibleConeError
                      StepSizeTooLargeError)
 from .geometry import (ActiveSet, AdmissibilityEstimate, ConstraintFunction,
                        ConstraintSystem, NormalConeGenerators, VelocityPolyhedron,
-                       active_set, good_direction, hypomonotonicity_residual,
-                       normal_cone_generators, prox_constant,
+                       active_set, affine_constraint, good_direction,
+                       hypomonotonicity_residual, normal_cone_generators, prox_constant,
                        reverse_triangle_constant, velocity_polyhedron)
 from .integrator import (ContactMeasure, ForceField, MultiplierExtraction,
                          SchemeState, StepOutcome, Trajectory, ZERO_FORCE,
@@ -35,8 +35,8 @@ __all__ = [
     "MultiplierExtraction", "NormalConeGenerators", "ProjectionResult",
     "ProxsweepError", "Scenario", "SchemeState", "SimulationAbort",
     "StepOutcome", "StepSizeTooLargeError", "Trajectory", "VelocityPolyhedron",
-    "ZERO_FORCE", "active_set", "compute_constants", "convergence_study",
-    "detect_impacts", "diagnose", "extract_multipliers", "good_direction",
+    "ZERO_FORCE", "active_set", "affine_constraint", "compute_constants",
+    "convergence_study", "detect_impacts", "diagnose", "extract_multipliers", "good_direction",
     "hypomonotonicity_residual", "initialize", "interpolant_sup_error",
     "lookup", "max_feasibility_gap", "max_intergrid_gap", "momentum_residual",
     "normal_cone_generators", "project_point", "project_velocity",

@@ -32,7 +32,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose, error_table, finest_run_reference
 from .errors import ConfigError, ProxsweepError, SimulationAbort
-from .geometry import good_direction
+from .geometry import _active_mask, good_direction
 from .integrator import run
 from .scenarios import Scenario, lookup
 
@@ -116,8 +116,9 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
             raise ConfigError(f"h must be > 0, got {h}")
         if not h < T < math.inf:
             raise ConfigError(f"need T > h and T finite, got T={T}, h={h}")
-    if not 0.0 <= cfg["J"] < math.inf:
-        raise ConfigError(f"J must be finite and >= 0, got {cfg['J']}")
+    for key in ("J", "jump_tol"):
+        if cfg[key] is not None and not 0.0 <= cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {cfg[key]}")
     for key in ("q0", "u0"):
         if len(cfg[key]) != scn.dim:
             raise ConfigError(f"{key} must have length {scn.dim}, got {len(cfg[key])}")
@@ -138,18 +139,15 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: str, scn: Scenario, traj, contact) -> None:
-    from .geometry import active_set
-
     d = scn.dim
     header = (["t"] + [f"q{i + 1}" for i in range(d)] + [f"u{i + 1}" for i in range(d)]
               + ["knorm", "active"])
     lines = [",".join(header)]
     inc_norm = np.concatenate([[0.0], np.linalg.norm(contact.increments, axis=1)])
+    active = _active_mask(scn.system.values(traj.times, traj.positions), traj.positions)
     for n in range(len(traj.times)):
         t, q, u = traj.times[n], traj.positions[n], traj.velocities[n]
-        mask = 0
-        for cid in active_set(scn.system, float(t), q).indices:
-            mask |= 1 << (cid - 1)
+        mask = sum(1 << (c.id - 1) for c, on in zip(scn.system.constraints, active[n]) if on)
         row = ([_fmt(float(t))] + [_fmt(v) for v in q] + [_fmt(v) for v in u]
                + [_fmt(float(inc_norm[n])), str(mask)])
         lines.append(",".join(row))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleConeError, InvalidConstantsError, ProxsweepError
 from .geometry import (AdmissibilityEstimate, ConstraintSystem, VelocityPolyhedron,
-                       active_set, velocity_polyhedron)
+                       _active_mask, velocity_polyhedron)
 from .integrator import ContactMeasure, ForceField, Trajectory, run
 from .projection import project_point, project_velocity
 
@@ -81,8 +81,7 @@ def sup_velocity(traj: Trajectory) -> float:
 
 def max_feasibility_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     """max over grid times of max_i (-g_i(t^n, q^n))_+."""
-    return max((sys.feasibility_gap(t, q)
-                for t, q in zip(traj.times, traj.positions)), default=0.0)
+    return max(0.0, -float(np.min(sys.values(traj.times, traj.positions), initial=np.inf)))
 
 
 def _interpolant(traj: Trajectory, fractions) -> tuple[np.ndarray, np.ndarray]:
@@ -96,11 +95,10 @@ def _interpolant(traj: Trajectory, fractions) -> tuple[np.ndarray, np.ndarray]:
 
 def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     """max over sampled intermediate times of dist(q_h(t), C(t))."""
-    if sys.p == 0:
-        return 0.0
     times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1])
-    return max((project_point(sys, t, q).distance for t, q in zip(times, points)
-                if sys.feasibility_gap(t, q) > 0.0), default=0.0)
+    outside = np.flatnonzero(np.any(sys.values(times, points) < 0.0, axis=1))
+    return max((project_point(sys, times[i], points[i]).distance for i in outside),
+               default=0.0)
 
 
 def _jump_thresholds(h: float, sup_force: float) -> tuple[float, float]:
@@ -118,28 +116,27 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
     the projection point is in contact, then extended over adjacent steps
     whose jump still exceeds the smooth-forcing level: an off-grid impact
     resolves over two consecutive steps and must count as one event.
-    jump_tol overrides the seed threshold when given.
+    jump_tol, finite and >= 0, overrides the seed threshold when given.
     """
+    if jump_tol is not None and not 0.0 <= jump_tol < math.inf:
+        raise InvalidConstantsError(f"jump_tol must be finite and >= 0, got {jump_tol}")
     h = float(np.max(np.diff(traj.times))) if traj.nsteps else 0.0
     seed_tol, extend_tol = _jump_thresholds(h, sup_force)
     if jump_tol is not None:
         seed_tol = jump_tol
         extend_tol = min(extend_tol, jump_tol)
     jumps = np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
-
-    def in_contact(n):
-        return sys.p > 0 and len(active_set(sys, traj.times[n + 1],
-                                            traj.positions[n + 1])) > 0
-
-    seeds = [n for n in range(traj.nsteps) if jumps[n] > seed_tol and in_contact(n)]
+    ends = traj.positions[1:]
+    in_contact = _active_mask(sys.values(traj.times[1:], ends), ends).any(axis=1)
+    seeds = [n for n in range(traj.nsteps) if jumps[n] > seed_tol and in_contact[n]]
     windows: list[tuple[int, int]] = []
     for n in seeds:
         if windows and n <= windows[-1][1]:
             continue
         a = b = n
-        while a - 1 >= 0 and jumps[a - 1] > extend_tol and in_contact(a - 1):
+        while a - 1 >= 0 and jumps[a - 1] > extend_tol and in_contact[a - 1]:
             a -= 1
-        while b + 1 < traj.nsteps and jumps[b + 1] > extend_tol and in_contact(b + 1):
+        while b + 1 < traj.nsteps and jumps[b + 1] > extend_tol and in_contact[b + 1]:
             b += 1
         windows.append((a, b))
     return windows

@@ -53,21 +53,23 @@ TOL_SINGULAR = 1.0e-6
 _INFEASIBLE = 1.0e-13
 
 
-def activity_tolerance(q: np.ndarray) -> float:
-    """Numerical threshold deciding g_i(t, q) == 0."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(q)))
+def activity_tolerance(q: np.ndarray):
+    """Numerical threshold deciding g_i(t, q) == 0, per row of q (m, d); the
+    norm of each row is the 1-D np.linalg.norm bit for bit (axis=1 is not)."""
+    return 1e-8 * (1.0 + np.sqrt(np.vecdot(q, q)))
 
 
 def _active_mask(values: np.ndarray, q: np.ndarray, rho: float = 0.0) -> np.ndarray:
-    """values <= max(rho, activity_tolerance(q)) entrywise; the one activity
-    rule behind active_set, project_point and extract_multipliers.
+    """values (p,) at q (d,), or (m, p) at the rows of q, <= max(rho,
+    activity_tolerance(q)); the one activity rule behind active_set,
+    project_point, extract_multipliers and the CSV mask.
 
     The tolerance is a floor, not a default for rho = 0 alone: a rho below it
     still counts every numerically active constraint, so the set only grows
     with rho.
     """
-    threshold = max(rho, activity_tolerance(q))
-    return np.asarray(values, dtype=float) <= threshold
+    threshold = np.fmax(rho, activity_tolerance(q))
+    return np.asarray(values, dtype=float) <= threshold[..., None]
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,25 @@ class ConstraintFunction:
 
 
 @dataclass(frozen=True)
+class _AffineConstraint(ConstraintFunction):
+    row: tuple = ()  # (normal, offset, rate)
+
+
+def affine_constraint(cid: int, normal, offset: float = 0.0,
+                      rate: float = 0.0) -> ConstraintFunction:
+    """g(t, q) = <normal, q> + (offset + rate t) >= 0, with M = 0.
+
+    A ConstraintSystem evaluates all of its affine constraints as one block;
+    the per-point callables compute the same sum.
+    """
+    a = np.array(normal, dtype=float)
+    offset, rate = float(offset), float(rate)
+    return _AffineConstraint(cid, lambda t, q: float(a @ q) + (offset + rate * t),
+                             lambda t, q: a.copy(), lambda t, q: rate,
+                             row=(tuple(a), offset, rate))
+
+
+@dataclass(frozen=True)
 class ConstraintSystem:
     """A moving admissible set with its regularity constants.
 
@@ -111,6 +132,11 @@ class ConstraintSystem:
     are asserted, lipschitz_c0 the Lipschitz constant of t -> C(t) in
     Hausdorff distance.  eta defaults to alpha / hess_bound (capped for
     affine systems) and may be overridden per scenario.
+
+    values(t, q) maps a point q (d,) to (p,), and points q (m, d) at a time t
+    or at times t (m,) to (m, p); gradients (p, d) and dts (p,) take a point.
+    Affine constraints are stacked once into rows of A, b, r and evaluated as
+    q A^T + (b + r t); every other one is called point by point.
     """
 
     dim: int
@@ -131,6 +157,18 @@ class ConstraintSystem:
         ids = [c.id for c in self.constraints]
         if len(set(ids)) < len(ids):
             raise InvalidConstantsError(f"constraint ids must be distinct, got {ids}")
+        A, b, r = np.zeros((self.p, self.dim)), np.zeros(self.p), np.zeros(self.p)
+        pointwise = []
+        for i, c in enumerate(self.constraints):
+            if not isinstance(c, _AffineConstraint):
+                pointwise.append((i, c))
+            elif len(c.row[0]) != self.dim:
+                raise InvalidConstantsError(f"constraint {c.id}: normal has length "
+                                            f"{len(c.row[0])}, dim is {self.dim}")
+            else:
+                A[i], b[i], r[i] = c.row
+        object.__setattr__(self, "_block", (A, b, r, bool(b.any() or r.any())))
+        object.__setattr__(self, "_pointwise", tuple(pointwise))
         if self.eta is None:
             object.__setattr__(self, "eta", prox_constant(self))
 
@@ -138,16 +176,29 @@ class ConstraintSystem:
     def p(self) -> int:
         return len(self.constraints)
 
-    def values(self, t: float, q: np.ndarray) -> np.ndarray:
-        return np.array([c.value_at(t, q) for c in self.constraints], dtype=float)
+    def values(self, t: float | np.ndarray, q: np.ndarray) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        A, b, r, shifted = self._block
+        if q.ndim == 1:
+            g = A.dot(q) + (b + r * t) if shifted else A.dot(q)
+            return self._fill(g, "value_at", t, q)
+        g = q.dot(A.T) + (b + np.multiply.outer(t, r))
+        if self._pointwise:
+            for s, x, row in zip(np.broadcast_to(t, len(q)), q, g):
+                self._fill(row, "value_at", s, x)
+        return g
 
     def gradients(self, t: float, q: np.ndarray) -> np.ndarray:
-        if not self.constraints:
-            return np.zeros((0, self.dim))
-        return np.vstack([c.gradient_at(t, q) for c in self.constraints])
+        return self._fill(self._block[0].copy(), "gradient_at", t, q)
 
     def dts(self, t: float, q: np.ndarray) -> np.ndarray:
-        return np.array([c.dt_at(t, q) for c in self.constraints], dtype=float)
+        return self._fill(self._block[2].copy(), "dt_at", t, q)
+
+    def _fill(self, out: np.ndarray, method: str, t: float, q: np.ndarray) -> np.ndarray:
+        """out with entry i of every non-affine constraint set by its callable."""
+        for i, c in self._pointwise:
+            out[i] = getattr(c, method)(t, q)
+        return out
 
     def feasible(self, t: float, q: np.ndarray, tol: float = 0.0) -> bool:
         return bool(self.p == 0 or np.all(self.values(t, q) >= -tol))
@@ -218,14 +269,13 @@ class AdmissibilityEstimate:
     kappa0 = c0/delta + 1 and
     nu_min = min( eta*delta / (2*kappa0 + 2*c0 + delta)^2,
                   r / (2*(c0 + delta + 2*kappa0)) )
-    bound how far the inward cone reaches; radius_r and tau are the covering
-    radius and time horizon asserted by the scenario.
+    bound how far the inward cone reaches; radius_r is the covering radius
+    asserted by the scenario.
     """
 
     delta: float
     direction: np.ndarray
     radius_r: float
-    tau: float
     kappa0: float
     nu_min: float
 
@@ -238,32 +288,25 @@ def active_set(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0)
     return ActiveSet(indices=idx, rho=rho)
 
 
-def _active_constraints(sys: ConstraintSystem, t: float, q: np.ndarray,
-                        rho: float = 0.0) -> list[ConstraintFunction]:
+def _active_gradients(sys: ConstraintSystem, t: float, q: np.ndarray,
+                      rho: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The activity mask at (t, q) and the active rows of the gradients."""
     mask = _active_mask(sys.values(t, q), q, rho)
-    return [c for c, on in zip(sys.constraints, mask) if on]
+    return mask, sys.gradients(t, q)[mask]
 
 
 def normal_cone_generators(sys: ConstraintSystem, t: float, q: np.ndarray,
                            rho: float = 0.0) -> NormalConeGenerators:
     q = np.asarray(q, dtype=float)
-    active = _active_constraints(sys, t, q, rho)
-    if not active:
-        gens = np.zeros((0, sys.dim))
-    else:
-        gens = np.vstack([-c.gradient_at(t, q) for c in active])
-    return NormalConeGenerators(generators=gens, base_point=(t, q))
+    _, grads = _active_gradients(sys, t, q, rho)
+    return NormalConeGenerators(generators=-grads, base_point=(t, q))
 
 
 def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> VelocityPolyhedron:
     """Half-space rows (grad g_i, dt g_i) over the exactly-active constraints."""
     q = np.asarray(q, dtype=float)
-    active = _active_constraints(sys, t, q, rho=0.0)
-    if not active:
-        return VelocityPolyhedron(np.zeros((0, sys.dim)), np.zeros(0), (t, q))
-    normals = np.vstack([c.gradient_at(t, q) for c in active])
-    offsets = np.array([c.dt_at(t, q) for c in active])
-    return VelocityPolyhedron(normals, offsets, (t, q))
+    mask, normals = _active_gradients(sys, t, q)
+    return VelocityPolyhedron(normals, sys.dts(t, q)[mask], (t, q))
 
 
 def prox_constant(sys: ConstraintSystem, eta_max: float | None = None) -> float:
@@ -332,10 +375,10 @@ def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
     inequality fails).
     """
     q = np.asarray(q, dtype=float)
-    active = _active_constraints(sys, t, q, rho)
-    if len(active) <= 1:
+    _, grads = _active_gradients(sys, t, q, rho)
+    if len(grads) <= 1:
         return 1.0
-    x = _least_inward(np.vstack([c.gradient_at(t, q) for c in active]))
+    x = _least_inward(grads)
     if x is None:
         return math.inf
     gamma = float(np.linalg.norm(x))
@@ -343,7 +386,7 @@ def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
 
 
 def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0,
-                   radius_r: float = 1.0, tau: float = 1.0) -> AdmissibilityEstimate | None:
+                   radius_r: float = 1.0) -> AdmissibilityEstimate | None:
     """Best uniform-angle certificate (u, delta) at (t, q), or None on failure.
 
     Solves max delta s.t. <u, -n_i> >= delta |n_i| over the near-active
@@ -353,12 +396,11 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 
     direction so the certificate is exact by construction.
     """
     q = np.asarray(q, dtype=float)
-    active = _active_constraints(sys, t, q, rho)
-    if not active:
+    _, grads = _active_gradients(sys, t, q, rho)
+    if not len(grads):
         direction = np.zeros(sys.dim)
         direction[0] = -1.0
-        return _estimate(sys, 1.0, direction, radius_r, tau)
-    grads = np.vstack([c.gradient_at(t, q) for c in active])
+        return _estimate(sys, 1.0, direction, radius_r)
     x = _least_inward(grads)
     if x is None:
         return None
@@ -366,17 +408,17 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 
     delta = float(np.min((-grads @ direction) / np.linalg.norm(grads, axis=1)))
     if delta <= TOL_SINGULAR:
         return None
-    return _estimate(sys, delta, direction, radius_r, tau)
+    return _estimate(sys, delta, direction, radius_r)
 
 
 def _estimate(sys: ConstraintSystem, delta: float, direction: np.ndarray,
-              radius_r: float, tau: float) -> AdmissibilityEstimate:
+              radius_r: float) -> AdmissibilityEstimate:
     c0 = sys.lipschitz_c0
     kappa0 = c0 / delta + 1.0
     nu_min = min(sys.eta * delta / (2.0 * kappa0 + 2.0 * c0 + delta) ** 2,
                  radius_r / (2.0 * (c0 + delta + 2.0 * kappa0)))
     return AdmissibilityEstimate(delta=delta, direction=direction, radius_r=radius_r,
-                                 tau=tau, kappa0=kappa0, nu_min=nu_min)
+                                 kappa0=kappa0, nu_min=nu_min)
 
 
 def hypomonotonicity_residual(sys: ConstraintSystem, t: float, x: np.ndarray,

@@ -159,14 +159,13 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
     increment = np.asarray(increment, dtype=float)
     q = np.asarray(q, dtype=float)
     tol_kkt = 1e-8 * (1.0 + float(np.linalg.norm(increment)))
-    act = [c for c, on in zip(sys.constraints, _active_mask(sys.values(t, q), q)) if on]
-    if not act:
+    mask = _active_mask(sys.values(t, q), q)
+    if not mask.any():
         res = float(np.linalg.norm(increment))
         return MultiplierExtraction(np.zeros(0), (), res, res <= tol_kkt)
-    cols = np.vstack([c.gradient_at(t, q) for c in act]).T
-    lam, res = nnls(cols, -increment)
-    return MultiplierExtraction(lam, tuple(c.id for c in act), float(res),
-                                float(res) <= tol_kkt)
+    lam, res = nnls(sys.gradients(t, q)[mask].T, -increment)
+    return MultiplierExtraction(lam, tuple(c.id for c, on in zip(sys.constraints, mask) if on),
+                                float(res), float(res) <= tol_kkt)
 
 
 def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
@@ -211,8 +210,8 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     rows = [i for i, c in enumerate(sys.constraints) if c.id in proj.active_ids]
     lam = np.zeros(sys.p)
     lam[rows] = proj.multipliers / h
-    residual = float(np.linalg.norm(increment + sum(
-        lam[i] * sys.constraints[i].gradient_at(t_next, q_next) for i in rows)))
+    push = lam[rows] @ sys.gradients(t_next, q_next)[rows] if rows else 0.0
+    residual = float(np.linalg.norm(increment + push))
     new_state = SchemeState(n=state.n + 1, t_n=t_next, q_prev=state.q_curr,
                             q_curr=q_next, u_curr=u_next, h=h)
     return StepOutcome(state=new_state, increment=increment, multipliers=lam,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ConstraintFunction, ConstraintSystem
+from .geometry import ConstraintFunction, ConstraintSystem, affine_constraint
 from .integrator import ForceField, ZERO_FORCE
 
 GRAVITY = 10.0
@@ -42,19 +42,6 @@ class Scenario:
         q0 = self.q0 if q0 is None else np.asarray(q0, dtype=float)
         u0 = self.u0 if u0 is None else np.asarray(u0, dtype=float)
         return self.analytic(q0, u0)
-
-
-def _affine(cid: int, normal, offset_fn=None, dt_value: float = 0.0) -> ConstraintFunction:
-    """g(t, q) = <normal, q> + offset(t); affine constraints have M = 0."""
-    n = np.asarray(normal, dtype=float)
-    off = offset_fn if offset_fn is not None else (lambda t: 0.0)
-    return ConstraintFunction(
-        id=cid,
-        value=lambda t, q: float(n @ q) + off(t),
-        gradient_q=lambda t, q: n.copy(),
-        dt=lambda t, q: dt_value,
-        hessian_bound=0.0,
-    )
 
 
 def _gravity_force(g: float, dim: int) -> ForceField:
@@ -168,7 +155,7 @@ def _pocket_reference(g: float):
 
 
 def _make_floor() -> Scenario:
-    sys = ConstraintSystem(dim=1, constraints=(_affine(1, [1.0]),),
+    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0]),),
                            alpha=1.0, beta=1.0, hess_bound=0.0, kappa=0.5,
                            lipschitz_c0=0.0)
     # q0 = 1.25 puts the analytic impact at t = 0.5, well sampled by the
@@ -183,7 +170,8 @@ def _make_floor() -> Scenario:
 
 def _make_wedge() -> Scenario:
     sys = ConstraintSystem(dim=2,
-                           constraints=(_affine(1, [1.0, 0.0]), _affine(2, [0.0, 1.0])),
+                           constraints=(affine_constraint(1, [1.0, 0.0]),
+                                        affine_constraint(2, [0.0, 1.0])),
                            alpha=1.0, beta=1.0, hess_bound=0.0, kappa=0.5,
                            lipschitz_c0=0.0)
     return Scenario(name="wedge", dim=2, system=sys, force=ZERO_FORCE,
@@ -193,15 +181,9 @@ def _make_wedge() -> Scenario:
 
 
 def _make_piston(v_w: float = 1.0) -> Scenario:
-    wall = ConstraintFunction(
-        id=1,
-        value=lambda t, q: float(q[0]) - v_w * t,
-        gradient_q=lambda t, q: np.array([1.0]),
-        dt=lambda t, q: -v_w,
-        hessian_bound=0.0,
-    )
-    sys = ConstraintSystem(dim=1, constraints=(wall,), alpha=1.0, beta=1.0,
-                           hess_bound=0.0, kappa=0.5, lipschitz_c0=abs(v_w))
+    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0], rate=-v_w),),
+                           alpha=1.0, beta=1.0, hess_bound=0.0, kappa=0.5,
+                           lipschitz_c0=abs(v_w))
     return Scenario(name="piston", dim=1, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0]), u0=np.array([-0.5]), h=0.01, T=2.0,
                     probe=(0.0, np.array([0.0])),
@@ -218,7 +200,7 @@ def _make_pocket() -> Scenario:
         hessian_bound=2.0,
     )
     # floor scaled so its gradient norm matches alpha = 2
-    floor = _affine(2, [0.0, 2.0])
+    floor = affine_constraint(2, [0.0, 2.0])
     sys = ConstraintSystem(dim=2, constraints=(wall, floor), alpha=2.0, beta=2.0,
                            hess_bound=2.0, kappa=0.1, lipschitz_c0=0.0)
     # drop height 1.25 above the pole: impact at t = 0.5 (see floor)

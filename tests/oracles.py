@@ -29,8 +29,20 @@ class OracleResult:
     resolution: float
 
 
-def _feasible(sys, t, point) -> bool:
-    return all(c.value_at(t, point) >= 0.0 for c in sys.constraints)
+def _feasible(sys, t, points):
+    """Feasibility of one point (d,), or of each row of points (m, d)."""
+    return (sys.values(t, points) >= 0.0).all(axis=-1)
+
+
+def _nearest_feasible(sys, t, x, points, best, best_dist):
+    """(best, best_dist) updated by the first feasible row of points nearest x."""
+    ok = points[_feasible(sys, t, points)]
+    if len(ok):
+        dists = np.sqrt(np.vecdot(ok - x, ok - x))  # np.linalg.norm of each row, bit for bit
+        k = int(np.argmin(dists))
+        if dists[k] < best_dist:
+            return ok[k], float(dists[k])
+    return best, best_dist
 
 
 def _grid_points(lo, hi, counts):
@@ -56,23 +68,15 @@ def grid_project(sys, t, x, resolution, box) -> OracleResult:
     counts = [513] * d if d == 1 else [65] * d
     spacing = float(max((hi[i] - lo[i]) / (counts[i] - 1) for i in range(d)))
 
-    best, best_dist = None, math.inf
-    for p in _grid_points(lo, hi, counts):
-        if _feasible(sys, t, p):
-            dist = float(np.linalg.norm(p - x))
-            if dist < best_dist:
-                best, best_dist = p, dist
+    best, best_dist = _nearest_feasible(sys, t, x, _grid_points(lo, hi, counts), None, math.inf)
     if best is None:
         raise OracleEmptyError(f"no feasible grid point in box {box}")
 
     while spacing > resolution / 2.0:
         w_lo = np.maximum(best - 2.5 * spacing, lo)
         w_hi = np.minimum(best + 2.5 * spacing, hi)
-        for p in _grid_points(w_lo, w_hi, [11] * d):
-            if _feasible(sys, t, p):
-                dist = float(np.linalg.norm(p - x))
-                if dist < best_dist:
-                    best, best_dist = p, dist
+        best, best_dist = _nearest_feasible(sys, t, x, _grid_points(w_lo, w_hi, [11] * d),
+                                            best, best_dist)
         spacing /= 2.0
 
     # ray polish: the projection is min over directions e of the first

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from proxsweep import (ConstraintFunction, ConstraintSystem, ContactMeasure,
-                       InvalidConstantsError, Trajectory, compute_constants,
-                       convergence_study, detect_impacts, diagnose, good_direction,
-                       interpolant_sup_error, max_intergrid_gap, run,
-                       total_variation, velocity_bound_ok, verify_impact_law,
-                       ZERO_FORCE)
+from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
+                       ContactMeasure, InvalidConstantsError, Trajectory,
+                       affine_constraint, compute_constants, convergence_study,
+                       detect_impacts, diagnose, diagnostics, good_direction,
+                       interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
+                       project_point, run, total_variation, velocity_bound_ok,
+                       verify_impact_law, ZERO_FORCE)
 from proxsweep.scenarios import lookup
 
 from conftest import H_SWEEP, half_space_1d
@@ -207,6 +208,50 @@ class TestGaps:
         traj = make_traj([0, 1, 2, 3], [0, 0, 0, 0.4], [0, 0, 0, 0.4])
         assert max_intergrid_gap(traj, sys) == pytest.approx(0.2, abs=1e-12)
 
+    def test_projects_each_outside_sample_once(self, monkeypatch):
+        # the piston's wall q >= t passes a particle parked at 0.5 halfway through
+        sys = lookup("piston").system
+        traj = make_traj(np.linspace(0.0, 1.0, 11), np.full(11, 0.5), np.zeros(11))
+        samples = [(1.0 - w) * t0 + w * t1 for t0, t1 in zip(traj.times[:-1], traj.times[1:])
+                   for w in (0.25, 0.5, 0.75)]
+        outside = [t for t in samples if t > 0.5]
+        calls = []
+
+        def counting(sys, t, x):
+            calls.append(t)
+            return project_point(sys, t, x)
+
+        monkeypatch.setattr(diagnostics, "project_point", counting)
+        gap = max_intergrid_gap(traj, sys)
+        assert len(outside) == 15
+        np.testing.assert_array_equal(calls, outside)
+        assert gap == pytest.approx(max(outside) - 0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("check, samples_per_step", [(max_feasibility_gap, None),
+                                                         (max_intergrid_gap, 3)])
+    def test_one_values_call_per_trajectory(self, monkeypatch, check, samples_per_step):
+        # no wedge sample leaves the set, so nothing is projected either
+        scn = lookup("wedge")
+        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
+        shapes, values = [], ConstraintSystem.values
+        monkeypatch.setattr(ConstraintSystem, "values",
+                            lambda self, t, q: shapes.append(np.shape(q)) or values(self, t, q))
+        assert check(traj, scn.system) == 0.0
+        rows = len(traj.times) if samples_per_step is None else samples_per_step * traj.nsteps
+        assert shapes == [(rows, 2)]
+
+    @pytest.mark.parametrize("check", [max_feasibility_gap, max_intergrid_gap])
+    def test_failing_constraint_raises_with_its_id(self, check):
+        def boom(t, q):
+            raise FloatingPointError("nope")
+
+        bad = ConstraintFunction(id=7, value=boom, gradient_q=lambda t, q: np.array([1.0]),
+                                 dt=lambda t, q: 0.0)
+        sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0]), bad))
+        with pytest.raises(ConstraintEvaluationError) as err:
+            check(make_traj([0, 1, 2], [1, 1, 1], [0, 0, 0]), sys)
+        assert err.value.constraint_id == 7
+
     def test_sup_error_samples_final_time(self):
         times, positions = [0.0, 0.5, 1.0], [0.0, 1.0, 3.0]
         traj = make_traj(times, positions, [0, 2, 4])
@@ -243,6 +288,15 @@ class TestDetectImpacts:
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
         windows = detect_impacts(traj, scn.system, sup_force=0.0)
         assert len(windows) == 2
+
+
+    @pytest.mark.parametrize("jump_tol", [math.nan, math.inf, -1.0])
+    def test_jump_tol_out_of_range(self, jump_tol):
+        # nan and inf would silently detect no impact at all, -1 every step in contact
+        scn = lookup("floor")
+        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
+        with pytest.raises(InvalidConstantsError, match="jump_tol must be finite and >= 0"):
+            detect_impacts(traj, scn.system, sup_force=10.0, jump_tol=jump_tol)
 
 
 def forces(*values):

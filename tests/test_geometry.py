@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsweep import (ConstraintFunction, ConstraintSystem, InvalidConstantsError,
-                       active_set, good_direction,
+                       active_set, affine_constraint, good_direction,
                        hypomonotonicity_residual, normal_cone_generators,
                        prox_constant, reverse_triangle_constant,
                        velocity_polyhedron)
+from proxsweep.geometry import activity_tolerance
 from proxsweep.scenarios import lookup
 
 from conftest import (antipodal_pair, disc_complement, floor_2d, half_space_1d,
@@ -113,6 +114,73 @@ class TestVelocityPolyhedron:
         u, w = np.array(u), np.array(w)
         if poly.membership(u) and poly.membership(w):
             assert poly.membership(0.5 * (u + w), tol=1e-9)
+
+
+def moving_disc_and_floor(nonlinear_first: bool) -> ConstraintSystem:
+    """Outside the unit disc centred at (t, 0), above a floor with an offset and a rate."""
+    wall = ConstraintFunction(id=1, value=lambda t, q: float((q[0] - t) ** 2 + q[1] ** 2) - 1.0,
+                              gradient_q=lambda t, q: np.array([2.0 * (q[0] - t), 2.0 * q[1]]),
+                              dt=lambda t, q: -2.0 * (q[0] - t), hessian_bound=2.0)
+    floor = affine_constraint(2, [0.0, 2.0], offset=0.25, rate=-0.5)
+    return ConstraintSystem(dim=2, constraints=(wall, floor) if nonlinear_first else (floor, wall),
+                            alpha=2.0, beta=2.0, hess_bound=2.0)
+
+
+BATCHED = {**{name: lookup(name).system for name in ("floor", "wedge", "piston", "pocket", "free")},
+           "disc-then-floor": moving_disc_and_floor(True),
+           "floor-then-disc": moving_disc_and_floor(False)}
+
+
+class TestBatchedEvaluation:
+    """values on arrays, gradients and dts equal the per-point callables bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_values_match_value_at(self, name):
+        sys = BATCHED[name]
+        rng = np.random.default_rng(11)
+        times = rng.uniform(0.0, 2.0, 40)
+        points = rng.uniform(-3.0, 3.0, (40, sys.dim))
+
+        def per_point(ts):
+            return np.array([[c.value_at(t, q) for c in sys.constraints]
+                             for t, q in zip(ts, points)]).reshape(len(points), sys.p)
+
+        expected = per_point(times)
+        np.testing.assert_array_equal(sys.values(times, points), expected)
+        np.testing.assert_array_equal(sys.values(times[0], points), per_point([times[0]] * 40))
+        for t, q, row in zip(times, points, expected):
+            np.testing.assert_array_equal(sys.values(t, q), row)
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_gradients_and_dts_match_callables(self, name):
+        sys = BATCHED[name]
+        rng = np.random.default_rng(12)
+        for t, q in zip(rng.uniform(0.0, 2.0, 10), rng.uniform(-3.0, 3.0, (10, sys.dim))):
+            grads = sys.gradients(t, q)
+            assert grads.shape == (sys.p, sys.dim)
+            for row, c in zip(grads, sys.constraints):
+                np.testing.assert_array_equal(row, c.gradient_at(t, q))
+            np.testing.assert_array_equal(sys.dts(t, q), [c.dt_at(t, q) for c in sys.constraints])
+
+    def test_affine_constraint_formula(self):
+        con = affine_constraint(3, [2.0, -1.0], offset=0.5, rate=-4.0)
+        q = np.array([1.5, 0.25])
+        assert con.value_at(0.5, q) == 2.0 * 1.5 - 0.25 + 0.5 - 4.0 * 0.5
+        np.testing.assert_array_equal(con.gradient_at(0.5, q), [2.0, -1.0])
+        assert con.dt_at(0.5, q) == -4.0
+        assert con.hessian_bound == 0.0
+
+    def test_normal_length_must_match_dim(self):
+        with pytest.raises(InvalidConstantsError, match="constraint 1: normal has length 1"):
+            ConstraintSystem(dim=2, constraints=(affine_constraint(1, [1.0]),))
+
+    def test_activity_tolerance_rows_are_one_dimensional_norms(self):
+        rng = np.random.default_rng(13)
+        points = rng.uniform(-3.0, 3.0, (2000, 3))
+        expected = [1e-8 * (1.0 + np.linalg.norm(q)) for q in points]
+        np.testing.assert_array_equal(activity_tolerance(points), expected)
+        # the row norm that the axis=1 form computes differs on some of these rows
+        assert np.any(1e-8 * (1.0 + np.linalg.norm(points, axis=1)) != expected)
 
 
 class TestConstraintDerivatives:

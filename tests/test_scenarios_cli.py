@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from proxsweep import ConfigError, cli, diagnose, diagnostics, run
+from proxsweep import ConfigError, active_set, cli, diagnose, diagnostics, run
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
@@ -123,10 +123,15 @@ class TestConfigFile:
         ("J=-1", [], "J must be finite and >= 0, got -1.0"),
         ("J=inf", [], "J must be finite and >= 0, got inf"),
         ("", ["--J=-2"], "J must be finite and >= 0, got -2.0"),
+        ("scenario=floor\nsweep=0.02,0.01\nverify=yes\njump_tol=nan", [],
+         "jump_tol must be finite and >= 0, got nan"),
+        ("jump_tol=inf", [], "jump_tol must be finite and >= 0, got inf"),
+        ("jump_tol=-1", [], "jump_tol must be finite and >= 0, got -1.0"),
     ], ids=["unknown-key", "unknown-flag", "missing-flag-value", "bad-float-list",
             "bad-flag-vector", "h-zero", "sweep-h-negative", "T-below-h", "T-infinite",
             "vector-length", "q0-nan", "unknown-scenario", "J-negative", "J-minus-one",
-            "J-infinite", "flag-J-negative"])
+            "J-infinite", "flag-J-negative", "jump_tol-nan", "jump_tol-inf",
+            "jump_tol-negative"])
     def test_config_errors_exit_1(self, tmp_path, capsys, lines, flags, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines + "\n")
@@ -303,6 +308,48 @@ class TestOutputFiles:
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, 1.0)
         for line, q in zip(lines, traj.positions):
             assert float(line.split(",")[1]) == q[0]
+
+
+def last_active_height(head):
+    """The largest y with y <= 1e-8 (1 + |(head, y)|): the last float at which
+    a constraint g = y counts as active at (head, y)."""
+    def tolerance(y):
+        return 1e-8 * (1.0 + np.linalg.norm(np.append(head, y)))
+
+    y = tolerance(tolerance(0.0))  # a fixed point up to roundoff
+    while y > tolerance(y):
+        y = np.nextafter(y, 0.0)
+    while np.nextafter(y, 1.0) <= tolerance(np.nextafter(y, 1.0)):
+        y = np.nextafter(y, 1.0)
+    return y
+
+
+class TestCsvActiveColumn:
+    @pytest.mark.parametrize("name, head, bit", [("floor", [], 1), ("wedge", [1.5], 2)])
+    def test_equals_active_set_per_row(self, tmp_path, name, head, bit):
+        # a resting floor run and a wedge corner run, whose last two rows sit at
+        # the activity tolerance and one float above it
+        scn = lookup(name)
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
+        y = last_active_height(head)
+        traj.positions[-2:] = [head + [y], head + [np.nextafter(y, 1.0)]]
+        path = tmp_path / "run.csv"
+        cli.write_csv(str(path), scn, traj, contact)
+        masks = [int(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[1:]]
+        expected = [sum(1 << (cid - 1) for cid in active_set(scn.system, float(t), q).indices)
+                    for t, q in zip(traj.times, traj.positions)]
+        assert masks == expected
+        assert masks[-2:] == [bit, 0]
+        assert max(masks) == (1 if name == "floor" else 3)  # resting contact / the corner
+
+    def test_one_values_call(self, tmp_path, monkeypatch):
+        scn = lookup("pocket")
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
+        shapes, values = [], type(scn.system).values
+        monkeypatch.setattr(type(scn.system), "values",
+                            lambda self, t, q: shapes.append(np.shape(q)) or values(self, t, q))
+        cli.write_csv(str(tmp_path / "run.csv"), scn, traj, contact)
+        assert shapes == [(len(traj.times), 2)]
 
 
 class TestSweepExecution:
