@@ -16,11 +16,10 @@ from .diagnostics import (ConstantsRecord, DiagnosticsReport, ImpactEvent,
 from .errors import (ConfigError, ConstraintEvaluationError, InfeasibleConeError,
                      InvalidConstantsError, ProxsweepError, SimulationAbort,
                      StepSizeTooLargeError)
-from .geometry import (ActiveSet, AdmissibilityEstimate, ConstraintFunction,
-                       ConstraintSystem, NormalConeGenerators, VelocityPolyhedron,
-                       active_set, affine_constraint, good_direction,
-                       hypomonotonicity_residual, normal_cone_generators, prox_constant,
-                       reverse_triangle_constant, velocity_polyhedron)
+from .geometry import (AdmissibilityEstimate, ConstraintFunction, ConstraintSystem,
+                       VelocityPolyhedron, active_set, affine_constraint, good_direction,
+                       hypomonotonicity_residual, prox_constant, reverse_triangle_constant,
+                       velocity_polyhedron)
 from .integrator import (ContactMeasure, ForceField, MultiplierExtraction,
                          SchemeState, StepOutcome, Trajectory, ZERO_FORCE,
                          extract_multipliers, initialize, run, step)
@@ -28,18 +27,17 @@ from .projection import ProjectionResult, project_point, project_velocity
 from .scenarios import GRAVITY, Scenario, lookup, registry
 
 __all__ = [
-    "ActiveSet", "AdmissibilityEstimate", "ConfigError", "ConstantsRecord",
+    "AdmissibilityEstimate", "ConfigError", "ConstantsRecord",
     "ConstraintEvaluationError", "ConstraintFunction", "ConstraintSystem",
     "ContactMeasure", "DiagnosticsReport", "ForceField", "GRAVITY",
     "ImpactEvent", "InfeasibleConeError", "InvalidConstantsError",
-    "MultiplierExtraction", "NormalConeGenerators", "ProjectionResult",
-    "ProxsweepError", "Scenario", "SchemeState", "SimulationAbort",
-    "StepOutcome", "StepSizeTooLargeError", "Trajectory", "VelocityPolyhedron",
-    "ZERO_FORCE", "active_set", "affine_constraint", "compute_constants",
-    "convergence_study", "detect_impacts", "diagnose", "extract_multipliers", "good_direction",
-    "hypomonotonicity_residual", "initialize", "interpolant_sup_error",
-    "lookup", "max_feasibility_gap", "max_intergrid_gap", "momentum_residual",
-    "normal_cone_generators", "project_point", "project_velocity",
+    "MultiplierExtraction", "ProjectionResult", "ProxsweepError", "Scenario",
+    "SchemeState", "SimulationAbort", "StepOutcome", "StepSizeTooLargeError",
+    "Trajectory", "VelocityPolyhedron", "ZERO_FORCE", "active_set",
+    "affine_constraint", "compute_constants", "convergence_study", "detect_impacts",
+    "diagnose", "extract_multipliers", "good_direction", "hypomonotonicity_residual",
+    "initialize", "interpolant_sup_error", "lookup", "max_feasibility_gap",
+    "max_intergrid_gap", "momentum_residual", "project_point", "project_velocity",
     "prox_constant", "registry", "reverse_triangle_constant", "run", "step",
     "sup_velocity", "total_variation", "velocity_bound_ok",
     "velocity_polyhedron", "verify_impact_law",

@@ -70,8 +70,6 @@ class DiagnosticsReport:
 
 def total_variation(traj: Trajectory) -> float:
     """Sum of |u^{n+1} - u^n| over the grid, starting from u^0 = u0."""
-    if traj.nsteps < 1:
-        return 0.0
     return float(np.sum(np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)))
 
 

@@ -8,7 +8,6 @@ with each g_i twice differentiable near its zero set.  This module evaluates
 the objects attached to C(t) that the time stepper and the diagnostics need:
 
 * active constraints I_rho(t, q) = { i : g_i(t, q) <= rho },
-* generators of the proximal normal cone, N(C(t), q) = -sum_i R+ grad g_i,
 * the polyhedron of admissible velocities
       V(t, q) = { u : dt g_i(t, q) + <grad g_i(t, q), u> >= 0, i active },
 * a prox-regularity constant eta = alpha / M (gradient floor over Hessian
@@ -42,8 +41,11 @@ from scipy.optimize import nnls
 
 from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConstantsError
 
-# eta cap for affine constraints (M = 0 means a convex half-space, eta = inf)
+# cap on eta, and its value for affine systems (M = 0: a convex half-space, eta = inf)
 DEFAULT_ETA_MAX = 1.0e6
+
+# covering radius r asserted for every scenario, in nu_min
+COVERING_RADIUS = 1.0
 
 # below this, reverse-triangle / admissibility optima count as failures
 TOL_SINGULAR = 1.0e-6
@@ -85,23 +87,13 @@ class ConstraintFunction:
     dt: Callable[[float, np.ndarray], float]
     hessian_bound: float = 0.0
 
-    def value_at(self, t: float, q: np.ndarray) -> float:
-        try:
-            return float(self.value(t, q))
-        except Exception as exc:  # noqa: BLE001 - rewrap with the offending id
-            raise ConstraintEvaluationError(self.id, "value", exc) from exc
 
-    def gradient_at(self, t: float, q: np.ndarray) -> np.ndarray:
-        try:
-            return np.asarray(self.gradient_q(t, q), dtype=float)
-        except Exception as exc:  # noqa: BLE001
-            raise ConstraintEvaluationError(self.id, "gradient", exc) from exc
-
-    def dt_at(self, t: float, q: np.ndarray) -> float:
-        try:
-            return float(self.dt(t, q))
-        except Exception as exc:  # noqa: BLE001
-            raise ConstraintEvaluationError(self.id, "dt", exc) from exc
+# ConstraintSystem._fill's label -> the callable it evaluates, with the result converted
+_EVALUATE = {
+    "value": lambda c, t, q: float(c.value(t, q)),
+    "gradient": lambda c, t, q: np.asarray(c.gradient_q(t, q), dtype=float),
+    "dt": lambda c, t, q: float(c.dt(t, q)),
+}
 
 
 @dataclass(frozen=True)
@@ -130,8 +122,8 @@ class ConstraintSystem:
     alpha, beta bound the gradient norms near the boundary, hess_bound the
     spatial Hessians, kappa is the neighborhood width on which those bounds
     are asserted, lipschitz_c0 the Lipschitz constant of t -> C(t) in
-    Hausdorff distance.  eta defaults to alpha / hess_bound (capped for
-    affine systems) and may be overridden per scenario.
+    Hausdorff distance.  eta defaults to alpha / hess_bound (capped at
+    DEFAULT_ETA_MAX) and may be overridden per scenario.
 
     values(t, q) maps a point q (d,) to (p,), and points q (m, d) at a time t
     or at times t (m,) to (m, p); gradients (p, d) and dts (p,) take a point.
@@ -147,7 +139,6 @@ class ConstraintSystem:
     kappa: float = 0.5
     lipschitz_c0: float = 0.0
     eta: float | None = None
-    eta_max: float = DEFAULT_ETA_MAX
 
     def __post_init__(self):
         if self.dim < 1:
@@ -181,58 +172,30 @@ class ConstraintSystem:
         A, b, r, shifted = self._block
         if q.ndim == 1:
             g = A.dot(q) + (b + r * t) if shifted else A.dot(q)
-            return self._fill(g, "value_at", t, q)
+            return self._fill(g, "value", t, q)
         g = q.dot(A.T) + (b + np.multiply.outer(t, r))
         if self._pointwise:
             for s, x, row in zip(np.broadcast_to(t, len(q)), q, g):
-                self._fill(row, "value_at", s, x)
+                self._fill(row, "value", s, x)
         return g
 
     def gradients(self, t: float, q: np.ndarray) -> np.ndarray:
-        return self._fill(self._block[0].copy(), "gradient_at", t, q)
+        return self._fill(self._block[0].copy(), "gradient", t, q)
 
     def dts(self, t: float, q: np.ndarray) -> np.ndarray:
-        return self._fill(self._block[2].copy(), "dt_at", t, q)
+        return self._fill(self._block[2].copy(), "dt", t, q)
 
-    def _fill(self, out: np.ndarray, method: str, t: float, q: np.ndarray) -> np.ndarray:
-        """out with entry i of every non-affine constraint set by its callable."""
+    def _fill(self, out: np.ndarray, what: str, t: float, q: np.ndarray) -> np.ndarray:
+        """out with entry i of every non-affine constraint set by its callable;
+        a callable that raises surfaces as ConstraintEvaluationError(id, what)."""
+        evaluate = _EVALUATE[what]
         for i, c in self._pointwise:
-            out[i] = getattr(c, method)(t, q)
+            try:
+                value = evaluate(c, t, q)
+            except Exception as exc:  # noqa: BLE001 - rewrap with the offending id
+                raise ConstraintEvaluationError(c.id, what, exc) from exc
+            out[i] = value
         return out
-
-    def feasible(self, t: float, q: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(self.p == 0 or np.all(self.values(t, q) >= -tol))
-
-    def feasibility_gap(self, t: float, q: np.ndarray) -> float:
-        """max_i (-g_i(t,q))_+ , zero on the admissible set."""
-        if self.p == 0:
-            return 0.0
-        return float(max(0.0, -np.min(self.values(t, q))))
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    indices: tuple[int, ...]
-    rho: float
-
-    def __contains__(self, constraint_id: int) -> bool:
-        return constraint_id in self.indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class NormalConeGenerators:
-    """Generators -grad g_i(t, q), i active; the cone is their nonnegative hull."""
-
-    generators: np.ndarray  # shape (m, d); m = 0 means cone {0}
-    base_point: tuple[float, np.ndarray]
-
-    def sample(self, weights: np.ndarray) -> np.ndarray:
-        if self.generators.shape[0] == 0:
-            return np.zeros_like(self.base_point[1])
-        return np.asarray(weights, dtype=float) @ self.generators
 
 
 @dataclass(frozen=True)
@@ -252,14 +215,10 @@ class VelocityPolyhedron:
         return self.normals.shape[0]
 
     def residuals(self, u: np.ndarray) -> np.ndarray:
-        if self.nrows == 0:
-            return np.zeros(0)
         return self.offsets + self.normals @ np.asarray(u, dtype=float)
 
     def membership(self, u: np.ndarray, tol: float = 1e-12) -> bool:
-        if self.nrows == 0:
-            return True
-        return bool(np.min(self.residuals(u)) >= -tol)
+        return bool(np.min(self.residuals(u), initial=math.inf) >= -tol)
 
 
 @dataclass(frozen=True)
@@ -269,23 +228,21 @@ class AdmissibilityEstimate:
     kappa0 = c0/delta + 1 and
     nu_min = min( eta*delta / (2*kappa0 + 2*c0 + delta)^2,
                   r / (2*(c0 + delta + 2*kappa0)) )
-    bound how far the inward cone reaches; radius_r is the covering radius
-    asserted by the scenario.
+    bound how far the inward cone reaches; r is COVERING_RADIUS.
     """
 
     delta: float
     direction: np.ndarray
-    radius_r: float
     kappa0: float
     nu_min: float
 
 
-def active_set(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0) -> ActiveSet:
-    """Indices { i : g_i(t, q) <= rho }, rho floored at the activity tolerance."""
+def active_set(sys: ConstraintSystem, t: float, q: np.ndarray,
+               rho: float = 0.0) -> tuple[int, ...]:
+    """Sorted ids { i : g_i(t, q) <= rho }, rho floored at the activity tolerance."""
     q = np.asarray(q, dtype=float)
     mask = _active_mask(sys.values(t, q), q, rho)
-    idx = tuple(sorted(c.id for c, on in zip(sys.constraints, mask) if on))
-    return ActiveSet(indices=idx, rho=rho)
+    return tuple(sorted(c.id for c, on in zip(sys.constraints, mask) if on))
 
 
 def _active_gradients(sys: ConstraintSystem, t: float, q: np.ndarray,
@@ -295,13 +252,6 @@ def _active_gradients(sys: ConstraintSystem, t: float, q: np.ndarray,
     return mask, sys.gradients(t, q)[mask]
 
 
-def normal_cone_generators(sys: ConstraintSystem, t: float, q: np.ndarray,
-                           rho: float = 0.0) -> NormalConeGenerators:
-    q = np.asarray(q, dtype=float)
-    _, grads = _active_gradients(sys, t, q, rho)
-    return NormalConeGenerators(generators=-grads, base_point=(t, q))
-
-
 def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> VelocityPolyhedron:
     """Half-space rows (grad g_i, dt g_i) over the exactly-active constraints."""
     q = np.asarray(q, dtype=float)
@@ -309,16 +259,15 @@ def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> Veloc
     return VelocityPolyhedron(normals, sys.dts(t, q)[mask], (t, q))
 
 
-def prox_constant(sys: ConstraintSystem, eta_max: float | None = None) -> float:
-    """alpha / hess_bound, capped at eta_max for affine systems (M = 0)."""
-    cap = sys.eta_max if eta_max is None else eta_max
+def prox_constant(sys: ConstraintSystem) -> float:
+    """alpha / hess_bound, capped at DEFAULT_ETA_MAX (the value for M = 0)."""
     if sys.alpha <= 0.0:
         raise InvalidConstantsError(f"alpha must be > 0, got {sys.alpha}")
     if sys.hess_bound < 0.0:
         raise InvalidConstantsError(f"hess_bound must be >= 0, got {sys.hess_bound}")
     if sys.hess_bound == 0.0:
-        return cap
-    return min(sys.alpha / sys.hess_bound, cap)
+        return DEFAULT_ETA_MAX
+    return min(sys.alpha / sys.hess_bound, DEFAULT_ETA_MAX)
 
 
 def least_distance(rows: np.ndarray, rhs: np.ndarray,
@@ -372,12 +321,12 @@ def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
     Equals 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}, which is the
     norm of the least-distance point of {x : <n_i/|n_i|, x> >= 1}; returns
     +inf when the minimum falls below the singularity tolerance (the
-    inequality fails).
+    inequality fails) or an active gradient vanishes (no alpha > 0).
     """
     q = np.asarray(q, dtype=float)
     _, grads = _active_gradients(sys, t, q, rho)
     if len(grads) <= 1:
-        return 1.0
+        return 1.0 if np.all(np.linalg.norm(grads, axis=1) > 0.0) else math.inf
     x = _least_inward(grads)
     if x is None:
         return math.inf
@@ -385,8 +334,8 @@ def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
     return math.inf if 1.0 / gamma < TOL_SINGULAR else gamma
 
 
-def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 0.0,
-                   radius_r: float = 1.0) -> AdmissibilityEstimate | None:
+def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
+                   rho: float = 0.0) -> AdmissibilityEstimate | None:
     """Best uniform-angle certificate (u, delta) at (t, q), or None on failure.
 
     Solves max delta s.t. <u, -n_i> >= delta |n_i| over the near-active
@@ -400,7 +349,7 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 
     if not len(grads):
         direction = np.zeros(sys.dim)
         direction[0] = -1.0
-        return _estimate(sys, 1.0, direction, radius_r)
+        return _estimate(sys, 1.0, direction)
     x = _least_inward(grads)
     if x is None:
         return None
@@ -408,17 +357,17 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray, rho: float = 
     delta = float(np.min((-grads @ direction) / np.linalg.norm(grads, axis=1)))
     if delta <= TOL_SINGULAR:
         return None
-    return _estimate(sys, delta, direction, radius_r)
+    return _estimate(sys, delta, direction)
 
 
-def _estimate(sys: ConstraintSystem, delta: float, direction: np.ndarray,
-              radius_r: float) -> AdmissibilityEstimate:
+def _estimate(sys: ConstraintSystem, delta: float,
+              direction: np.ndarray) -> AdmissibilityEstimate:
     c0 = sys.lipschitz_c0
     kappa0 = c0 / delta + 1.0
     nu_min = min(sys.eta * delta / (2.0 * kappa0 + 2.0 * c0 + delta) ** 2,
-                 radius_r / (2.0 * (c0 + delta + 2.0 * kappa0)))
-    return AdmissibilityEstimate(delta=delta, direction=direction, radius_r=radius_r,
-                                 kappa0=kappa0, nu_min=nu_min)
+                 COVERING_RADIUS / (2.0 * (c0 + delta + 2.0 * kappa0)))
+    return AdmissibilityEstimate(delta=delta, direction=direction, kappa0=kappa0,
+                                 nu_min=nu_min)
 
 
 def hypomonotonicity_residual(sys: ConstraintSystem, t: float, x: np.ndarray,

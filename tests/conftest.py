@@ -98,9 +98,9 @@ def sample_feasible(name: str, rng: np.random.Generator, t: float) -> np.ndarray
 def sample_normal(sys: ConstraintSystem, t: float, x: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """A random element of the proximal normal cone at a boundary point."""
-    from proxsweep import normal_cone_generators
+    from proxsweep import velocity_polyhedron
 
-    gens = normal_cone_generators(sys, t, x).generators
+    gens = -velocity_polyhedron(sys, t, x).normals
     if gens.shape[0] == 0:
         return np.zeros(sys.dim)
     weights = rng.uniform(0.0, 2.0, size=gens.shape[0])

@@ -48,7 +48,7 @@ def test_criterion_1_grid_feasibility(sweeps):
     for name, (scn, runs) in sweeps.items():
         for h, traj, _ in runs:
             for t, q in zip(traj.times, traj.positions):
-                worst = max(worst, scn.system.feasibility_gap(float(t), q))
+                worst = max(worst, -np.min(scn.system.values(float(t), q), initial=0.0))
     _report(1, "grid feasibility", worst <= 1e-8, f"max gap {worst:.3e} <= 1e-8")
 
 
@@ -196,7 +196,7 @@ def test_criterion_8_multiplier_contract(sweeps):
                 if lam.size and np.max(lam) > 1e-10:
                     act = active_set(sys, t1, q1)
                     for i, con in enumerate(sys.constraints):
-                        if lam[i] > 1e-10 and con.id not in act.indices:
+                        if lam[i] > 1e-10 and con.id not in act:
                             ok = False
             worst_mom = max(worst_mom, momentum_residual(traj, contact))
     ok &= worst_res <= 1e-8 and worst_mom <= 1e-8

@@ -25,6 +25,7 @@ class TestTotalVariation:
     def test_constant_velocity(self):
         traj = make_traj([0, 1, 2], [0, 1, 2], [1, 1, 1])
         assert total_variation(traj) == 0.0
+        assert total_variation(make_traj([0], [0], [1])) == 0.0
 
     def test_single_jump_then_reversal(self):
         traj = make_traj([0, 1, 2], [0, -2, -2], [-2, 0, 2])
@@ -114,6 +115,16 @@ class TestImpactLaw:
         assert len(events) == 1
         assert not events[0].verifiable
         assert math.isnan(events[0].law_residual)
+
+    def test_parallel_rows_skip_singular_vertex(self):
+        # rows (0, 1) and (0, 2) are both active on the floor: no vertex to solve for
+        sys = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [0.0, 1.0]),
+                                                   affine_constraint(2, [0.0, 2.0])))
+        traj, _ = run(sys, ZERO_FORCE, np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)
+        events = verify_impact_law(traj, sys)
+        assert [(ev.time, ev.verifiable) for ev in events] == [(pytest.approx(0.51), True)]
+        assert events[0].law_residual <= 1e-12
+        assert events[0].variational_max <= 1e-12
 
 
 class TestConstants:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsweep import (ConstraintFunction, ConstraintSystem, InvalidConstantsError,
-                       active_set, affine_constraint, good_direction,
-                       hypomonotonicity_residual, normal_cone_generators,
-                       prox_constant, reverse_triangle_constant,
+from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
+                       InvalidConstantsError, active_set, affine_constraint, good_direction,
+                       hypomonotonicity_residual, prox_constant, reverse_triangle_constant,
                        velocity_polyhedron)
-from proxsweep.geometry import activity_tolerance
+from proxsweep.geometry import COVERING_RADIUS, activity_tolerance
 from proxsweep.scenarios import lookup
 
 from conftest import (antipodal_pair, disc_complement, floor_2d, half_space_1d,
@@ -20,16 +19,15 @@ from conftest import (antipodal_pair, disc_complement, floor_2d, half_space_1d,
 class TestActiveSet:
     def test_boundary_point_is_active(self):
         sys = half_space_1d()
-        assert active_set(sys, 0.0, np.array([0.0]), 0.0).indices == (1,)
+        assert active_set(sys, 0.0, np.array([0.0]), 0.0) == (1,)
 
     def test_interior_point_is_inactive(self):
         sys = half_space_1d()
-        assert active_set(sys, 0.0, np.array([0.5]), 0.0).indices == ()
+        assert active_set(sys, 0.0, np.array([0.5]), 0.0) == ()
 
     def test_rho_threshold_includes_near_active(self):
         sys = lookup("wedge").system
-        act = active_set(sys, 0.0, np.array([0.0, 0.05]), rho=0.1)
-        assert act.indices == (1, 2)
+        assert active_set(sys, 0.0, np.array([0.0, 0.05]), rho=0.1) == (1, 2)
 
     @given(rhos=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
            q=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
@@ -37,14 +35,14 @@ class TestActiveSet:
     def test_monotone_in_rho(self, rhos, q):
         sys = lookup("wedge").system
         r1, r2 = sorted(rhos)
-        small = active_set(sys, 0.0, np.array(q), r1).indices
-        large = active_set(sys, 0.0, np.array(q), r2).indices
+        small = active_set(sys, 0.0, np.array(q), r1)
+        large = active_set(sys, 0.0, np.array(q), r2)
         assert set(small) <= set(large)
 
     def test_rho_below_tolerance_keeps_numerically_active(self):
         sys = lookup("wedge").system
         q = np.array([0.0, 1e-116])
-        assert active_set(sys, 0.0, q, 1e-301).indices == active_set(sys, 0.0, q).indices
+        assert active_set(sys, 0.0, q, 1e-301) == active_set(sys, 0.0, q)
 
     def test_indices_sorted_despite_declaration_order(self):
         from proxsweep import ConstraintFunction, ConstraintSystem
@@ -55,21 +53,23 @@ class TestActiveSet:
                                 gradient_q=lambda t, q: np.array([1.0, 0.0]),
                                 dt=lambda t, q: 0.0)
         sys = ConstraintSystem(dim=2, constraints=(c2, c1))
-        assert active_set(sys, 0.0, np.array([0.0, 0.0])).indices == (1, 2)
+        assert active_set(sys, 0.0, np.array([0.0, 0.0])) == (1, 2)
 
     def test_evaluation_failure_carries_id(self):
-        from proxsweep import ConstraintEvaluationError, ConstraintFunction, ConstraintSystem
-
         def boom(t, q):
             raise FloatingPointError("nope")
 
-        bad = ConstraintFunction(id=7, value=boom,
-                                 gradient_q=lambda t, q: np.array([1.0]),
-                                 dt=lambda t, q: 0.0)
-        sys = ConstraintSystem(dim=1, constraints=(bad,))
-        with pytest.raises(ConstraintEvaluationError) as err:
-            active_set(sys, 0.0, np.array([0.0]))
-        assert err.value.constraint_id == 7
+        q = np.array([0.0])
+        for what, field, call in [("value", "value", lambda sys: active_set(sys, 0.0, q)),
+                                  ("gradient", "gradient_q", lambda sys: sys.gradients(0.0, q)),
+                                  ("dt", "dt", lambda sys: sys.dts(0.0, q))]:
+            callables = {"value": lambda t, q: float(q[0]),
+                         "gradient_q": lambda t, q: np.array([1.0]),
+                         "dt": lambda t, q: 0.0, field: boom}
+            sys = ConstraintSystem(dim=1, constraints=(ConstraintFunction(id=7, **callables),))
+            with pytest.raises(ConstraintEvaluationError) as err:
+                call(sys)
+            assert (err.value.constraint_id, err.value.what) == (7, what)
 
     def test_duplicate_ids_rejected(self):
         # two walls sharing id 1 would share one multiplier and one activity flag
@@ -142,7 +142,7 @@ class TestBatchedEvaluation:
         points = rng.uniform(-3.0, 3.0, (40, sys.dim))
 
         def per_point(ts):
-            return np.array([[c.value_at(t, q) for c in sys.constraints]
+            return np.array([[c.value(t, q) for c in sys.constraints]
                              for t, q in zip(ts, points)]).reshape(len(points), sys.p)
 
         expected = per_point(times)
@@ -159,15 +159,15 @@ class TestBatchedEvaluation:
             grads = sys.gradients(t, q)
             assert grads.shape == (sys.p, sys.dim)
             for row, c in zip(grads, sys.constraints):
-                np.testing.assert_array_equal(row, c.gradient_at(t, q))
-            np.testing.assert_array_equal(sys.dts(t, q), [c.dt_at(t, q) for c in sys.constraints])
+                np.testing.assert_array_equal(row, c.gradient_q(t, q))
+            np.testing.assert_array_equal(sys.dts(t, q), [c.dt(t, q) for c in sys.constraints])
 
     def test_affine_constraint_formula(self):
         con = affine_constraint(3, [2.0, -1.0], offset=0.5, rate=-4.0)
         q = np.array([1.5, 0.25])
-        assert con.value_at(0.5, q) == 2.0 * 1.5 - 0.25 + 0.5 - 4.0 * 0.5
-        np.testing.assert_array_equal(con.gradient_at(0.5, q), [2.0, -1.0])
-        assert con.dt_at(0.5, q) == -4.0
+        assert con.value(0.5, q) == 2.0 * 1.5 - 0.25 + 0.5 - 4.0 * 0.5
+        np.testing.assert_array_equal(con.gradient_q(0.5, q), [2.0, -1.0])
+        assert con.dt(0.5, q) == -4.0
         assert con.hessian_bound == 0.0
 
     def test_normal_length_must_match_dim(self):
@@ -195,14 +195,14 @@ class TestConstraintDerivatives:
             q = x + rng.normal(scale=0.05, size=scn.dim)
             eps = 1e-6 * (1.0 + np.linalg.norm(q))
             for con in scn.system.constraints:
-                grad = con.gradient_at(t, q)
+                grad = con.gradient_q(t, q)
                 for j in range(scn.dim):
                     e = np.zeros(scn.dim)
                     e[j] = eps
-                    fd = (con.value_at(t, q + e) - con.value_at(t, q - e)) / (2 * eps)
+                    fd = (con.value(t, q + e) - con.value(t, q - e)) / (2 * eps)
                     assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-7)
-                fd_t = (con.value_at(t + eps, q) - con.value_at(t - eps, q)) / (2 * eps)
-                assert fd_t == pytest.approx(con.dt_at(t, q), rel=1e-5, abs=1e-7)
+                fd_t = (con.value(t + eps, q) - con.value(t - eps, q)) / (2 * eps)
+                assert fd_t == pytest.approx(con.dt(t, q), rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket"])
     def test_gradient_norms_within_alpha_beta(self, name):
@@ -211,9 +211,9 @@ class TestConstraintDerivatives:
         for _ in range(40):
             t, x = sample_boundary(name, rng)
             for con in scn.system.constraints:
-                if abs(con.value_at(t, x)) > 1e-9:
+                if abs(con.value(t, x)) > 1e-9:
                     continue  # this sample sits on another constraint's boundary
-                norm = np.linalg.norm(con.gradient_at(t, x))
+                norm = np.linalg.norm(con.gradient_q(t, x))
                 assert scn.system.alpha - 1e-9 <= norm <= scn.system.beta + 1e-9
 
 
@@ -228,7 +228,8 @@ class TestProxConstant:
     def test_affine_cap(self):
         sys = half_space_1d()
         assert prox_constant(sys) == pytest.approx(1e6)
-        assert prox_constant(sys, eta_max=123.0) == pytest.approx(123.0)
+        # a ratio alpha / M above the cap is capped as well
+        assert prox_constant(ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9)) == 1e6
 
     def test_invalid_constants(self):
         from proxsweep import ConstraintSystem
@@ -245,11 +246,11 @@ class TestProxConstant:
         for _ in range(20):
             theta = rng.uniform(0, 2 * math.pi)
             x = np.array([math.cos(theta), math.sin(theta)])
-            grad = sys.constraints[0].gradient_at(0.0, x)
+            grad = sys.constraints[0].gradient_q(0.0, x)
             center = x + eta * (-grad / np.linalg.norm(grad))
             for _ in range(200):
                 p = center + eta * 0.999 * _unit(rng, 2) * rng.uniform(0, 1)
-                assert sys.constraints[0].value_at(0.0, p) < 0.0
+                assert sys.constraints[0].value(0.0, p) < 0.0
 
 
 def _unit(rng, d):
@@ -274,6 +275,15 @@ class TestReverseTriangle:
     def test_antipodal_failure(self):
         sys = antipodal_pair()
         assert reverse_triangle_constant(sys, 0.0, np.array([0.0, 0.5])) == math.inf
+
+    def test_single_vanishing_gradient_fails_like_good_direction(self):
+        # g = q1^2 is active at 0 with grad g = 0: no alpha > 0 bounds it below
+        con = ConstraintFunction(1, lambda t, q: float(q[0] ** 2),
+                                 lambda t, q: np.array([2.0 * q[0]]), lambda t, q: 0.0,
+                                 hessian_bound=2.0)
+        sys = ConstraintSystem(dim=1, constraints=(con,), hess_bound=2.0)
+        assert reverse_triangle_constant(sys, 0.0, np.array([0.0])) == math.inf
+        assert good_direction(sys, 0.0, np.array([0.0])) is None
 
 
 class TestFiveConstraintCone:
@@ -318,13 +328,27 @@ class TestGoodDirection:
     def test_opposed_normals_fail(self):
         assert good_direction(antipodal_pair(), 0.0, np.array([0.0, 0.0])) is None
 
+    @pytest.mark.parametrize("e, certified", [(1e-6, False), (3e-6, True)])
+    def test_nearly_opposed_normals_singular_threshold(self, e, certified):
+        # normals (1, 0) and (-1, e): |x*| = 2 / e, so delta ~ e / 2 against TOL_SINGULAR
+        sys = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [1.0, 0.0]),
+                                                   affine_constraint(2, [-1.0, e])))
+        est = good_direction(sys, 0.0, np.zeros(2))
+        gamma = reverse_triangle_constant(sys, 0.0, np.zeros(2))
+        if certified:
+            assert est.delta == pytest.approx(e / 2, rel=1e-6)
+            assert gamma == pytest.approx(2 / e, rel=1e-6)
+        else:
+            assert est is None
+            assert gamma == math.inf
+
     def test_constants_formulas(self):
         scn = lookup("piston")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
         c0, delta = scn.system.lipschitz_c0, est.delta
         assert est.kappa0 == c0 / delta + 1.0
         expected = min(scn.system.eta * delta / (2 * est.kappa0 + 2 * c0 + delta) ** 2,
-                       est.radius_r / (2 * (c0 + delta + 2 * est.kappa0)))
+                       COVERING_RADIUS / (2 * (c0 + delta + 2 * est.kappa0)))
         assert est.nu_min == expected
 
     @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket"])
@@ -336,9 +360,9 @@ class TestGoodDirection:
             est = good_direction(scn.system, t, x)
             assert est is not None
             for con in scn.system.constraints:
-                if con.value_at(t, x) > 1e-8:
+                if con.value(t, x) > 1e-8:
                     continue
-                n = con.gradient_at(t, x)
+                n = con.gradient_q(t, x)
                 assert est.direction @ (-n) >= est.delta * np.linalg.norm(n) - 1e-9
 
 
@@ -385,7 +409,7 @@ class TestConePolarity:
         for _ in range(50):
             t, x = sample_boundary(name, rng)
             poly = velocity_polyhedron(sys, t, x)
-            gens = normal_cone_generators(sys, t, x).generators
+            gens = -poly.normals  # generators of the proximal normal cone
             if poly.nrows == 0:
                 continue
             u = rng.normal(size=sys.dim)
@@ -396,8 +420,3 @@ class TestConePolarity:
             else:
                 worst = int(np.argmin(static_res))
                 assert u @ gens[worst] > 0.0
-
-    def test_interior_cone_is_origin(self):
-        gens = normal_cone_generators(half_space_1d(), 0.0, np.array([0.4]))
-        assert gens.generators.shape == (0, 1)
-        np.testing.assert_allclose(gens.sample(np.zeros(0)), [0.0])

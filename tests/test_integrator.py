@@ -191,7 +191,7 @@ class TestRun:
         scn = lookup(name)
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
         for t, q in zip(traj.times, traj.positions):
-            assert scn.system.feasibility_gap(float(t), q) <= 1e-8
+            assert np.all(scn.system.values(float(t), q) >= -1e-8)
 
     @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket"])
     def test_per_step_velocity_bound(self, name):
@@ -229,7 +229,7 @@ class TestRun:
                 act = active_set(sys, t1, q1)
                 for i, con in enumerate(sys.constraints):
                     if lam[i] > 1e-10:
-                        assert con.id in act.indices
+                        assert con.id in act
 
     @pytest.mark.parametrize("name", ["wedge", "pocket", "floor"])
     def test_step_multipliers_need_no_nnls(self, name, monkeypatch):

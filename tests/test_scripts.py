@@ -1,5 +1,6 @@
 """Smoke tests: each example script runs from the checkout and prints its report,
-and the benchmark harness in perfbench/ still finds what it uses of the package."""
+the benchmark harness in perfbench/ still finds what it uses of the package, and
+every name the package exports exists."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import proxsweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +50,9 @@ def test_perfbench_contract(monkeypatch):
     system, force = discs.disc_system(3), discs.disc_force(3)
     assert (system.dim, system.p) == (6, 6)
     assert force.sup_F == pytest.approx(10.0 * 3 ** 0.5)
+
+
+def test_export_list_resolves():
+    # a name deleted from a module but left in __all__ breaks `from proxsweep import *`
+    assert len(set(proxsweep.__all__)) == len(proxsweep.__all__)
+    assert [name for name in proxsweep.__all__ if not hasattr(proxsweep, name)] == []
