@@ -37,7 +37,6 @@ class ImpactEvent:
     time: float
     u_minus: np.ndarray
     u_plus: np.ndarray
-    polyhedron: VelocityPolyhedron
     law_residual: float
     variational_max: float = -math.inf
     verifiable: bool = True
@@ -181,15 +180,15 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
         try:
             u_star = project_velocity(poly, u_minus).point
         except InfeasibleConeError:
-            events.append(ImpactEvent(t_ev, u_minus, u_plus, poly,
-                                      law_residual=math.nan, verifiable=False))
+            events.append(ImpactEvent(t_ev, u_minus, u_plus, law_residual=math.nan,
+                                      verifiable=False))
             continue
         residual = float(np.linalg.norm(u_plus - u_star))
         worst = -math.inf
         for w in _sample_admissible(poly, u_plus):
             worst = max(worst, float((u_minus - u_plus) @ (w - u_plus)))
-        events.append(ImpactEvent(t_ev, u_minus, u_plus, poly,
-                                  law_residual=residual, variational_max=worst))
+        events.append(ImpactEvent(t_ev, u_minus, u_plus, law_residual=residual,
+                                  variational_max=worst))
     return events
 
 
@@ -296,12 +295,11 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
 
 def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
              force: ForceField, admiss: AdmissibilityEstimate | None = None,
-             J: float = 1.0, k: int = 1,
-             jump_tol: float | None = None) -> DiagnosticsReport:
+             J: float = 1.0, jump_tol: float | None = None) -> DiagnosticsReport:
     """Assemble the full report for one finished run."""
     T = float(traj.times[-1])
     events = verify_impact_law(traj, sys, sup_force=force.sup_F, jump_tol=jump_tol)
-    constants = compute_constants(sys, admiss, traj.velocities[0], force, T=T, k=k, J=J)
+    constants = compute_constants(sys, admiss, traj.velocities[0], force, T=T, J=J)
     return DiagnosticsReport(
         max_feasibility_gap=max_feasibility_gap(traj, sys),
         max_intergrid_gap=max_intergrid_gap(traj, sys),

@@ -33,6 +33,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,7 +65,7 @@ def activity_tolerance(q: np.ndarray):
 def _active_mask(values: np.ndarray, q: np.ndarray, rho: float = 0.0) -> np.ndarray:
     """values (p,) at q (d,), or (m, p) at the rows of q, <= max(rho,
     activity_tolerance(q)); the one activity rule behind active_set,
-    project_point, extract_multipliers and the CSV mask.
+    _active_gradients, extract_multipliers, detect_impacts and the CSV mask.
 
     The tolerance is a floor, not a default for rho = 0 alone: a rho below it
     still counts every numerically active constraint, so the set only grows
@@ -146,6 +147,9 @@ class ConstraintSystem:
         if self.lipschitz_c0 < 0:
             raise InvalidConstantsError("lipschitz_c0 must be >= 0")
         ids = [c.id for c in self.constraints]
+        # ids name the bits of the CSV's active mask, bit id - 1
+        if not all(isinstance(i, numbers.Integral) and i >= 1 for i in ids):
+            raise InvalidConstantsError(f"constraint ids must be positive integers, got {ids}")
         if len(set(ids)) < len(ids):
             raise InvalidConstantsError(f"constraint ids must be distinct, got {ids}")
         A, b, r = np.zeros((self.p, self.dim)), np.zeros(self.p), np.zeros(self.p)
@@ -191,10 +195,9 @@ class ConstraintSystem:
         evaluate = _EVALUATE[what]
         for i, c in self._pointwise:
             try:
-                value = evaluate(c, t, q)
+                out[i] = evaluate(c, t, q)
             except Exception as exc:  # noqa: BLE001 - rewrap with the offending id
                 raise ConstraintEvaluationError(c.id, what, exc) from exc
-            out[i] = value
         return out
 
 

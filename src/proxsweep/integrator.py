@@ -24,7 +24,7 @@ nonnegative least squares on the active gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,10 +88,10 @@ class SchemeState:
 class StepOutcome:
     state: SchemeState
     increment: np.ndarray          # dk over the step, attributed to t^{n+1}
-    multipliers: np.ndarray        # length p, nonzero only on active ids
+    multipliers: np.ndarray        # length p, nonzero only on active constraints
     multiplier_residual: float
     in_cone: bool
-    force_average: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    force_average: np.ndarray      # f^n, the force averaged over the step
 
 
 @dataclass
@@ -207,11 +207,8 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     u_next = (q_next - state.q_curr) / h
     increment = state.u_curr + h * f_avg - u_next
     # h * increment = predicted - q^{n+1} is the projection's proximal normal
-    rows = [i for i, c in enumerate(sys.constraints) if c.id in proj.active_ids]
-    lam = np.zeros(sys.p)
-    lam[rows] = proj.multipliers / h
-    push = lam[rows] @ sys.gradients(t_next, q_next)[rows] if rows else 0.0
-    residual = float(np.linalg.norm(increment + push))
+    lam = proj.multipliers / h
+    residual = float(np.linalg.norm(increment + lam @ sys.gradients(t_next, q_next)))
     new_state = SchemeState(n=state.n + 1, t_n=t_next, q_prev=state.q_curr,
                             q_curr=q_next, u_curr=u_next, h=h)
     return StepOutcome(state=new_state, increment=increment, multipliers=lam,
@@ -244,48 +241,25 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     n_full, partial = _grid(h, T)
 
     state = initialize(sys, field, q0, u0, h)
-    d = sys.dim
-    times = [0.0, h]
-    positions = [q0, state.q_curr]
-    velocities = [u0, state.u_curr]
-    increments = [np.zeros(d)]
-    multipliers = [np.zeros(sys.p)]
-    residuals = [0.0]
-    f_avgs = [field.step_average(0.0, h, q0)]
-
-    def record(out: StepOutcome):
-        times.append(out.state.t_n)
-        positions.append(out.state.q_curr)
-        velocities.append(out.state.u_curr)
-        increments.append(out.increment)
-        multipliers.append(out.multipliers)
-        residuals.append(out.multiplier_residual)
-        f_avgs.append(out.force_average)
-
-    while state.n < n_full:
-        out = step(state, sys, field)
+    # one row (t, q, u, dk, lambda, residual, f^n) per step; the first is free flight
+    rows = [(h, state.q_curr, state.u_curr, np.zeros(sys.dim), np.zeros(sys.p), 0.0,
+             field.step_average(0.0, h, q0))]
+    # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
+    for h_step in [h] * (n_full - 1) + ([T - n_full * h] if partial else []):
+        out = step(state, sys, field, h_step)
         state = out.state
-        record(out)
-    if partial:
-        h_last = T - n_full * h
-        if h_last > 1e-12 * T:
-            out = step(state, sys, field, h_step=h_last)
-            state = out.state
-            record(out)
+        rows.append((state.t_n, state.q_curr, state.u_curr, out.increment, out.multipliers,
+                     out.multiplier_residual, out.force_average))
+    times, positions, velocities, increments, multipliers, residuals, f_avgs = zip(*rows)
 
-    margin = sys.p == 0 or _interior_margin(sys, q0) > h * (
+    # min g / beta bounds the distance from q0 to the boundary of C(0) from below
+    margin = sys.p == 0 or float(np.min(sys.values(0.0, q0))) / sys.beta > h * (
         float(np.linalg.norm(u0)) + field.integral_bound(0.0, T))
-    traj = Trajectory(times=np.array(times), positions=np.vstack(positions),
-                      velocities=np.vstack(velocities), partial_final_step=partial,
+    traj = Trajectory(times=np.array((0.0, *times)), positions=np.vstack((q0, *positions)),
+                      velocities=np.vstack((u0, *velocities)), partial_final_step=partial,
                       margin_ok=bool(margin))
     contact = ContactMeasure(increments=np.vstack(increments),
-                             multipliers=np.vstack(multipliers) if sys.p else
-                             np.zeros((len(increments), 0)),
+                             multipliers=np.vstack(multipliers),
                              residuals=np.array(residuals),
                              force_averages=np.vstack(f_avgs))
     return traj, contact
-
-
-def _interior_margin(sys: ConstraintSystem, q0: np.ndarray) -> float:
-    """Lower bound on the distance from q0 to the boundary of C(0)."""
-    return float(np.min(sys.values(0.0, q0))) / sys.beta

@@ -6,10 +6,11 @@ projects onto a polyhedron {z : b + N z >= 0} with one NNLS solve.
 Velocity projection is one kernel call.  Point projection handles the
 possibly nonconvex set C(t) by linearise-and-project: starting from y = x,
 x is projected onto {z : g_i(t, y) + <grad g_i(t, y), z - y> >= 0} and y is
-moved to the result until it stops moving.  Affine sets are done in one
-projection.  The result is the unique nearest point whenever
-dist(x, C(t)) < eta; farther out it is a local solution flagged
-non-certified.
+moved to the result until it stops moving.  On an affine set the first
+projection is already the nearest point, and a second one, on the same
+linearisation, confirms that the iterate no longer moves.  The result is the
+unique nearest point whenever dist(x, C(t)) < eta; farther out it is a local
+solution flagged non-certified.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConeError
-from .geometry import ConstraintSystem, VelocityPolyhedron, _active_mask, least_distance
+from .geometry import ConstraintSystem, VelocityPolyhedron, least_distance
 
 MAX_ITER = 50
 
@@ -28,17 +29,17 @@ MAX_ITER = 50
 class ProjectionResult:
     """Projected point with its KKT certificate.
 
-    project_point gives nonnegative multipliers, one per constraint id in
-    active_ids, with (x - point) + sum lam_i grad g_i(t, point) ~ 0 and
-    complementarity lam_i g_i(t, point) ~ 0; project_velocity gives one per
-    polyhedron row, with active_ids the positions of the rows where lam_i > 0.
-    certified means the distance is below the prox-regularity constant, i.e.
-    the projection is provably the unique nearest point.
+    multipliers has one nonnegative entry per row of the set projected on (the
+    constraints of the system, in order, or the rows of the velocity
+    polyhedron), with (x - point) + sum lam_i n_i ~ 0 for the row normals n_i
+    at the point, and lam_i > 0 only on rows that hold with equality; all
+    zero when x is already inside.  certified means the distance is below the
+    prox-regularity constant, i.e. the projection is provably the unique
+    nearest point.
     """
 
     point: np.ndarray
     multipliers: np.ndarray
-    active_ids: tuple[int, ...]
     distance: float
     converged: bool
     iterations: int
@@ -59,7 +60,7 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     x = np.asarray(x, dtype=float)
     g = sys.values(t, x)
     if np.all(g >= 0.0):
-        return ProjectionResult(point=x.copy(), multipliers=np.zeros(0), active_ids=(),
+        return ProjectionResult(point=x.copy(), multipliers=np.zeros(sys.p),
                                 distance=0.0, converged=True, iterations=0)
 
     tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
@@ -74,20 +75,18 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
             break
         z = x + move
         converged = float(np.linalg.norm(z - y)) < tol
-        y, g = z, sys.values(t, z)
+        y = z
         if converged:
             break
+        g = sys.values(t, y)
     else:
         diag = f"no convergence in {MAX_ITER} projections"
 
-    active = np.flatnonzero(_active_mask(g, y))
     dist = float(np.linalg.norm(x - y))
     certified = dist < sys.eta
     if not certified:
         diag = (diag + "; " if diag else "") + "outside prox-regular tube"
-    return ProjectionResult(point=y, multipliers=mu[active],
-                            active_ids=tuple(sys.constraints[i].id for i in active),
-                            distance=dist, converged=converged,
+    return ProjectionResult(point=y, multipliers=mu, distance=dist, converged=converged,
                             iterations=iters, certified=certified, diagnostic=diag)
 
 
@@ -103,9 +102,8 @@ def project_velocity(poly: VelocityPolyhedron, u: np.ndarray) -> ProjectionResul
     scale = 1.0 + float(np.linalg.norm(u)) + (float(np.max(np.abs(poly.offsets))) if m else 0.0)
     if poly.membership(u, tol=1e-12 * scale):
         return ProjectionResult(point=u.copy(), multipliers=np.zeros(m),
-                                active_ids=(), distance=0.0, converged=True, iterations=0)
+                                distance=0.0, converged=True, iterations=0)
     move, mu = least_distance(poly.normals, -poly.residuals(u), poly.base_point)
     return ProjectionResult(point=u + move, multipliers=mu,
-                            active_ids=tuple(np.flatnonzero(mu > 0.0).tolist()),
                             distance=float(np.linalg.norm(move)), converged=True,
                             iterations=1)

@@ -60,12 +60,16 @@ class TestActiveSet:
             raise FloatingPointError("nope")
 
         q = np.array([0.0])
-        for what, field, call in [("value", "value", lambda sys: active_set(sys, 0.0, q)),
-                                  ("gradient", "gradient_q", lambda sys: sys.gradients(0.0, q)),
-                                  ("dt", "dt", lambda sys: sys.dts(0.0, q))]:
+        # a raise, or a result of the wrong shape (3 gradient entries in d = 1)
+        for what, field, bad, call in [
+                ("value", "value", boom, lambda sys: active_set(sys, 0.0, q)),
+                ("gradient", "gradient_q", boom, lambda sys: sys.gradients(0.0, q)),
+                ("gradient", "gradient_q", lambda t, q: np.ones(3),
+                 lambda sys: sys.gradients(0.0, q)),
+                ("dt", "dt", boom, lambda sys: sys.dts(0.0, q))]:
             callables = {"value": lambda t, q: float(q[0]),
                          "gradient_q": lambda t, q: np.array([1.0]),
-                         "dt": lambda t, q: 0.0, field: boom}
+                         "dt": lambda t, q: 0.0, field: bad}
             sys = ConstraintSystem(dim=1, constraints=(ConstraintFunction(id=7, **callables),))
             with pytest.raises(ConstraintEvaluationError) as err:
                 call(sys)
@@ -81,6 +85,12 @@ class TestActiveSet:
                                    dt=lambda t, q: 0.0)
         with pytest.raises(InvalidConstantsError, match=r"distinct, got \[1, 1\]"):
             ConstraintSystem(dim=2, constraints=(left, right))
+
+    @pytest.mark.parametrize("cid", [0, -1, 2.5])
+    def test_non_positive_integer_id_rejected(self, cid):
+        # the CSV writer sets bit id - 1 of the active mask for each active constraint
+        with pytest.raises(InvalidConstantsError, match="positive integers"):
+            ConstraintSystem(dim=1, constraints=(affine_constraint(cid, [1.0]),))
 
 
 class TestVelocityPolyhedron:

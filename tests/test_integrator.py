@@ -261,17 +261,25 @@ class TestRun:
             assert momentum_residual(traj, contact) <= 1e-8
 
     def test_partial_final_step(self):
+        # T / h farther than 1e-9 from an integer takes a partial step, however short
         scn = lookup("free")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, 0.205)
-        assert traj.partial_final_step
-        assert traj.times[-1] == pytest.approx(0.205, abs=1e-15)
-        assert traj.positions[-1][0] == pytest.approx(1.0 - 0.205, abs=1e-12)
+        for h, T, nsteps, last in [(0.01, 0.205, 21, 0.005),
+                                   (1.0 / (100 + 2e-7), 1.0, 101, 2e-9),
+                                   (1.0 / (100 - 2e-7), 1.0, 100, 0.01)]:
+            traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+            assert traj.partial_final_step
+            assert traj.nsteps == nsteps
+            assert traj.times[-1] - traj.times[-2] == pytest.approx(last, rel=1e-6)
+            assert traj.times[-1] == pytest.approx(T, abs=1e-15)
+            assert traj.positions[-1][0] == pytest.approx(1.0 - T, abs=1e-12)
 
     def test_uniform_grid_no_partial_flag(self):
+        # within 1e-9 of an integer the grid stays uniform and ends off T by that much
         scn = lookup("free")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, 2.0)
-        assert not traj.partial_final_step
-        assert traj.nsteps == 200
+        for h, T, nsteps in [(0.01, 2.0, 200), (1.0 / (100 + 5e-8), 1.0, 100)]:
+            traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+            assert not traj.partial_final_step
+            assert traj.nsteps == nsteps
 
     def test_h_not_less_than_T_rejected(self):
         scn = lookup("free")
