@@ -57,10 +57,8 @@ class ForceField:
     def step_average(self, t0: float, t1: float, q: np.ndarray) -> np.ndarray:
         """(1/h) integral of f(s, q) ds over [t0, t1], 3-point Gauss-Legendre."""
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        acc = np.zeros_like(np.asarray(q, dtype=float))
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            acc = acc + weight * self(mid + half * node, q)
-        return 0.5 * acc
+        return 0.5 * sum(weight * self(mid + half * node, q)
+                         for node, weight in zip(_GL_NODES, _GL_WEIGHTS))
 
     def integral_bound(self, t0: float, t1: float) -> float:
         """integral of bound_F over [t0, t1] by 64-point Gauss-Legendre quadrature."""
@@ -171,6 +169,11 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
 def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
                u0: np.ndarray, h: float) -> SchemeState:
     """Build (q^0, q^1) = (q0, q0 + h u0 + h^2 f^0); q0 must be strictly interior."""
+    return _initialize(sys, field, q0, u0, h)[0]
+
+
+def _initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
+                u0: np.ndarray, h: float) -> tuple[SchemeState, np.ndarray]:
     q0 = np.asarray(q0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     if h <= 0.0:
@@ -187,7 +190,7 @@ def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
         worst = int(np.argmin(g1))
         if g1[worst] < -1e-12 * (1.0 + np.linalg.norm(q1)):
             raise StepSizeTooLargeError(float(g1[worst]), sys.constraints[worst].id)
-    return SchemeState(n=1, t_n=h, q_prev=q0, q_curr=q1, u_curr=(q1 - q0) / h, h=h)
+    return SchemeState(n=1, t_n=h, q_prev=q0, q_curr=q1, u_curr=(q1 - q0) / h, h=h), f0
 
 
 def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
@@ -206,9 +209,10 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     q_next = proj.point
     u_next = (q_next - state.q_curr) / h
     increment = state.u_curr + h * f_avg - u_next
-    # h * increment = predicted - q^{n+1} is the projection's proximal normal
+    # h * increment = predicted - q^{n+1} is the projection's proximal normal (0 if no solve)
     lam = proj.multipliers / h
-    residual = float(np.linalg.norm(increment + lam @ sys.gradients(t_next, q_next)))
+    normal = lam @ sys.gradients(t_next, q_next) if proj.iterations else 0.0
+    residual = float(np.linalg.norm(increment + normal))
     new_state = SchemeState(n=state.n + 1, t_n=t_next, q_prev=state.q_curr,
                             q_curr=q_next, u_curr=u_next, h=h)
     return StepOutcome(state=new_state, increment=increment, multipliers=lam,
@@ -236,14 +240,11 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     """
     if not h < T:
         raise ValueError(f"need h < T, got h={h}, T={T}")
-    q0 = np.asarray(q0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
     n_full, partial = _grid(h, T)
 
-    state = initialize(sys, field, q0, u0, h)
+    state, f0 = _initialize(sys, field, q0, u0, h)
     # one row (t, q, u, dk, lambda, residual, f^n) per step; the first is free flight
-    rows = [(h, state.q_curr, state.u_curr, np.zeros(sys.dim), np.zeros(sys.p), 0.0,
-             field.step_average(0.0, h, q0))]
+    rows = [(h, state.q_curr, state.u_curr, np.zeros(sys.dim), np.zeros(sys.p), 0.0, f0)]
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
     for h_step in [h] * (n_full - 1) + ([T - n_full * h] if partial else []):
         out = step(state, sys, field, h_step)

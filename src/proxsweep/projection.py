@@ -6,11 +6,11 @@ projects onto a polyhedron {z : b + N z >= 0} with one NNLS solve.
 Velocity projection is one kernel call.  Point projection handles the
 possibly nonconvex set C(t) by linearise-and-project: starting from y = x,
 x is projected onto {z : g_i(t, y) + <grad g_i(t, y), z - y> >= 0} and y is
-moved to the result until it stops moving.  On an affine set the first
-projection is already the nearest point, and a second one, on the same
-linearisation, confirms that the iterate no longer moves.  The result is the
-unique nearest point whenever dist(x, C(t)) < eta; farther out it is a local
-solution flagged non-certified.
+moved to the result until it stops moving.  An affine set is its own
+linearisation at every y, so there the first projection is the nearest point
+with its exact certificate and is returned after one solve.  The result is
+the unique nearest point whenever dist(x, C(t)) < eta; farther out it is a
+local solution flagged non-certified.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ class ProjectionResult:
 def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionResult:
     """Nearest point of C(t) to x, with Kuhn-Tucker certificate.
 
-    Feasible x is returned unchanged.  The iteration stops once it moves
-    less than 1e-12 (1 + |x|); an infeasible linearisation or MAX_ITER
-    projections without that leave converged False.  Results with
-    distance >= eta are flagged non-certified ("outside the prox-regular
-    tube"): uniqueness is not guaranteed there and the integrator refuses to
-    continue on them.
+    Feasible x is returned unchanged, and affine constraints alone take one
+    solve.  Otherwise the iteration stops once it moves less than 1e-12
+    (1 + |x|); an infeasible linearisation or MAX_ITER projections without
+    that leave converged False.  Results with distance >= eta are flagged
+    non-certified ("outside the prox-regular tube"): uniqueness is not
+    guaranteed there and the integrator refuses to continue on them.
     """
     x = np.asarray(x, dtype=float)
     g = sys.values(t, x)
@@ -73,9 +73,8 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
         except InfeasibleConeError:
             diag = "linearised constraints infeasible"
             break
-        z = x + move
-        converged = float(np.linalg.norm(z - y)) < tol
-        y = z
+        y, y_prev = x + move, y
+        converged = not sys._pointwise or float(np.linalg.norm(y - y_prev)) < tol
         if converged:
             break
         g = sys.values(t, y)

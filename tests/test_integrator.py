@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from proxsweep import (ForceField, SimulationAbort, StepSizeTooLargeError,
                        ZERO_FORCE, active_set, extract_multipliers, initialize,
-                       integrator, run, step)
+                       integrator, projection, run, step)
+from proxsweep.geometry import least_distance
 from proxsweep.integrator import SchemeState
 from proxsweep.scenarios import lookup
 
@@ -252,6 +255,48 @@ class TestRun:
             assert contact.residuals[j] <= tol
             act = active_set(sys, t1, q1)
             assert all(c.id in act for c, lam_i in zip(sys.constraints, lam) if lam_i > 0.0)
+
+    def test_force_averaged_once_per_step(self):
+        # the first row's f^0 is the one initialize averaged for q^1
+        calls = []
+        field = ForceField(f=lambda t, q: calls.append(t) or np.zeros_like(q))
+        scn = lookup("free")
+        _, contact = run(scn.system, field, scn.q0, scn.u0, 0.5, 1.0)
+        assert len(calls) == 6  # three Gauss nodes for each of the two steps
+        np.testing.assert_array_equal(contact.force_averages, np.zeros((2, 1)))
+
+    def test_feasible_steps_evaluate_no_gradient(self):
+        # a feasible prediction has every multiplier 0 and residual |increment|,
+        # so the pocket's free fall makes no gradient call before impact
+        scn = lookup("pocket")
+        wall, floor = scn.system.constraints
+        times = []
+        counted = dataclasses.replace(
+            wall, gradient_q=lambda t, q: times.append(t) or wall.gradient_q(t, q))
+        sys = dataclasses.replace(scn.system, constraints=(counted, floor))
+        traj, contact = run(sys, scn.force, scn.q0, scn.u0, scn.h, scn.T)
+        impact = int(np.flatnonzero(contact.multipliers.any(axis=1))[0])
+        assert impact > 40 and min(times) == traj.times[impact + 1]
+        free_fall = contact.increments[:impact]
+        np.testing.assert_array_equal(contact.residuals[:impact],
+                                      [np.linalg.norm(inc) for inc in free_fall])
+
+    @pytest.mark.parametrize("name, solves", [("floor", 1501), ("pocket", 1505)])
+    def test_kernel_solves_per_run(self, name, solves, monkeypatch):
+        # an affine contact step is one least-distance solve; the pocket's
+        # callable wall keeps the solve that confirms the iterate stopped
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return least_distance(*args)
+
+        monkeypatch.setattr(projection, "least_distance", counted)
+        scn = lookup(name)
+        _, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.001, scn.T)
+        assert len(calls) == solves
+        if name == "floor":
+            assert solves == np.count_nonzero(contact.multipliers.any(axis=1))
 
     def test_momentum_balance(self):
         from proxsweep import momentum_residual

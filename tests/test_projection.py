@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsweep import (ConstraintFunction, ConstraintSystem, InfeasibleConeError,
-                       VelocityPolyhedron, active_set, extract_multipliers,
+                       VelocityPolyhedron, active_set, affine_constraint, extract_multipliers,
                        hypomonotonicity_residual, project_point, project_velocity,
                        velocity_polyhedron)
 from proxsweep.geometry import least_distance
@@ -112,12 +112,42 @@ class TestProjectPoint:
     @pytest.mark.parametrize("name, x", [("floor", [-0.37]), ("wedge", [-0.3, -0.7]),
                                          ("wedge", [0.4, -0.9])])
     def test_affine_faces_exact(self, name, x):
-        # one projection lands on the face to the last bit; the second only
-        # confirms that the iterate stopped moving
+        # an affine set is its own linearisation, so the one projection lands
+        # on the face to the last bit and is returned without a second solve
         res = project_point(lookup(name).system, 0.0, np.array(x))
         expected = np.maximum(x, 0.0)
         np.testing.assert_array_equal(res.point, expected)
-        assert res.converged and res.iterations == 2
+        assert res.converged and res.iterations == 1
+
+    def test_affine_one_solve_matches_enumeration(self):
+        # random nonempty moving polyhedra: offsets from a feasible anchor at t
+        rng = np.random.default_rng(61)
+        solved = 0
+        while solved < 60:
+            d, m = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            t = float(rng.uniform(0.0, 2.0))
+            normals, anchor = rng.normal(size=(m, d)), rng.normal(size=d)
+            rates = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.1, 2.0, size=m)
+            offsets = -(normals @ anchor) - rates * t + np.abs(rng.normal(size=m)) * 0.5
+            sys = ConstraintSystem(dim=d, constraints=tuple(
+                affine_constraint(i + 1, a, b, r)
+                for i, (a, b, r) in enumerate(zip(normals, offsets, rates))))
+            x = anchor + rng.normal(size=d) * 1.5
+            res = project_point(sys, t, x)
+            if res.iterations == 0:
+                continue
+            solved += 1
+            assert res.converged and res.iterations == 1
+            expected = enumerate_qp(make_poly(normals, offsets + rates * t), x).value
+            assert np.linalg.norm(res.point - expected) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+    def test_mixed_system_keeps_confirming_solve(self):
+        # only the pocket's affine floor is active at (2, 0), but the wall is a
+        # callable, so the loop still linearises again to see the iterate stop
+        res = project_point(lookup("pocket").system, 0.0, np.array([2.0, -0.5]))
+        np.testing.assert_array_equal(res.point, [2.0, 0.0])
+        assert res.multipliers[0] == 0.0 and res.multipliers[1] > 0.0
+        assert res.converged and res.iterations >= 2
 
     def test_infeasible_linearisation_not_converged(self):
         sys = lookup("pocket").system
