@@ -192,13 +192,6 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _single_run(scn: Scenario, cfg: argparse.Namespace, h: float, admiss):
-    traj, contact = run(scn.system, scn.force, cfg.q0, cfg.u0, h, cfg.T)
-    report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J,
-                      jump_tol=cfg.jump_tol)
-    return traj, contact, report
-
-
 def _verify_run(report: DiagnosticsReport, h: float, sup_force: float) -> list[str]:
     problems = []
     if report.max_feasibility_gap > 1e-8:
@@ -240,61 +233,53 @@ def _verify_sweep(reports: list[DiagnosticsReport], rows: list[dict],
 
 
 def run_cli(args: argparse.Namespace) -> int:
+    """Run, write and check each h of the sweep, or the one h with files at stem out.
+
+    Only a sweep adds the error table, the summary JSON and the sweep checks.
+    """
     flags = {key: value for key, value in vars(args).items()
              if key != "config" and value is not None}
     scn, cfg = resolve_settings(read_config_file(args.config) if args.config else {}, flags)
     T = cfg.T
     admiss = good_direction(scn.system, scn.probe[0], scn.probe[1])
 
-    out_dir = os.path.dirname(cfg.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(cfg.out) or ".", exist_ok=True)
 
-    if not cfg.sweep:
-        h = cfg.h
-        traj, contact, report = _single_run(scn, cfg, h, admiss)
+    # each h is integrated once; in a sweep its trajectory also feeds the error table
+    trajectories, reports, problems = [], [], []
+    for h in cfg.sweep or [cfg.h]:
+        traj, contact = run(scn.system, scn.force, cfg.q0, cfg.u0, h, T)
+        report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J,
+                          jump_tol=cfg.jump_tol)
+        stem = f"{cfg.out}_h{h:g}" if cfg.sweep else cfg.out
         if not cfg.json_only:
-            write_csv(f"{cfg.out}.csv", scn, traj, contact)
-        write_json(f"{cfg.out}.json", report_to_json(scn.name, h, T, report))
-        print(f"{scn.name} h={h:g} T={T:g}: steps={traj.nsteps} "
-              f"gap={report.max_feasibility_gap:.3g} TV={report.total_variation:.6g} "
-              f"sup|u|={report.sup_velocity:.6g} impacts={len(report.impacts)}")
-        if cfg.verify:
-            problems = _verify_run(report, h, scn.force.sup_F)
-            for p in problems:
-                print(f"verify: {p}")
-            return 3 if problems else 0
-        return 0
-
-    # sweep: each h is integrated once; its trajectory also feeds the error table
-    trajectories, reports = [], []
-    for h in cfg.sweep:
-        traj, contact, report = _single_run(scn, cfg, h, admiss)
-        if not cfg.json_only:
-            write_csv(f"{cfg.out}_h{h:g}.csv", scn, traj, contact)
-        write_json(f"{cfg.out}_h{h:g}.json", report_to_json(scn.name, h, T, report))
+            write_csv(f"{stem}.csv", scn, traj, contact)
+        write_json(f"{stem}.json", report_to_json(scn.name, h, T, report))
+        problems += [f"h={h:g}: {p}" if cfg.sweep else p
+                     for p in _verify_run(report, h, scn.force.sup_F)]
         trajectories.append(traj)
         reports.append(report)
 
-    reference = scn.reference(cfg.q0, cfg.u0)
-    rows = error_table(cfg.sweep, trajectories, reference or finest_run_reference(
-        scn.system, scn.force, cfg.q0, cfg.u0, T, cfg.sweep))
-    summary = report_to_json(scn.name, None, T, reports[-1], convergence=rows)
-    write_json(f"{cfg.out}.json", summary)
-    for h, rep, row in zip(cfg.sweep, reports, rows):
-        err = row.get("err")
-        print(f"{scn.name} h={h:g} T={T:g}: gap={rep.max_feasibility_gap:.3g} "
-              f"TV={rep.total_variation:.6g} sup|u|={rep.sup_velocity:.6g} "
-              f"err={err if err is None else format(err, '.3g')}")
-    if cfg.verify:
-        problems = []
-        for h, rep in zip(cfg.sweep, reports):
-            problems += [f"h={h:g}: {p}" for p in _verify_run(rep, h, scn.force.sup_F)]
+    if not cfg.sweep:
+        print(f"{scn.name} h={h:g} T={T:g}: steps={traj.nsteps} "
+              f"gap={report.max_feasibility_gap:.3g} TV={report.total_variation:.6g} "
+              f"sup|u|={report.sup_velocity:.6g} impacts={len(report.impacts)}")
+    else:
+        reference = scn.reference(cfg.q0, cfg.u0)
+        rows = error_table(cfg.sweep, trajectories, reference or finest_run_reference(
+            scn.system, scn.force, cfg.q0, cfg.u0, T, cfg.sweep))
+        write_json(f"{cfg.out}.json", report_to_json(scn.name, None, T, reports[-1], rows))
+        for h, rep, row in zip(cfg.sweep, reports, rows):
+            err = row.get("err")
+            print(f"{scn.name} h={h:g} T={T:g}: gap={rep.max_feasibility_gap:.3g} "
+                  f"TV={rep.total_variation:.6g} sup|u|={rep.sup_velocity:.6g} "
+                  f"err={err if err is None else format(err, '.3g')}")
         problems += _verify_sweep(reports, rows, reference is not None)
-        for p in problems:
-            print(f"verify: {p}")
-        return 3 if problems else 0
-    return 0
+    if not cfg.verify:
+        return 0
+    for p in problems:
+        print(f"verify: {p}")
+    return 3 if problems else 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -48,8 +48,6 @@ class ConstantsRecord:
     nu_min: float | None = None
     T0: float | None = None
     A_k: float | None = None
-    k: int = 1
-    J: float = 1.0
     available: bool = False
 
 
@@ -98,45 +96,31 @@ def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
                default=0.0)
 
 
-def _jump_thresholds(h: float, sup_force: float) -> tuple[float, float]:
-    seed = max(5.0 * h * sup_force, 1e-7)
-    extend = max(1.5 * h * sup_force, 1e-7)
-    return seed, extend
-
-
 def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
                    sup_force: float = 0.0,
                    jump_tol: float | None = None) -> list[tuple[int, int]]:
     """Index windows [a, b] of steps forming one contact-induced jump.
 
-    A window is seeded where |u^{n+1} - u^n| exceeds the jump threshold and
-    the projection point is in contact, then extended over adjacent steps
-    whose jump still exceeds the smooth-forcing level: an off-grid impact
-    resolves over two consecutive steps and must count as one event.
-    jump_tol, finite and >= 0, overrides the seed threshold when given.
+    A window is a maximal run of steps that end in contact with a jump
+    |u^{n+1} - u^n| above the smooth-forcing level, and that holds at least
+    one jump above the seed threshold: an off-grid impact resolves over two
+    consecutive steps and must count as one event.  jump_tol, finite and
+    >= 0, overrides the seed threshold when given.
     """
     if jump_tol is not None and not 0.0 <= jump_tol < math.inf:
         raise InvalidConstantsError(f"jump_tol must be finite and >= 0, got {jump_tol}")
     h = float(np.max(np.diff(traj.times))) if traj.nsteps else 0.0
-    seed_tol, extend_tol = _jump_thresholds(h, sup_force)
+    seed_tol = max(5.0 * h * sup_force, 1e-7)
+    extend_tol = max(1.5 * h * sup_force, 1e-7)
     if jump_tol is not None:
-        seed_tol = jump_tol
-        extend_tol = min(extend_tol, jump_tol)
+        seed_tol, extend_tol = jump_tol, min(extend_tol, jump_tol)
     jumps = np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
     ends = traj.positions[1:]
     in_contact = _active_mask(sys.values(traj.times[1:], ends), ends).any(axis=1)
-    seeds = [n for n in range(traj.nsteps) if jumps[n] > seed_tol and in_contact[n]]
-    windows: list[tuple[int, int]] = []
-    for n in seeds:
-        if windows and n <= windows[-1][1]:
-            continue
-        a = b = n
-        while a - 1 >= 0 and jumps[a - 1] > extend_tol and in_contact[a - 1]:
-            a -= 1
-        while b + 1 < traj.nsteps and jumps[b + 1] > extend_tol and in_contact[b + 1]:
-            b += 1
-        windows.append((a, b))
-    return windows
+    # run edges of the extension mask; seed_tol >= extend_tol puts every seed in a run
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], (jumps > extend_tol) & in_contact,
+                                                   [False])))).reshape(-1, 2)
+    return [(int(a), int(b) - 1) for a, b in edges if np.any(jumps[a:b] > seed_tol)]
 
 
 def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray) -> list[np.ndarray]:
@@ -204,7 +188,7 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     """
     if not 0.0 <= J < math.inf:
         raise InvalidConstantsError(f"J must be finite and >= 0, got {J}")
-    rec = ConstantsRecord(k=k, J=J)
+    rec = ConstantsRecord()
     speed = float(np.linalg.norm(u0))
     denom = 2.0 * (J + 1.0) * (2.0 * speed + 3.0 * force.sup_F + math.sqrt(force.sup_F))
     rec.T0 = math.inf if denom == 0.0 else 1.0 / denom

@@ -40,14 +40,13 @@ _BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 @dataclass(frozen=True)
 class ForceField:
-    """External force f(t, q) with its Lipschitz constant and envelope.
+    """External force f(t, q) with its envelope.
 
     bound_F(t) >= |f(t, q)| for feasible q; sup_F is its sup norm, used by
     the local-horizon formulas.
     """
 
     f: Callable[[float, np.ndarray], np.ndarray]
-    lipschitz_KL: float = 0.0
     bound_F: Callable[[float], float] = lambda t: 0.0
     sup_F: float = 0.0
 
@@ -72,14 +71,12 @@ ZERO_FORCE = ForceField(f=lambda t, q: np.zeros_like(q))
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One node of the recurrence: (q^{n-1}, q^n, u^n) at t^n with step h."""
+    """One node of the recurrence: (q^n, u^n) at t^n, with u^n = (q^n - q^{n-1}) / h."""
 
     n: int
     t_n: float
-    q_prev: np.ndarray
     q_curr: np.ndarray
     u_curr: np.ndarray
-    h: float
 
 
 @dataclass(frozen=True)
@@ -190,13 +187,12 @@ def _initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
         worst = int(np.argmin(g1))
         if g1[worst] < -1e-12 * (1.0 + np.linalg.norm(q1)):
             raise StepSizeTooLargeError(float(g1[worst]), sys.constraints[worst].id)
-    return SchemeState(n=1, t_n=h, q_prev=q0, q_curr=q1, u_curr=(q1 - q0) / h, h=h), f0
+    return SchemeState(n=1, t_n=h, q_curr=q1, u_curr=(q1 - q0) / h), f0
 
 
 def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
-         h_step: float | None = None) -> StepOutcome:
-    """Advance one step: predict by free dynamics, correct by projection."""
-    h = state.h if h_step is None else h_step
+         h: float) -> StepOutcome:
+    """Advance one step of size h: predict by free dynamics, correct by projection."""
     t_next = state.t_n + h
     f_avg = field.step_average(state.t_n, t_next, state.q_curr)
     predicted = state.q_curr + h * state.u_curr + h * h * f_avg
@@ -213,8 +209,7 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     lam = proj.multipliers / h
     normal = lam @ sys.gradients(t_next, q_next) if proj.iterations else 0.0
     residual = float(np.linalg.norm(increment + normal))
-    new_state = SchemeState(n=state.n + 1, t_n=t_next, q_prev=state.q_curr,
-                            q_curr=q_next, u_curr=u_next, h=h)
+    new_state = SchemeState(n=state.n + 1, t_n=t_next, q_curr=q_next, u_curr=u_next)
     return StepOutcome(state=new_state, increment=increment, multipliers=lam,
                        multiplier_residual=residual,
                        in_cone=residual <= 1e-8 * (1.0 + float(np.linalg.norm(increment))),
@@ -238,16 +233,16 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     Step failures propagate as SimulationAbort carrying the step index and
     the last valid state.
     """
-    if not h < T:
-        raise ValueError(f"need h < T, got h={h}, T={T}")
+    if not 0.0 < h < T < np.inf:
+        raise ValueError(f"need 0 < h < T < inf, got h={h}, T={T}")
     n_full, partial = _grid(h, T)
 
     state, f0 = _initialize(sys, field, q0, u0, h)
     # one row (t, q, u, dk, lambda, residual, f^n) per step; the first is free flight
     rows = [(h, state.q_curr, state.u_curr, np.zeros(sys.dim), np.zeros(sys.p), 0.0, f0)]
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
-    for h_step in [h] * (n_full - 1) + ([T - n_full * h] if partial else []):
-        out = step(state, sys, field, h_step)
+    for h_n in [h] * (n_full - 1) + ([T - n_full * h] if partial else []):
+        out = step(state, sys, field, h_n)
         state = out.state
         rows.append((state.t_n, state.q_curr, state.u_curr, out.increment, out.multipliers,
                      out.multiplier_residual, out.force_average))

@@ -47,8 +47,7 @@ class Scenario:
 def _gravity_force(g: float, dim: int) -> ForceField:
     pull = np.zeros(dim)
     pull[-1] = -g
-    return ForceField(f=lambda t, q: pull.copy(), lipschitz_KL=0.0,
-                      bound_F=lambda t: g, sup_F=g)
+    return ForceField(f=lambda t, q: pull.copy(), bound_F=lambda t: g, sup_F=g)
 
 
 def _floor_reference(g: float):

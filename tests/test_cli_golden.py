@@ -31,6 +31,9 @@ CASES = {
     **{f"{name}-sweep": ["--scenario", name] + SWEEP for name in SCENARIOS},
     "pocket-q0": ["--scenario", "pocket", "--q0=0.3,2"],
     "pocket-q0-sweep": ["--scenario", "pocket", "--q0=0.3,2"] + SWEEP,
+    "pocket-verify": ["--scenario", "pocket", "--verify"],
+    "wedge-sweep-noverify": ["--scenario", "wedge", "--sweep", "0.02,0.01,0.005"],
+    "piston-sweep-json-only": ["--scenario", "piston"] + SWEEP + ["--json-only"],
 }
 
 

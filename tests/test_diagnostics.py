@@ -300,6 +300,24 @@ class TestDetectImpacts:
         windows = detect_impacts(traj, scn.system, sup_force=0.0)
         assert len(windows) == 2
 
+    @pytest.mark.parametrize("sup_force, jump_tol, expected", [
+        (1.0, None, [(0, 1), (7, 9)]),
+        (1.0, 1.0, [(0, 1), (3, 5), (7, 9)]),
+        (1.0, 3.0, [(0, 1), (7, 9)]),
+        (0.0, None, [(0, 1), (3, 5), (7, 9)]),
+    ])
+    def test_windows_exact(self, sup_force, jump_tol, expected):
+        # h = 1: seed 5 h sup_force, extension 1.5 h sup_force.  Runs of jumps
+        # above the extension level in contact: steps 0-1 (from step 0), 3-5
+        # (no jump above 5) and 7-9 (to the last step); the jump of 6 at step
+        # 6 is off contact and seeds nothing.
+        jumps = [2, 6, 0, 2, 2, 2, 6, 2, 6, 2]
+        contact = [1, 1, 0, 1, 1, 1, 0, 1, 1, 1]
+        traj = make_traj(range(11), [1] + [1 - c for c in contact],
+                         np.cumsum([0] + jumps))
+        assert detect_impacts(traj, lookup("floor").system, sup_force=sup_force,
+                              jump_tol=jump_tol) == expected
+
 
     @pytest.mark.parametrize("jump_tol", [math.nan, math.inf, -1.0])
     def test_jump_tol_out_of_range(self, jump_tol):

@@ -241,10 +241,11 @@ class TestProxConstant:
         # a ratio alpha / M above the cap is capped as well
         assert prox_constant(ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9)) == 1e6
 
-    def test_invalid_constants(self):
-        from proxsweep import ConstraintSystem
+    @pytest.mark.parametrize("field, value", [("alpha", -1.0), ("dim", 0),
+                                              ("lipschitz_c0", -1.0), ("hess_bound", -1.0)])
+    def test_invalid_constants(self, field, value):
         with pytest.raises(InvalidConstantsError):
-            ConstraintSystem(dim=1, constraints=(), alpha=-1.0)
+            ConstraintSystem(**{"dim": 1, "constraints": (), field: value})
 
     def test_disc_rolling_ball(self):
         # external unit balls touching the circle from inside the disc must

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ class TestForceField:
             t = float(rng.uniform(0.0, scn.T))
             q = rng.uniform(-2.0, 3.0, size=scn.dim)
             q2 = rng.uniform(-2.0, 3.0, size=scn.dim)
-            assert (np.linalg.norm(field(t, q) - field(t, q2))
-                    <= field.lipschitz_KL * np.linalg.norm(q - q2) + 1e-12)
+            # every scenario force is independent of q (Lipschitz constant 0)
+            assert np.linalg.norm(field(t, q) - field(t, q2)) <= 1e-12
             assert np.linalg.norm(field(t, q)) <= field.bound_F(t) + 1e-9
             assert field.bound_F(t) <= field.sup_F + 1e-12
 
@@ -56,7 +57,7 @@ class TestInitialize:
 
     def test_velocity_consistency_by_construction(self):
         st = initialize(half_space_1d(), GRAV, np.array([1.0]), np.array([-0.3]), 0.05)
-        np.testing.assert_array_equal(st.u_curr, (st.q_curr - st.q_prev) / st.h)
+        np.testing.assert_array_equal(st.u_curr, (st.q_curr - 1.0) / 0.05)
 
     def test_first_step_leaving_set_rejected(self):
         with pytest.raises(StepSizeTooLargeError) as err:
@@ -67,23 +68,25 @@ class TestInitialize:
         with pytest.raises(StepSizeTooLargeError):
             initialize(half_space_1d(), ZERO_FORCE, np.array([0.0]), np.array([1.0]), 0.1)
 
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError, match="h must be > 0"):
+            initialize(half_space_1d(), ZERO_FORCE, np.array([1.0]), np.array([0.0]), 0.0)
+
 
 class TestStep:
     def test_free_flight_is_linear_extrapolation(self):
         sys = half_space_1d()
-        st = SchemeState(n=1, t_n=0.1, q_prev=np.array([1.0]),
-                         q_curr=np.array([0.9]), u_curr=np.array([-1.0]), h=0.1)
-        out = step(st, sys, ZERO_FORCE)
+        st = SchemeState(n=1, t_n=0.1, q_curr=np.array([0.9]), u_curr=np.array([-1.0]))
+        out = step(st, sys, ZERO_FORCE, 0.1)
         np.testing.assert_allclose(out.state.q_curr, [0.8], atol=1e-15)
         np.testing.assert_allclose(out.increment, [0.0], atol=1e-13)
 
     def test_floor_impact_tabulated(self):
-        # q_prev=0.2, q_curr=0.1, h=0.1, f=-10: predicted -0.1, projected 0,
+        # q_curr=0.1, u_curr=-1, h=0.1, f=-10: predicted -0.1, projected 0,
         # u_next = -1, increment = u + h f - u_next = -1, lambda = 1
         sys = half_space_1d()
-        st = SchemeState(n=1, t_n=0.1, q_prev=np.array([0.2]),
-                         q_curr=np.array([0.1]), u_curr=np.array([-1.0]), h=0.1)
-        out = step(st, sys, GRAV)
+        st = SchemeState(n=1, t_n=0.1, q_curr=np.array([0.1]), u_curr=np.array([-1.0]))
+        out = step(st, sys, GRAV, 0.1)
         np.testing.assert_allclose(out.state.q_curr, [0.0], atol=1e-13)
         np.testing.assert_allclose(out.state.u_curr, [-1.0], atol=1e-12)
         np.testing.assert_allclose(out.increment, [-1.0], atol=1e-12)
@@ -92,20 +95,18 @@ class TestStep:
 
     def test_resting_contact_multiplier(self):
         sys = half_space_1d()
-        st = SchemeState(n=3, t_n=0.3, q_prev=np.array([0.0]),
-                         q_curr=np.array([0.0]), u_curr=np.array([0.0]), h=0.1)
-        out = step(st, sys, GRAV)
+        st = SchemeState(n=3, t_n=0.3, q_curr=np.array([0.0]), u_curr=np.array([0.0]))
+        out = step(st, sys, GRAV, 0.1)
         np.testing.assert_allclose(out.state.q_curr, [0.0], atol=1e-15)
         np.testing.assert_allclose(out.increment, [-1.0], atol=1e-12)  # -h*g
         np.testing.assert_allclose(out.multipliers, [0.1 * 10.0], atol=1e-12)
 
     def test_tube_exit_aborts(self):
         sys = disc_complement(eta=0.05)
-        st = SchemeState(n=1, t_n=0.0, q_prev=np.array([0.0, 1.9]),
-                         q_curr=np.array([0.0, 1.3]), u_curr=np.array([0.0, -6.0]),
-                         h=0.1)
+        st = SchemeState(n=1, t_n=0.0, q_curr=np.array([0.0, 1.3]),
+                         u_curr=np.array([0.0, -6.0]))
         with pytest.raises(SimulationAbort) as err:
-            step(st, sys, ZERO_FORCE)
+            step(st, sys, ZERO_FORCE, 0.1)
         assert "tube" in err.value.reason
         assert err.value.step_index == 1
 
@@ -113,11 +114,10 @@ class TestStep:
         # the prediction (0, -0.5) sits below the pocket's floor inside the
         # disc: wall and floor linearised there ask for q2 <= -1.25 and q2 >= 0
         sys = lookup("pocket").system
-        st = SchemeState(n=4, t_n=0.0, q_prev=np.array([0.0, 1.5]),
-                         q_curr=np.array([0.0, 1.0]), u_curr=np.array([0.0, -15.0]),
-                         h=0.1)
+        st = SchemeState(n=4, t_n=0.0, q_curr=np.array([0.0, 1.0]),
+                         u_curr=np.array([0.0, -15.0]))
         with pytest.raises(SimulationAbort) as err:
-            step(st, sys, ZERO_FORCE)
+            step(st, sys, ZERO_FORCE, 0.1)
         assert "did not converge" in err.value.reason
         assert err.value.step_index == 4
 
@@ -326,10 +326,12 @@ class TestRun:
             assert not traj.partial_final_step
             assert traj.nsteps == nsteps
 
-    def test_h_not_less_than_T_rejected(self):
+    @pytest.mark.parametrize("h, T", [(2.0, 1.0), (0.0, 1.0), (0.01, math.inf)])
+    def test_h_not_less_than_T_rejected(self, h, T):
+        # h = 0 would divide by zero in the grid, T = inf overflow it
         scn = lookup("free")
-        with pytest.raises(ValueError):
-            run(scn.system, scn.force, scn.q0, scn.u0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="need 0 < h < T < inf"):
+            run(scn.system, scn.force, scn.q0, scn.u0, h, T)
 
     def test_margin_flag(self):
         scn = lookup("floor")
