@@ -21,10 +21,10 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
   empirically.
 
 Every polyhedral optimum in the package goes through one least-distance
-kernel, least_distance: min |x| s.t. G x >= h, solved as a single NNLS
-problem.  gamma and the good direction are both read off its solution for
-the unit active normals, and projection.py builds the point and velocity
-projections on it.
+kernel, least_distance: min |x| s.t. G x >= h, one certified solve on the
+face of the violated rows, else one NNLS problem.  gamma and the good
+direction are both read off its solution for the unit active normals, and
+projection.py builds the point and velocity projections on it.
 
 All operations are pure; a ConstraintSystem is shareable read-only across
 threads.
@@ -32,6 +32,7 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -277,14 +278,34 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
                    base_point=None) -> tuple[np.ndarray, np.ndarray]:
     """Least-norm x with rows @ x >= rhs, and its multipliers mu >= 0.
 
-    One NNLS solve of [rows^T; rhs^T] u ~ e_{d+1} (Lawson & Hanson 1974,
-    ch. 23): its residual r gives x = -r[:d] / r[d] and mu = -u / r[d], so
-    x = rows^T mu with mu_i > 0 only on rows that hold with equality.  At a
-    feasible optimum -r[d] = 1 / (1 + |x|^2) in units of max|rhs|; when it
-    vanishes the rows admit no x and InfeasibleConeError(base_point) is
-    raised.  x is finally re-solved on the rows with mu_i > 0 as equalities,
-    so points on affine faces come out exact rather than within roundoff.
+    First the violated rows F = {i : rhs_i > 0} are tried as the optimal
+    face: (R R^T) y = rhs_F with R = rows[F] gives x = R^T y, and mu = y on
+    F, 0 off it.  This is kept only under its KKT certificate, which makes x
+    the unique optimum of the strictly convex QP: y > 0, rows x >= rhs off
+    F, and |R x - rhs_F| <= 1e-12 rhs_F row by row.  The last guard is
+    needed since R R^T squares the condition number: on nearly opposed rows
+    y > 0 can come with an x far off the face.
+
+    Otherwise one NNLS solve of [rows^T; rhs^T] u ~ e_{d+1} (Lawson & Hanson
+    1974, ch. 23) decides: its residual r gives x = -r[:d] / r[d] and
+    mu = -u / r[d], so x = rows^T mu with mu_i > 0 only on rows that hold
+    with equality.  At a feasible optimum -r[d] = 1 / (1 + |x|^2) in units of
+    max|rhs|; when it vanishes the rows admit no x and
+    InfeasibleConeError(base_point) is raised.  x is finally re-solved on the
+    rows with mu_i > 0 as equalities, so points on affine faces come out
+    exact rather than within roundoff.
     """
+    face = rhs > 0.0
+    if face.any():
+        R = rows[face]
+        with contextlib.suppress(np.linalg.LinAlgError):  # a singular Gram matrix
+            y = np.linalg.solve(R @ R.T, rhs[face])
+            x = y @ R
+            r = rows @ x - rhs
+            if (y > 0.0).all() and np.where(face, abs(r) <= 1e-12 * rhs, r >= 0.0).all():
+                mu = np.zeros(len(rhs))
+                mu[face] = y
+                return x, mu
     d = rows.shape[1]
     scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
     lhs = np.vstack([rows.T, rhs / scale])

@@ -24,6 +24,7 @@ nonnegative least squares on the active gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,7 @@ from .errors import SimulationAbort, StepSizeTooLargeError
 from .geometry import ConstraintSystem, _active_mask
 from .projection import project_point
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(3)
+(_N0, _N1, _N2), (_W0, _W1, _W2) = (a.tolist() for a in np.polynomial.legendre.leggauss(3))
 _BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
@@ -56,8 +57,9 @@ class ForceField:
     def step_average(self, t0: float, t1: float, q: np.ndarray) -> np.ndarray:
         """(1/h) integral of f(s, q) ds over [t0, t1], 3-point Gauss-Legendre."""
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        return 0.5 * sum(weight * self(mid + half * node, q)
-                         for node, weight in zip(_GL_NODES, _GL_WEIGHTS))
+        # sum() unrolled: the leading 0 + turns -0.0 into 0.0 as sum() does
+        return 0.5 * (0 + _W0 * self(mid + half * _N0, q) + _W1 * self(mid + half * _N1, q)
+                      + _W2 * self(mid + half * _N2, q))
 
     def integral_bound(self, t0: float, t1: float) -> float:
         """integral of bound_F over [t0, t1] by 64-point Gauss-Legendre quadrature."""
@@ -208,11 +210,11 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     # h * increment = predicted - q^{n+1} is the projection's proximal normal (0 if no solve)
     lam = proj.multipliers / h
     normal = lam @ sys.gradients(t_next, q_next) if proj.iterations else 0.0
-    residual = float(np.linalg.norm(increment + normal))
+    residual = math.sqrt((increment + normal) @ (increment + normal))
     new_state = SchemeState(n=state.n + 1, t_n=t_next, q_curr=q_next, u_curr=u_next)
     return StepOutcome(state=new_state, increment=increment, multipliers=lam,
                        multiplier_residual=residual,
-                       in_cone=residual <= 1e-8 * (1.0 + float(np.linalg.norm(increment))),
+                       in_cone=residual <= 1e-8 * (1.0 + math.sqrt(increment @ increment)),
                        force_average=f_avg)
 
 

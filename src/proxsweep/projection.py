@@ -1,7 +1,7 @@
 """Euclidean projections onto the admissible set and onto velocity polyhedra.
 
 Both reduce to the least-distance kernel of geometry.least_distance, which
-projects onto a polyhedron {z : b + N z >= 0} with one NNLS solve.
+projects onto {z : b + N z >= 0} by a certified face solve, else by NNLS.
 
 Velocity projection is one kernel call.  Point projection handles the
 possibly nonconvex set C(t) by linearise-and-project: starting from y = x,
@@ -15,6 +15,7 @@ local solution flagged non-certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,11 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     """
     x = np.asarray(x, dtype=float)
     g = sys.values(t, x)
-    if np.all(g >= 0.0):
+    if (g >= 0.0).all():
         return ProjectionResult(point=x.copy(), multipliers=np.zeros(sys.p),
                                 distance=0.0, converged=True, iterations=0)
 
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
+    tol = 1e-12 * (1.0 + math.sqrt(x @ x))
     y, mu = x, np.zeros(sys.p)
     converged, diag = False, ""
     for iters in range(1, MAX_ITER + 1):
@@ -74,14 +75,14 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
             diag = "linearised constraints infeasible"
             break
         y, y_prev = x + move, y
-        converged = not sys._pointwise or float(np.linalg.norm(y - y_prev)) < tol
+        converged = not sys._pointwise or math.sqrt((y - y_prev) @ (y - y_prev)) < tol
         if converged:
             break
         g = sys.values(t, y)
     else:
         diag = f"no convergence in {MAX_ITER} projections"
 
-    dist = float(np.linalg.norm(x - y))
+    dist = math.sqrt((x - y) @ (x - y))
     certified = dist < sys.eta
     if not certified:
         diag = (diag + "; " if diag else "") + "outside prox-regular tube"

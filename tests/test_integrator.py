@@ -6,7 +6,7 @@ import pytest
 
 from proxsweep import (ForceField, SimulationAbort, StepSizeTooLargeError,
                        ZERO_FORCE, active_set, extract_multipliers, initialize,
-                       integrator, projection, run, step)
+                       geometry, integrator, projection, run, step)
 from proxsweep.geometry import least_distance
 from proxsweep.integrator import SchemeState
 from proxsweep.scenarios import lookup
@@ -255,6 +255,18 @@ class TestRun:
             assert contact.residuals[j] <= tol
             act = active_set(sys, t1, q1)
             assert all(c.id in act for c, lam_i in zip(sys.constraints, lam) if lam_i > 0.0)
+
+    @pytest.mark.parametrize("name", ["floor", "wedge", "piston"])
+    def test_affine_runs_take_the_face_solve(self, name, monkeypatch):
+        # on these affine sets the violated rows are always the optimal face,
+        # so the kernel's certified face solve answers every projection
+        def no_nnls(*args, **kwargs):
+            raise AssertionError("least_distance fell back to NNLS")
+
+        monkeypatch.setattr(geometry, "nnls", no_nnls)
+        scn = lookup(name)
+        _, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
+        assert np.max(contact.multipliers) > 0.0
 
     def test_force_averaged_once_per_step(self):
         # the first row's f^0 is the one initialize averaged for q^1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from proxsweep import (ConstraintFunction, ConstraintSystem, InfeasibleConeError,
                        VelocityPolyhedron, active_set, affine_constraint, extract_multipliers,
-                       hypomonotonicity_residual, project_point, project_velocity,
+                       geometry, hypomonotonicity_residual, project_point, project_velocity,
                        velocity_polyhedron)
 from proxsweep.geometry import least_distance
 from proxsweep.projection import MAX_ITER
@@ -251,6 +251,91 @@ class TestLeastDistance:
         x2, mu2 = least_distance(rows, np.array([1e9, 2e9]))
         np.testing.assert_allclose(x2, 1e9 * x1, rtol=1e-14)
         np.testing.assert_allclose(mu2, 1e9 * mu1, rtol=1e-12)
+
+    @staticmethod
+    def counted_nnls(monkeypatch):
+        """Calls of geometry.nnls from here on, one entry per call."""
+        calls, nnls = [], geometry.nnls
+        monkeypatch.setattr(geometry, "nnls", lambda *a, **k: calls.append(a) or nnls(*a, **k))
+        return calls
+
+    @staticmethod
+    def oracle(rows, rhs):
+        """The enumeration oracle's x, and multipliers fitted on the rows it holds
+        with equality: min |x| s.t. rows x >= rhs is the projection of 0 onto
+        {-rhs + rows x >= 0}."""
+        x = enumerate_qp(make_poly(rows, -rhs), np.zeros(rows.shape[1])).value
+        on = np.abs(rows @ x - rhs) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+        mu = np.zeros(len(rhs))
+        mu[on] = np.linalg.lstsq(rows[on].T, x, rcond=None)[0]
+        return x, mu
+
+    # each instance violates the face guess {i : rhs_i > 0} in one way
+    FALLBACKS = {
+        # duplicated violated rows: the Gram matrix is exactly singular
+        "singular-gram": ([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0]),
+        # both rows violated at 0, but (1, 0) already satisfies the second: y_2 < 0
+        "violated-row-inactive": ([[1.0, 0.0], [1.0, 1.0]], [1.0, 0.5]),
+        # the face {0} gives x = (1, 0), which breaks the row -x1 + x2 >= 0
+        "off-face-row-broken": ([[1.0, 0.0], [-1.0, 1.0]], [1.0, 0.0]),
+        # nearly opposed rows: y > 0, but R x misses rhs by 2e-5 relative
+        "residual-guard": ([[1.0, 0.0], [-1.0, 3e-6]], [1.0, 1.0]),
+        # the origin is feasible: no face to guess
+        "no-violated-row": ([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_rejected_face_falls_back_to_nnls(self, case, monkeypatch):
+        rows, rhs = (np.array(a) for a in self.FALLBACKS[case])
+        face = rhs > 0.0
+        if case == "singular-gram":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(rows[face] @ rows[face].T, rhs[face])
+        if case == "residual-guard":
+            y = np.linalg.solve(rows @ rows.T, rhs)
+            assert np.all(y > 0.0)
+            assert np.max(np.abs(rows @ (y @ rows) - rhs) / rhs) > 1e-12
+        calls = self.counted_nnls(monkeypatch)
+        x, mu = least_distance(rows, rhs)
+        assert len(calls) == 1
+        if case == "residual-guard":
+            # too ill-conditioned for the oracle's 1e-9 tolerances: x = (1, 2/e) and
+            # rows^T mu = x give mu = (1 + 2/e^2, 2/e^2), which NNLS gets to 9e-5
+            x_ref, mu_ref, mu_rtol = np.array([1.0, 2 / 3e-6]), 2 / 9e-12 + np.array([1.0, 0.0]), 1e-4
+        else:
+            (x_ref, mu_ref), mu_rtol = self.oracle(rows, rhs), 1e-9
+        atol = 1e-12 * (1.0 + np.linalg.norm(x_ref))
+        np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=atol)
+        assert np.all(mu >= 0.0)
+        if case == "singular-gram":
+            # mu is not unique on duplicated rows; rows^T mu = x is
+            np.testing.assert_allclose(rows.T @ mu, x, rtol=1e-9, atol=atol)
+        else:
+            np.testing.assert_allclose(mu, mu_ref, rtol=mu_rtol, atol=atol)
+
+    def test_face_solve_matches_oracle(self, monkeypatch):
+        # well-posed instances (independent rows, condition number <= 10) whose
+        # violated rows are the optimal face: no NNLS solve, and the oracle's
+        # optimum to 1e-12 relative
+        rng = np.random.default_rng(7)
+        calls = self.counted_nnls(monkeypatch)
+        checked = 0
+        for _ in range(400):
+            d = int(rng.integers(1, 7))
+            rows = rng.normal(size=(int(rng.integers(1, d + 1)), d))
+            rhs = rng.normal(size=len(rows))
+            if np.linalg.cond(rows) > 10.0 or not np.any(rhs > 0.0):
+                continue
+            before = len(calls)
+            x, mu = least_distance(rows, rhs)
+            if len(calls) > before:
+                continue
+            x_ref, mu_ref = self.oracle(rows, rhs)
+            np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12 * np.linalg.norm(x_ref))
+            np.testing.assert_allclose(mu, mu_ref, rtol=1e-12, atol=1e-12 * np.max(mu_ref))
+            assert np.all(mu[rhs <= 0.0] == 0.0)
+            checked += 1
+        assert checked >= 100
 
 
 def make_poly(normals, offsets, base=None):
