@@ -134,23 +134,18 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
     return scn, argparse.Namespace(**cfg)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.{CSV_DIGITS}g}"
-
-
 def write_csv(path: str, scn: Scenario, traj, contact) -> None:
     d = scn.dim
     header = (["t"] + [f"q{i + 1}" for i in range(d)] + [f"u{i + 1}" for i in range(d)]
               + ["knorm", "active"])
-    lines = [",".join(header)]
     inc_norm = np.concatenate([[0.0], np.linalg.norm(contact.increments, axis=1)])
     active = _active_mask(scn.system.values(traj.times, traj.positions), traj.positions)
-    for n in range(len(traj.times)):
-        t, q, u = traj.times[n], traj.positions[n], traj.velocities[n]
-        mask = sum(1 << (c.id - 1) for c, on in zip(scn.system.constraints, active[n]) if on)
-        row = ([_fmt(float(t))] + [_fmt(v) for v in q] + [_fmt(v) for v in u]
-               + [_fmt(float(inc_norm[n])), str(mask)])
-        lines.append(",".join(row))
+    # Python-int bits keep the mask exact for any constraint id
+    bits = np.array([1 << (c.id - 1) for c in scn.system.constraints], dtype=object)
+    masks = (active * bits).sum(axis=1, initial=0).tolist()
+    row_fmt = ",".join([f"%.{CSV_DIGITS}g"] * (2 * d + 2) + ["%d"])
+    table = np.column_stack((traj.times, traj.positions, traj.velocities, inc_norm)).tolist()
+    lines = [",".join(header)] + [row_fmt % (*row, mask) for row, mask in zip(table, masks)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

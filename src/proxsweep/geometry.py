@@ -22,7 +22,8 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
 
 Every polyhedral optimum in the package goes through one least-distance
 kernel, least_distance: min |x| s.t. G x >= h, one certified solve on the
-face of the violated rows, else one NNLS problem.  gamma and the good
+face of the violated rows (in closed form when that face is one nonzero
+row; a zero row is left to NNLS), else one NNLS problem.  gamma and the good
 direction are both read off its solution for the unit active normals, and
 projection.py builds the point and velocity projections on it.
 
@@ -280,9 +281,12 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
 
     First the violated rows F = {i : rhs_i > 0} are tried as the optimal
     face: (R R^T) y = rhs_F with R = rows[F] gives x = R^T y, and mu = y on
-    F, 0 off it.  This is kept only under its KKT certificate, which makes x
-    the unique optimum of the strictly convex QP: y > 0, rows x >= rhs off
-    F, and |R x - rhs_F| <= 1e-12 rhs_F row by row.  The last guard is
+    F, 0 off it.  A face of one row r is solved in closed form, y = rhs_F /
+    (r . r); a zero row (r . r = 0) is a singular Gram matrix and falls
+    through to NNLS without a division.  The face solution is kept only
+    under its KKT certificate, which makes x the unique optimum of the
+    strictly convex QP: y > 0, rows x >= rhs off F, and
+    |R x - rhs_F| <= 1e-12 rhs_F row by row.  The last guard is
     needed since R R^T squares the condition number: on nearly opposed rows
     y > 0 can come with an x far off the face.
 
@@ -299,7 +303,9 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
     if face.any():
         R = rows[face]
         with contextlib.suppress(np.linalg.LinAlgError):  # a singular Gram matrix
-            y = np.linalg.solve(R @ R.T, rhs[face])
+            # one row r: y = rhs / (r . r); solve() finds a zero row singular
+            rr = R[0] @ R[0] if len(R) == 1 else 0.0
+            y = rhs[face] / rr if rr > 0.0 else np.linalg.solve(R @ R.T, rhs[face])
             x = y @ R
             r = rows @ x - rhs
             if (y > 0.0).all() and np.where(face, abs(r) <= 1e-12 * rhs, r >= 0.0).all():

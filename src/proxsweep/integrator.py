@@ -68,7 +68,7 @@ class ForceField:
                                 for x, w in zip(_BOUND_NODES, _BOUND_WEIGHTS)))
 
 
-ZERO_FORCE = ForceField(f=lambda t, q: np.zeros_like(q))
+ZERO_FORCE = ForceField(f=lambda t, q: np.zeros(np.shape(q)))
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,13 @@ class StepOutcome:
     increment: np.ndarray          # dk over the step, attributed to t^{n+1}
     multipliers: np.ndarray        # length p, nonzero only on active constraints
     multiplier_residual: float
-    in_cone: bool
     force_average: np.ndarray      # f^n, the force averaged over the step
+
+    @property
+    def in_cone(self) -> bool:
+        """Derived: the multiplier residual is within 1e-8 (1 + |increment|)."""
+        norm = math.sqrt(self.increment @ self.increment)
+        return self.multiplier_residual <= 1e-8 * (1.0 + norm)
 
 
 @dataclass
@@ -207,15 +212,15 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     q_next = proj.point
     u_next = (q_next - state.q_curr) / h
     increment = state.u_curr + h * f_avg - u_next
-    # h * increment = predicted - q^{n+1} is the projection's proximal normal (0 if no solve)
-    lam = proj.multipliers / h
-    normal = lam @ sys.gradients(t_next, q_next) if proj.iterations else 0.0
-    residual = math.sqrt((increment + normal) @ (increment + normal))
-    new_state = SchemeState(n=state.n + 1, t_n=t_next, q_curr=q_next, u_curr=u_next)
-    return StepOutcome(state=new_state, increment=increment, multipliers=lam,
-                       multiplier_residual=residual,
-                       in_cone=residual <= 1e-8 * (1.0 + math.sqrt(increment @ increment)),
-                       force_average=f_avg)
+    if proj.iterations:
+        # h * increment = predicted - q^{n+1} is the projection's proximal normal
+        lam = proj.multipliers / h
+        gap = increment + lam @ sys.gradients(t_next, q_next)
+    else:  # a feasible prediction: zero multipliers, the whole increment is residual
+        lam, gap = proj.multipliers, increment
+    return StepOutcome(state=SchemeState(n=state.n + 1, t_n=t_next, q_curr=q_next, u_curr=u_next),
+                       increment=increment, multipliers=lam,
+                       multiplier_residual=math.sqrt(gap @ gap), force_average=f_avg)
 
 
 def _grid(h: float, T: float) -> tuple[int, bool]:
@@ -240,24 +245,25 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     n_full, partial = _grid(h, T)
 
     state, f0 = _initialize(sys, field, q0, u0, h)
-    # one row (t, q, u, dk, lambda, residual, f^n) per step; the first is free flight
-    rows = [(h, state.q_curr, state.u_curr, np.zeros(sys.dim), np.zeros(sys.p), 0.0, f0)]
+    # row n of each array is written once; step 0 is free flight, with no contact
+    N, d = n_full + partial, sys.dim
+    times, positions, velocities = np.empty(N + 1), np.empty((N + 1, d)), np.empty((N + 1, d))
+    increments, multipliers, residuals = np.zeros((N, d)), np.zeros((N, sys.p)), np.zeros(N)
+    force_averages = np.empty((N, d))
+    times[:2], force_averages[0] = (0.0, h), f0
+    positions[:2], velocities[:2] = (q0, state.q_curr), (u0, state.u_curr)
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
-    for h_n in [h] * (n_full - 1) + ([T - n_full * h] if partial else []):
+    for n, h_n in enumerate([h] * (n_full - 1) + ([T - n_full * h] if partial else []), 1):
         out = step(state, sys, field, h_n)
         state = out.state
-        rows.append((state.t_n, state.q_curr, state.u_curr, out.increment, out.multipliers,
-                     out.multiplier_residual, out.force_average))
-    times, positions, velocities, increments, multipliers, residuals, f_avgs = zip(*rows)
+        times[n + 1], positions[n + 1], velocities[n + 1] = state.t_n, state.q_curr, state.u_curr
+        increments[n], multipliers[n], residuals[n], force_averages[n] = (
+            out.increment, out.multipliers, out.multiplier_residual, out.force_average)
 
     # min g / beta bounds the distance from q0 to the boundary of C(0) from below
     margin = sys.p == 0 or float(np.min(sys.values(0.0, q0))) / sys.beta > h * (
         float(np.linalg.norm(u0)) + field.integral_bound(0.0, T))
-    traj = Trajectory(times=np.array((0.0, *times)), positions=np.vstack((q0, *positions)),
-                      velocities=np.vstack((u0, *velocities)), partial_final_step=partial,
-                      margin_ok=bool(margin))
-    contact = ContactMeasure(increments=np.vstack(increments),
-                             multipliers=np.vstack(multipliers),
-                             residuals=np.array(residuals),
-                             force_averages=np.vstack(f_avgs))
-    return traj, contact
+    traj = Trajectory(times=times, positions=positions, velocities=velocities,
+                      partial_final_step=partial, margin_ok=bool(margin))
+    return traj, ContactMeasure(increments=increments, multipliers=multipliers,
+                                residuals=residuals, force_averages=force_averages)

@@ -32,6 +32,12 @@ class TestForceField:
             assert np.linalg.norm(field(t, q)) <= field.bound_F(t) + 1e-9
             assert field.bound_F(t) <= field.sup_F + 1e-12
 
+    def test_zero_force_on_list_input(self):
+        # float zeros of the input's shape, whatever its dtype
+        f = ZERO_FORCE(0.0, [1, 2])
+        assert f.dtype == np.float64 and f.shape == (2,)
+        np.testing.assert_array_equal(f, [0.0, 0.0])
+
     def test_step_average_exact_for_linear_t(self):
         field = ForceField(f=lambda t, q: np.array([2.0 * t + 1.0]),
                            bound_F=lambda t: abs(2.0 * t + 1.0), sup_F=3.0)
@@ -358,6 +364,66 @@ class TestRun:
         # piecewise linear positions, piecewise constant velocities
         assert traj.position(0.05)[0] == pytest.approx(0.95, abs=1e-12)
         assert traj.velocity(0.05)[0] == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestRunLoop:
+    """run() against initialize and step() chained by hand, bit for bit."""
+
+    # (scenario, h, T): a uniform grid on three contact scenarios, and a free
+    # flight whose T / h = 20.5 ends in a half step
+    CASES = [("floor", 0.01, None), ("wedge", 0.01, None), ("pocket", 0.01, None),
+             ("free", 0.01, 0.205)]
+
+    @staticmethod
+    def by_hand(scn, h, T):
+        """The seven arrays of run(), from one initialize and one step() per step."""
+        sys, field = scn.system, scn.force
+        state = initialize(sys, field, scn.q0, scn.u0, h)
+        n_full = int(T / h)
+        sizes = [h] * (n_full - 1) + ([T - n_full * h] if T - n_full * h > 1e-9 * T else [])
+        times, positions, velocities = [0.0, h], [scn.q0, state.q_curr], [scn.u0, state.u_curr]
+        increments, multipliers = [np.zeros(sys.dim)], [np.zeros(sys.p)]
+        residuals, force_averages = [0.0], [field.step_average(0.0, h, scn.q0)]
+        for h_n in sizes:
+            out = step(state, sys, field, h_n)
+            state = out.state
+            times.append(state.t_n)
+            positions.append(state.q_curr)
+            velocities.append(state.u_curr)
+            increments.append(out.increment)
+            multipliers.append(out.multipliers)
+            residuals.append(out.multiplier_residual)
+            force_averages.append(out.force_average)
+        return (np.array(times), np.array(positions), np.array(velocities),
+                np.array(increments), np.reshape(multipliers, (len(multipliers), sys.p)),
+                np.array(residuals), np.array(force_averages))
+
+    @pytest.mark.parametrize("name, h, T", CASES)
+    def test_run_matches_chained_steps(self, name, h, T):
+        scn = lookup(name)
+        T = scn.T if T is None else T
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+        assert traj.partial_final_step == (name == "free")
+        got = (traj.times, traj.positions, traj.velocities, contact.increments,
+               contact.multipliers, contact.residuals, contact.force_averages)
+        for array, expected in zip(got, self.by_hand(scn, h, T)):
+            assert array.shape == expected.shape
+            np.testing.assert_array_equal(array, expected)
+
+    @pytest.mark.parametrize("name, h, T", CASES)
+    def test_one_step_call_per_step(self, name, h, T, monkeypatch):
+        # run() calls step() through the module name once per step after the
+        # first, which initialize takes; the traced per-step metrics rely on it
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(integrator, "step", counted)
+        scn = lookup(name)
+        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T if T is None else T)
+        assert len(calls) == traj.nsteps - 1
 
 
 class TestSweepBoundedness:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ class TestLeastDistance:
         x2, mu2 = least_distance(rows, np.array([1e9, 2e9]))
         np.testing.assert_allclose(x2, 1e9 * x1, rtol=1e-14)
         np.testing.assert_allclose(mu2, 1e9 * mu1, rtol=1e-12)
+
+    def test_zero_row_falls_through_to_nnls(self, monkeypatch):
+        # rr = 0 is a singular 1 x 1 Gram matrix: no division, one NNLS solve,
+        # and 0 . x >= 1 has no solution
+        calls = self.counted_nnls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleConeError):
+                least_distance(np.array([[0.0, 0.0]]), np.array([1.0]))
+        assert len(calls) == 1
+
+    def test_one_row_face_in_closed_form(self, monkeypatch):
+        # x = 5 (3, 4) / 25 on the line 3 x1 + 4 x2 = 5, mu = 5 / 25
+        calls = self.counted_nnls(monkeypatch)
+        x, mu = least_distance(np.array([[3.0, 4.0]]), np.array([5.0]))
+        np.testing.assert_allclose(x, [0.6, 0.8], rtol=1e-15)
+        np.testing.assert_allclose(mu, [0.2], rtol=1e-15)
+        assert calls == []
 
     @staticmethod
     def counted_nnls(monkeypatch):

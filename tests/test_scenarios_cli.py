@@ -324,6 +324,16 @@ def last_active_height(head):
     return y
 
 
+def csv_masks(tmp_path, scn, traj, contact):
+    """write_csv's active column, and the masks active_set gives row by row."""
+    path = tmp_path / "run.csv"
+    cli.write_csv(str(path), scn, traj, contact)
+    masks = [int(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[1:]]
+    expected = [sum(1 << (cid - 1) for cid in active_set(scn.system, float(t), q))
+                for t, q in zip(traj.times, traj.positions)]
+    return masks, expected
+
+
 class TestCsvActiveColumn:
     @pytest.mark.parametrize("name, head, bit", [("floor", [], 1), ("wedge", [1.5], 2)])
     def test_equals_active_set_per_row(self, tmp_path, name, head, bit):
@@ -333,14 +343,20 @@ class TestCsvActiveColumn:
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
         y = last_active_height(head)
         traj.positions[-2:] = [head + [y], head + [np.nextafter(y, 1.0)]]
-        path = tmp_path / "run.csv"
-        cli.write_csv(str(path), scn, traj, contact)
-        masks = [int(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[1:]]
-        expected = [sum(1 << (cid - 1) for cid in active_set(scn.system, float(t), q))
-                    for t, q in zip(traj.times, traj.positions)]
+        masks, expected = csv_masks(tmp_path, scn, traj, contact)
         assert masks == expected
         assert masks[-2:] == [bit, 0]
         assert max(masks) == (1 if name == "floor" else 3)  # resting contact / the corner
+
+    def test_mask_exact_past_float_precision(self, tmp_path):
+        # id 70 names bit 69: the mask is a Python int, not a float rounded at 2^53
+        scn = lookup("wedge")
+        wall_x, wall_y = scn.system.constraints
+        scn = replace(scn, system=replace(scn.system, constraints=(wall_x, replace(wall_y, id=70))))
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
+        masks, expected = csv_masks(tmp_path, scn, traj, contact)
+        assert masks == expected
+        assert max(masks) == 1 + 2**69
 
     def test_one_values_call(self, tmp_path, monkeypatch):
         scn = lookup("pocket")
