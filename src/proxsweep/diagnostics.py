@@ -219,23 +219,19 @@ def momentum_residual(traj: Trajectory, contact: ContactMeasure) -> float:
 
 
 def interpolant_sup_error(traj: Trajectory, reference) -> float:
-    """sup_t |q_h(t) - q_ref(t)| sampled at quarter-interval points and at T."""
+    """sup_t |q_h(t) - q_ref(t)| sampled at quarter-interval points and at T;
+    reference maps times (m,) to positions (m, d)."""
     times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[:-1])
-    diff = np.vstack([points, traj.positions[-1]]) - np.array(
-        [np.atleast_1d(reference(t)[0]) for t in [*times, traj.times[-1]]])
+    diff = np.vstack([points, traj.positions[-1]]) - reference(np.append(times, traj.times[-1]))
     # row norms as vecdot: the 1-D norm bit for bit (axis=1 is not)
     return float(np.max(np.sqrt(np.vecdot(diff, diff))))
 
 
 def finest_run_reference(sys: ConstraintSystem, force: ForceField, q0, u0, T: float,
                          h_list):
-    """Reference t -> (q, u) from a run at half the smallest sweep step."""
-    traj_ref, _ = run(sys, force, q0, u0, min(h_list) / 2.0, T)
-
-    def reference(t):
-        return traj_ref.position(t), traj_ref.velocity(t)
-
-    return reference
+    """Reference times (m,) -> positions (m, d): the interpolant of a run at half
+    the smallest sweep step."""
+    return run(sys, force, q0, u0, min(h_list) / 2.0, T)[0].position
 
 
 def error_table(h_list, trajectories, reference) -> list[dict]:
@@ -263,9 +259,9 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
                       h_list, reference=None) -> list[dict]:
     """Error table over an h sweep; rows are {h, err, order} dicts.
 
-    reference(t) -> (q, u) closed form when available; otherwise the finest-h
-    run (half the smallest sweep step) serves as reference.  Failed runs are
-    recorded as failed rows, not raised.
+    reference, times (m,) -> positions (m, d), is the closed form when
+    available; otherwise the finest-h run (half the smallest sweep step)
+    serves as reference.  Failed runs are recorded as failed rows, not raised.
     """
     if reference is None:
         reference = finest_run_reference(sys, force, q0, u0, T, h_list)

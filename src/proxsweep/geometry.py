@@ -148,6 +148,11 @@ class ConstraintSystem:
             raise InvalidConstantsError(f"dim must be >= 1, got {self.dim}")
         if self.lipschitz_c0 < 0:
             raise InvalidConstantsError("lipschitz_c0 must be >= 0")
+        # beta divides run()'s start margin, eta is the tube radius of every projection
+        if not self.beta > 0.0:
+            raise InvalidConstantsError(f"beta must be > 0, got {self.beta}")
+        if self.eta is not None and not self.eta > 0.0:
+            raise InvalidConstantsError(f"eta must be > 0, got {self.eta}")
         ids = [c.id for c in self.constraints]
         # ids name the bits of the CSV's active mask, bit id - 1
         if not all(isinstance(i, numbers.Integral) and i >= 1 for i in ids):

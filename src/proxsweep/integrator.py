@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import SimulationAbort, StepSizeTooLargeError
+from .errors import InvalidConstantsError, SimulationAbort, StepSizeTooLargeError
 from .geometry import ConstraintSystem, _active_mask
 from .projection import project_point
 
@@ -50,6 +50,10 @@ class ForceField:
     f: Callable[[float, np.ndarray], np.ndarray]
     bound_F: Callable[[float], float] = lambda t: 0.0
     sup_F: float = 0.0
+
+    def __post_init__(self):
+        if not self.sup_F >= 0.0:
+            raise InvalidConstantsError(f"sup_F must be >= 0, got {self.sup_F}")
 
     def __call__(self, t: float, q: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(t, q), dtype=float)
@@ -98,10 +102,12 @@ class StepOutcome:
 
 @dataclass
 class Trajectory:
-    """Grid values plus the interpolation rules of the scheme.
+    """Grid values plus the scheme's position interpolant.
 
-    positions are piecewise linear between grid times, velocities piecewise
-    constant (u(t) = u^{n+1} on [t^n, t^{n+1})).  velocities[0] is u0.
+    Grid times strictly increase.  positions are piecewise linear between
+    them, and position(t) evaluates that interpolant on an array of times.
+    velocities are piecewise constant, u(t) = u^{n+1} on [t^n, t^{n+1}), and
+    velocities[0] is u0.
     """
 
     times: np.ndarray       # shape (N+1,)
@@ -114,18 +120,13 @@ class Trajectory:
     def nsteps(self) -> int:
         return len(self.times) - 1
 
-    def _locate(self, t: float) -> int:
-        n = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(n, 0), self.nsteps - 1)
-
-    def position(self, t: float) -> np.ndarray:
-        n = self._locate(t)
+    def position(self, t: np.ndarray) -> np.ndarray:
+        """q_h at times t (m,) as (m, d); the first and last steps extend it
+        linearly before t^0 and past t^N."""
+        n = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.nsteps - 1)
         t0, t1 = self.times[n], self.times[n + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+        w = ((t - t0) / (t1 - t0))[:, None]
         return (1.0 - w) * self.positions[n] + w * self.positions[n + 1]
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.velocities[self._locate(t) + 1]
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Every scenario supplies its regularity constants (alpha, beta, M, kappa, c0,
 eta) together with a boundary probe point for the good-direction certificate
-and, where the motion has a closed form, an analytic reference t -> (q, u)
-valid for the scenario's defaults (the builder returns None when overridden
-initial data fall outside its validity).
+and an analytic reference, times (m,) -> positions (m, d).  Each reference is
+one closed form fed with data: per coordinate, free flight until the
+coordinate meets its (possibly moving) wall, then the wall's motion.  The
+builder returns None when overridden initial data fall outside its validity.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ class Scenario:
     h: float
     T: float
     probe: tuple[float, np.ndarray]     # boundary point for certificates
-    # analytic(q0, u0) -> (t -> (q, u)) or None outside its validity
-    analytic: Callable | None = None
+    # analytic(q0, u0) -> (times (m,) -> positions (m, d)), or None outside its validity
+    analytic: Callable
 
     def reference(self, q0=None, u0=None):
-        if self.analytic is None:
-            return None
         q0 = self.q0 if q0 is None else np.asarray(q0, dtype=float)
         u0 = self.u0 if u0 is None else np.asarray(u0, dtype=float)
         return self.analytic(q0, u0)
@@ -50,103 +49,30 @@ def _gravity_force(g: float, dim: int) -> ForceField:
     return ForceField(f=lambda t, q: pull.copy(), bound_F=lambda t: g, sup_F=g)
 
 
-def _floor_reference(g: float):
-    """Fall under gravity onto q = 0 with inelastic rest; any q0 > 0, any u0."""
+def _wall_reference(g, c, v):
+    """Closed-form positions, coordinate by coordinate, for the impact law on one wall.
+
+    Coordinate i flies freely, q0_i + u0_i t - g_i t^2 / 2 with g_i >= 0, until
+    it meets its wall c_i + v_i t at t*_i, then moves with the wall: on a
+    single half-space u+ = P_V(u-) keeps the wall's speed.  c_i = -inf is no
+    wall.  build(q0, u0) returns times (m,) -> positions (m, d), or None
+    unless q0 has length d and lies strictly above every wall.
+    """
+    g, c, v = (np.array(x, dtype=float) for x in (g, c, v))
 
     def build(q0, u0):
-        if q0.size != 1:
+        if q0.shape != c.shape or np.any(q0 <= c):
             return None
-        p0, v0 = float(q0[0]), float(u0[0])
-        if p0 <= 0.0:
-            return None
-        disc = v0 * v0 + 2.0 * g * p0
-        t_star = (v0 + math.sqrt(disc)) / g
+        rel, gap = u0 - v, q0 - c
+        # t*: the positive root of g t^2 / 2 - rel t - gap = 0; for g = 0 the
+        # linear root when the particle closes on the wall, else never
+        with np.errstate(all="ignore"):
+            hit = np.where(g > 0.0, (rel + np.sqrt(rel * rel + 2.0 * g * gap)) / g,
+                           np.where(rel < 0.0, gap / (v - u0), math.inf))
 
         def ref(t):
-            if t < t_star:
-                return (np.array([p0 + v0 * t - 0.5 * g * t * t]),
-                        np.array([v0 - g * t]))
-            return np.zeros(1), np.zeros(1)
-
-        return ref
-
-    return build
-
-
-def _piston_reference(v_w: float):
-    """Wall q >= v_w t catching a free particle; valid while u0 < v_w."""
-
-    def build(q0, u0):
-        if q0.size != 1:
-            return None
-        p0, v0 = float(q0[0]), float(u0[0])
-        if p0 <= 0.0:
-            return None
-        if v0 >= v_w:
-            def ref(t):
-                return np.array([p0 + v0 * t]), np.array([v0])
-            return ref
-        t_star = p0 / (v_w - v0)
-
-        def ref(t):
-            if t < t_star:
-                return np.array([p0 + v0 * t]), np.array([v0])
-            return np.array([v_w * t]), np.array([v_w])
-
-        return ref
-
-    return build
-
-
-def _free_reference():
-    def build(q0, u0):
-        def ref(t):
-            return q0 + t * u0, u0.copy()
-        return ref
-    return build
-
-
-def _wedge_reference():
-    """Force-free corner capture: each coordinate stops at its wall."""
-
-    def build(q0, u0):
-        if np.any(q0 <= 0.0):
-            return None
-        stops = [(-q0[i] / u0[i]) if u0[i] < 0.0 else math.inf for i in range(q0.size)]
-
-        def ref(t):
-            q = np.empty_like(q0)
-            u = np.empty_like(u0)
-            for i in range(q0.size):
-                if t < stops[i]:
-                    q[i] = q0[i] + u0[i] * t
-                    u[i] = u0[i]
-                else:
-                    q[i], u[i] = 0.0, 0.0
-            return q, u
-
-        return ref
-
-    return build
-
-
-def _pocket_reference(g: float):
-    """Vertical drop onto the top of the unit disc; needs q0 on the +y axis."""
-
-    def build(q0, u0):
-        if q0.size != 2 or q0[0] != 0.0 or u0[0] != 0.0 or q0[1] <= 1.0:
-            return None
-        p0, v0 = float(q0[1]), float(u0[1])
-        disc = v0 * v0 + 2.0 * g * (p0 - 1.0)
-        if disc < 0.0:
-            return None
-        t_star = (v0 + math.sqrt(disc)) / g
-
-        def ref(t):
-            if t < t_star:
-                return (np.array([0.0, p0 + v0 * t - 0.5 * g * t * t]),
-                        np.array([0.0, v0 - g * t]))
-            return np.array([0.0, 1.0]), np.zeros(2)
+            t = np.asarray(t, dtype=float)[:, None]
+            return np.where(t < hit, q0 + u0 * t - 0.5 * g * t * t, c + v * t)
 
         return ref
 
@@ -164,7 +90,7 @@ def _make_floor() -> Scenario:
                     force=_gravity_force(GRAVITY, 1),
                     q0=np.array([1.25]), u0=np.array([0.0]), h=0.01, T=2.0,
                     probe=(0.0, np.array([0.0])),
-                    analytic=_floor_reference(GRAVITY))
+                    analytic=_wall_reference([GRAVITY], [0.0], [0.0]))
 
 
 def _make_wedge() -> Scenario:
@@ -176,7 +102,7 @@ def _make_wedge() -> Scenario:
     return Scenario(name="wedge", dim=2, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0, 1.0]), u0=np.array([-2.0, -3.0]), h=0.01, T=1.0,
                     probe=(0.0, np.array([0.0, 0.0])),
-                    analytic=_wedge_reference())
+                    analytic=_wall_reference([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]))
 
 
 def _make_piston(v_w: float = 1.0) -> Scenario:
@@ -186,7 +112,7 @@ def _make_piston(v_w: float = 1.0) -> Scenario:
     return Scenario(name="piston", dim=1, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0]), u0=np.array([-0.5]), h=0.01, T=2.0,
                     probe=(0.0, np.array([0.0])),
-                    analytic=_piston_reference(v_w))
+                    analytic=_wall_reference([0.0], [0.0], [v_w]))
 
 
 def _make_pocket() -> Scenario:
@@ -202,12 +128,15 @@ def _make_pocket() -> Scenario:
     floor = affine_constraint(2, [0.0, 2.0])
     sys = ConstraintSystem(dim=2, constraints=(wall, floor), alpha=2.0, beta=2.0,
                            hess_bound=2.0, kappa=0.1, lipschitz_c0=0.0)
+    # a vertical drop onto the pole, whose tangent y = 1 is the wall; the closed
+    # form needs q0 on the symmetry axis (x0 = u0x = 0)
+    drop = _wall_reference([0.0, GRAVITY], [-math.inf, 1.0], [0.0, 0.0])
     # drop height 1.25 above the pole: impact at t = 0.5 (see floor)
     return Scenario(name="pocket", dim=2, system=sys,
                     force=_gravity_force(GRAVITY, 2),
                     q0=np.array([0.0, 2.25]), u0=np.array([0.0, 0.0]), h=0.01, T=1.0,
                     probe=(0.0, np.array([0.0, 1.0])),
-                    analytic=_pocket_reference(GRAVITY))
+                    analytic=lambda q0, u0: drop(q0, u0) if q0[0] == 0.0 == u0[0] else None)
 
 
 def _make_free() -> Scenario:
@@ -216,7 +145,7 @@ def _make_free() -> Scenario:
     return Scenario(name="free", dim=1, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0]), u0=np.array([-1.0]), h=0.01, T=2.0,
                     probe=(0.0, np.array([1.0])),
-                    analytic=_free_reference())
+                    analytic=_wall_reference([0.0], [-math.inf], [0.0]))
 
 
 def registry() -> dict[str, Scenario]:

@@ -268,7 +268,7 @@ class TestGaps:
         traj = make_traj(times, positions, [0, 2, 4])
 
         def reference(t):  # the interpolant itself, off by 0.25 at t = T only
-            return np.interp(t, times, positions) + (0.25 if t == 1.0 else 0.0), None
+            return (np.interp(t, times, positions) + np.where(t == 1.0, 0.25, 0.0))[:, None]
 
         assert interpolant_sup_error(traj, reference) == pytest.approx(0.25, abs=1e-12)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
-                       InvalidConstantsError, active_set, affine_constraint, good_direction,
-                       hypomonotonicity_residual, prox_constant, reverse_triangle_constant,
-                       velocity_polyhedron)
+                       ForceField, InvalidConstantsError, active_set, affine_constraint,
+                       good_direction, hypomonotonicity_residual, prox_constant,
+                       reverse_triangle_constant, velocity_polyhedron)
 from proxsweep.geometry import COVERING_RADIUS, activity_tolerance
 from proxsweep.scenarios import lookup
 
@@ -246,6 +246,29 @@ class TestProxConstant:
     def test_invalid_constants(self, field, value):
         with pytest.raises(InvalidConstantsError):
             ConstraintSystem(**{"dim": 1, "constraints": (), field: value})
+
+    # beta = 0 used to divide by zero in run()'s margin check and beta < 0 to
+    # invert it; eta <= 0 or NaN aborted every contact step as a tube exit;
+    # sup_F < 0 was a math domain error in compute_constants
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: ConstraintSystem(dim=1, constraints=(), beta=0.0),
+                     "beta must be > 0, got 0.0", id="beta=0"),
+        pytest.param(lambda: ConstraintSystem(dim=1, constraints=(), beta=-1.0),
+                     "beta must be > 0, got -1.0", id="beta=-1"),
+        pytest.param(lambda: ConstraintSystem(dim=1, constraints=(), eta=0.0),
+                     "eta must be > 0, got 0.0", id="eta=0"),
+        pytest.param(lambda: ConstraintSystem(dim=1, constraints=(), eta=-1.0),
+                     "eta must be > 0, got -1.0", id="eta=-1"),
+        pytest.param(lambda: ConstraintSystem(dim=1, constraints=(), eta=math.nan),
+                     "eta must be > 0, got nan", id="eta=nan"),
+        pytest.param(lambda: ForceField(f=lambda t, q: q, sup_F=-1.0),
+                     "sup_F must be >= 0, got -1.0", id="sup_F=-1"),
+        pytest.param(lambda: ForceField(f=lambda t, q: q, sup_F=math.nan),
+                     "sup_F must be >= 0, got nan", id="sup_F=nan"),
+    ])
+    def test_constants_rejected_at_construction(self, make, message):
+        with pytest.raises(InvalidConstantsError, match=message):
+            make()
 
     def test_disc_rolling_ball(self):
         # external unit balls touching the circle from inside the disc must

@@ -361,9 +361,10 @@ class TestRun:
     def test_trajectory_interpolation_rules(self):
         scn = lookup("free")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.1, 1.0)
-        # piecewise linear positions, piecewise constant velocities
-        assert traj.position(0.05)[0] == pytest.approx(0.95, abs=1e-12)
-        assert traj.velocity(0.05)[0] == pytest.approx(-1.0, abs=1e-12)
+        # piecewise linear positions, evaluated on an array of times
+        q = traj.position(np.array([0.05]))
+        assert q.shape == (1, 1)
+        assert q[0, 0] == pytest.approx(0.95, abs=1e-12)
 
 
 class TestRunLoop:

@@ -9,6 +9,8 @@ from proxsweep import ConfigError, active_set, cli, diagnose, diagnostics, run
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
+from oracles import analytic_reference
+
 
 class TestRegistry:
     def test_contains_required_scenarios(self):
@@ -56,13 +58,62 @@ class TestRegistry:
         scn = lookup(name)
         ref = scn.reference()
         assert ref is not None
-        for t in np.linspace(0.0, scn.T, 37):
-            q, _ = ref(float(t))
-            assert np.all(scn.system.values(float(t), np.atleast_1d(q)) >= -1e-12)
+        ts = np.linspace(0.0, scn.T, 37)
+        q = ref(ts)
+        assert q.shape == (37, scn.dim)
+        assert np.all(scn.system.values(ts, q) >= -1e-12)
 
     def test_reference_rejects_invalid_overrides(self):
         scn = lookup("pocket")
         assert scn.reference(q0=[0.5, 2.0]) is None  # off the symmetry axis
+
+
+class TestWallReference:
+    """The one closed form behind every scenario reference, against the
+    independent scalar oracles of tests/oracles.py on arrays of times."""
+
+    TIMES = np.linspace(0.0, 3.0, 61)
+
+    @pytest.mark.parametrize("scenario, oracle, q0, u0, params", [
+        ("floor", "floor-bounce", 1.25, 0.0, {"g_grav": 10.0}),
+        ("floor", "floor-bounce", 0.3, 4.0, {"g_grav": 10.0}),   # thrown up first
+        ("floor", "floor-bounce", 2.0, -3.0, {"g_grav": 10.0}),
+        ("free", "free", 1.0, -1.0, {}),
+        ("free", "free", -4.0, 2.5, {}),
+        ("piston", "piston-pursuit", 1.0, -0.5, {"v_w": 1.0}),  # caught, then carried
+        ("piston", "piston-pursuit", 0.2, 0.5, {"v_w": 1.0}),   # caught from behind
+        ("piston", "piston-pursuit", 1.0, 1.5, {"v_w": 1.0}),   # outruns the wall
+        ("piston", "piston-pursuit", 1.0, 1.0, {"v_w": 1.0}),   # keeps its lead
+    ], ids=["floor-drop", "floor-thrown-up", "floor-thrown-down", "free", "free-rising",
+            "piston-caught", "piston-caught-from-behind", "piston-outrun", "piston-level"])
+    def test_matches_oracle(self, scenario, oracle, q0, u0, params):
+        got = lookup(scenario).reference([q0], [u0])(self.TIMES)
+        want = [analytic_reference(oracle, {"q0": q0, "u0": u0, **params}, float(t))[0]
+                for t in self.TIMES]
+        assert got.shape == (len(self.TIMES), 1)
+        np.testing.assert_allclose(got[:, 0], want, rtol=0.0, atol=1e-12)
+
+    def test_wedge_and_pocket_per_coordinate(self):
+        # each wedge coordinate is a force-free piston with a fixed wall; the
+        # pocket's height is a floor bounce shifted up to the pole
+        got = lookup("wedge").reference([1.0, 2.0], [-2.0, 1.0])(self.TIMES)
+        for i, (q0, u0) in enumerate([(1.0, -2.0), (2.0, 1.0)]):
+            want = [max(q0 + u0 * t, 0.0) for t in self.TIMES]
+            np.testing.assert_allclose(got[:, i], want, rtol=0.0, atol=1e-12)
+        got = lookup("pocket").reference([0.0, 2.25], [0.0, 1.0])(self.TIMES)
+        want = [1.0 + analytic_reference("floor-bounce", {"q0": 1.25, "u0": 1.0}, float(t))[0]
+                for t in self.TIMES]
+        assert np.all(got[:, 0] == 0.0)
+        np.testing.assert_allclose(got[:, 1], want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scenario, q0", [
+        ("floor", [0.0]), ("floor", [-0.5]), ("piston", [0.0]), ("piston", [-1.0]),
+        ("wedge", [0.0, 1.0]), ("wedge", [1.0, -2.0]), ("pocket", [0.0, 1.0]),
+        ("pocket", [0.0, 0.5]), ("floor", [1.0, 1.0]),
+    ], ids=["floor-on", "floor-below", "piston-on", "piston-below", "wedge-on",
+            "wedge-below", "pocket-on", "pocket-below", "floor-wrong-length"])
+    def test_none_outside_validity(self, scenario, q0):
+        assert lookup(scenario).reference(q0, np.zeros(len(q0))) is None
 
 
 class TestConfigFile:
