@@ -27,9 +27,8 @@ def main() -> None:
         print(f"\n{scn.name}  (T = {scn.T:g})")
         print(f"  {'h':>10}  {'sup error':>12}  {'order':>6}")
         for row in rows:
-            err = "failed" if row.get("err") is None else f"{row['err']:.4e}"
-            order = "-" if row.get("order") is None else f"{row['order']:.2f}"
-            print(f"  {row['h']:>10g}  {err:>12}  {order:>6}")
+            order = "-" if row["order"] is None else f"{row['order']:.2f}"
+            print(f"  {row['h']:>10g}  {row['err']:>12.4e}  {order:>6}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Everything here reads a finished trajectory: feasibility gaps on and between
 grid points, total variation and sup norm of the velocity, impact events and
-their residuals against the inelastic law u+ = P_V(u-), the inward-cone
-constants (kappa0, nu_min), the a-priori velocity bound A(k) and the local
-horizon T0.
+their residuals against the inelastic law u+ = P_V(u-), the a-priori velocity
+bound A(k) and the local horizon T0.  compute_constants is the one place the
+inward-cone constants kappa0 and nu_min are derived from a good-direction
+certificate's delta.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleConeError, InvalidConstantsError, ProxsweepError
+from .errors import InfeasibleConeError, InvalidConstantsError
 from .geometry import (AdmissibilityEstimate, ConstraintSystem, VelocityPolyhedron,
                        _active_mask, velocity_polyhedron)
 from .integrator import ContactMeasure, ForceField, Trajectory, run
@@ -23,6 +24,7 @@ from .projection import project_point, project_velocity
 
 SAMPLES_PER_STEP = 4        # interpolant samples per step (quarter intervals)
 VARIATIONAL_SAMPLES = 32    # random admissible velocities per impact
+COVERING_RADIUS = 1.0       # covering radius r asserted for every scenario, in nu_min
 
 
 @dataclass
@@ -31,7 +33,8 @@ class ImpactEvent:
 
     u_minus / u_plus are the discrete one-sided velocities around the jump
     window, law_residual = |u_plus - P_V(u_minus)| and variational_max the
-    worst value of <u- - u+, w - u+> over the sampled admissible w.
+    worst value of <u- - u+, w - u+> over the sampled admissible w; both are
+    NaN when V is empty and the event cannot be verified.
     """
 
     time: float
@@ -39,7 +42,6 @@ class ImpactEvent:
     u_plus: np.ndarray
     law_residual: float
     variational_max: float = -math.inf
-    verifiable: bool = True
 
 
 @dataclass
@@ -48,7 +50,6 @@ class ConstantsRecord:
     nu_min: float | None = None
     T0: float | None = None
     A_k: float | None = None
-    available: bool = False
 
 
 @dataclass
@@ -61,8 +62,6 @@ class DiagnosticsReport:
     constants: ConstantsRecord
     velocity_bound_ok: bool = True        # |u^{n+1}| <= 2|u^n + h f^n| + c0
     momentum_residual: float = 0.0        # |u(T) - u0 - sum h f + sum dk|
-    partial_final_step: bool = False
-    margin_ok: bool = True
 
 
 def total_variation(traj: Trajectory) -> float:
@@ -89,11 +88,12 @@ def _interpolant(traj: Trajectory, fractions) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
-    """max over sampled intermediate times of dist(q_h(t), C(t))."""
+    """max over sampled intermediate times of dist(q_h(t), C(t)); a sample
+    whose projection does not converge counts as inf."""
     times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1])
     outside = np.flatnonzero(np.any(sys.values(times, points) < 0.0, axis=1))
-    return max((project_point(sys, times[i], points[i]).distance for i in outside),
-               default=0.0)
+    projections = (project_point(sys, times[i], points[i]) for i in outside)
+    return max((p.distance if p.converged else math.inf for p in projections), default=0.0)
 
 
 def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
@@ -152,7 +152,7 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
 
     The variational form <u- - u+, w - u+> <= 0 is sampled at the polyhedron
     vertices and at random admissible velocities.  Events whose polyhedron is
-    empty (infeasible) are flagged unverifiable.
+    empty (infeasible) carry NaN in both.
     """
     events: list[ImpactEvent] = []
     for a, b in detect_impacts(traj, sys, sup_force, jump_tol=jump_tol):
@@ -165,7 +165,7 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
             u_star = project_velocity(poly, u_minus).point
         except InfeasibleConeError:
             events.append(ImpactEvent(t_ev, u_minus, u_plus, law_residual=math.nan,
-                                      verifiable=False))
+                                      variational_max=math.nan))
             continue
         residual = float(np.linalg.norm(u_plus - u_star))
         worst = -math.inf
@@ -181,10 +181,15 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
                       k: int = 1, J: float = 1.0) -> ConstantsRecord:
     """kappa0, nu_min, the velocity bound A(k) and the local horizon T0.
 
+    From the certificate's delta, with c0 = sys.lipschitz_c0, eta = sys.eta
+    and r = COVERING_RADIUS:
+    kappa0 = c0/delta + 1;
+    nu_min = min(eta delta / (2 kappa0 + 2 c0 + delta)^2,
+                 r / (2 (c0 + delta + 2 kappa0)));
     A(k) = |u0| + 2 k kappa0 + k * integral of F over [0, T];
     T0 = 1 / (2 (J+1) (2|u0| + 3 sup F + sqrt(sup F))), infinite when the
-    denominator vanishes.  Without a positive certificate the record is
-    explicitly unavailable.  J must be finite and >= 0.
+    denominator vanishes.  Without a certificate (admiss None) only T0 is
+    set.  J must be finite and >= 0.
     """
     if not 0.0 <= J < math.inf:
         raise InvalidConstantsError(f"J must be finite and >= 0, got {J}")
@@ -194,10 +199,11 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     rec.T0 = math.inf if denom == 0.0 else 1.0 / denom
     if admiss is None:
         return rec
-    rec.kappa0 = admiss.kappa0
-    rec.nu_min = admiss.nu_min
-    rec.A_k = speed + 2.0 * k * admiss.kappa0 + k * force.integral_bound(0.0, T)
-    rec.available = True
+    c0, delta = sys.lipschitz_c0, admiss.delta
+    rec.kappa0 = kappa0 = c0 / delta + 1.0
+    rec.nu_min = min(sys.eta * delta / (2.0 * kappa0 + 2.0 * c0 + delta) ** 2,
+                     COVERING_RADIUS / (2.0 * (c0 + delta + 2.0 * kappa0)))
+    rec.A_k = speed + 2.0 * k * kappa0 + k * force.integral_bound(0.0, T)
     return rec
 
 
@@ -235,22 +241,14 @@ def finest_run_reference(sys: ConstraintSystem, force: ForceField, q0, u0, T: fl
 
 
 def error_table(h_list, trajectories, reference) -> list[dict]:
-    """Error rows {h, err, order} for trajectories already integrated at h_list.
-
-    A ProxsweepError in place of a trajectory records a failed row.
-    """
-    rows: list[dict] = []
-    for h, traj in zip(h_list, trajectories):
-        if isinstance(traj, ProxsweepError):
-            rows.append({"h": float(h), "err": None, "order": None, "failed": str(traj)})
-        else:
-            err = interpolant_sup_error(traj, reference)
-            rows.append({"h": float(h), "err": float(err), "order": None})
+    """Error rows {h, err, order} for trajectories already integrated at h_list."""
+    rows = [{"h": float(h), "err": interpolant_sup_error(traj, reference), "order": None}
+            for h, traj in zip(h_list, trajectories)]
     for i in range(1, len(rows)):
-        e0, e1 = rows[i - 1].get("err"), rows[i].get("err")
+        e0, e1 = rows[i - 1]["err"], rows[i]["err"]
         h0, h1 = rows[i - 1]["h"], rows[i]["h"]
         # no meaningful order below the roundoff floor
-        if e0 and e1 and e0 > 1e-12 and e1 > 1e-12 and h0 != h1:
+        if e0 > 1e-12 and e1 > 1e-12 and h0 != h1:
             rows[i]["order"] = float(math.log(e0 / e1) / math.log(h0 / h1))
     return rows
 
@@ -261,16 +259,11 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
 
     reference, times (m,) -> positions (m, d), is the closed form when
     available; otherwise the finest-h run (half the smallest sweep step)
-    serves as reference.  Failed runs are recorded as failed rows, not raised.
+    serves as reference.  A run that fails at any h raises, as in the CLI.
     """
     if reference is None:
         reference = finest_run_reference(sys, force, q0, u0, T, h_list)
-    trajectories = []
-    for h in h_list:
-        try:
-            trajectories.append(run(sys, force, q0, u0, h, T)[0])
-        except ProxsweepError as exc:
-            trajectories.append(exc)
+    trajectories = [run(sys, force, q0, u0, h, T)[0] for h in h_list]
     return error_table(h_list, trajectories, reference)
 
 
@@ -290,6 +283,4 @@ def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
         constants=constants,
         velocity_bound_ok=velocity_bound_ok(traj, contact, sys),
         momentum_residual=momentum_residual(traj, contact),
-        partial_final_step=traj.partial_final_step,
-        margin_ok=traj.margin_ok,
     )

@@ -15,8 +15,8 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
 * a reverse-triangle constant gamma quantifying positive linear independence
   of active gradients,
 * "good direction" certificates (u, delta) with <u, -grad g_i> >= delta
-  |grad g_i| for every active i, and the inward-cone constants kappa0 and
-  nu_min they induce,
+  |grad g_i| for every active i (diagnostics.compute_constants derives the
+  inward-cone constants kappa0 and nu_min from delta),
 * pointwise hypomonotonicity residuals used to check prox-regularity
   empirically.
 
@@ -46,9 +46,6 @@ from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConst
 
 # cap on eta, and its value for affine systems (M = 0: a convex half-space, eta = inf)
 DEFAULT_ETA_MAX = 1.0e6
-
-# covering radius r asserted for every scenario, in nu_min
-COVERING_RADIUS = 1.0
 
 # below this, reverse-triangle / admissibility optima count as failures
 TOL_SINGULAR = 1.0e-6
@@ -233,18 +230,11 @@ class VelocityPolyhedron:
 
 @dataclass(frozen=True)
 class AdmissibilityEstimate:
-    """A pointwise good-direction certificate and the constants it induces.
-
-    kappa0 = c0/delta + 1 and
-    nu_min = min( eta*delta / (2*kappa0 + 2*c0 + delta)^2,
-                  r / (2*(c0 + delta + 2*kappa0)) )
-    bound how far the inward cone reaches; r is COVERING_RADIUS.
-    """
+    """A pointwise good-direction certificate: <direction, -grad g_i> >=
+    delta |grad g_i| for every active i."""
 
     delta: float
     direction: np.ndarray
-    kappa0: float
-    nu_min: float
 
 
 def active_set(sys: ConstraintSystem, t: float, q: np.ndarray,
@@ -384,7 +374,7 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
     if not len(grads):
         direction = np.zeros(sys.dim)
         direction[0] = -1.0
-        return _estimate(sys, 1.0, direction)
+        return AdmissibilityEstimate(delta=1.0, direction=direction)
     x = _least_inward(grads)
     if x is None:
         return None
@@ -392,17 +382,7 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
     delta = float(np.min((-grads @ direction) / np.linalg.norm(grads, axis=1)))
     if delta <= TOL_SINGULAR:
         return None
-    return _estimate(sys, delta, direction)
-
-
-def _estimate(sys: ConstraintSystem, delta: float,
-              direction: np.ndarray) -> AdmissibilityEstimate:
-    c0 = sys.lipschitz_c0
-    kappa0 = c0 / delta + 1.0
-    nu_min = min(sys.eta * delta / (2.0 * kappa0 + 2.0 * c0 + delta) ** 2,
-                 COVERING_RADIUS / (2.0 * (c0 + delta + 2.0 * kappa0)))
-    return AdmissibilityEstimate(delta=delta, direction=direction, kappa0=kappa0,
-                                 nu_min=nu_min)
+    return AdmissibilityEstimate(delta=delta, direction=direction)
 
 
 def hypomonotonicity_residual(sys: ConstraintSystem, t: float, x: np.ndarray,

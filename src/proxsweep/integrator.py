@@ -93,12 +93,6 @@ class StepOutcome:
     multiplier_residual: float
     force_average: np.ndarray      # f^n, the force averaged over the step
 
-    @property
-    def in_cone(self) -> bool:
-        """Derived: the multiplier residual is within 1e-8 (1 + |increment|)."""
-        norm = math.sqrt(self.increment @ self.increment)
-        return self.multiplier_residual <= 1e-8 * (1.0 + norm)
-
 
 @dataclass
 class Trajectory:
@@ -187,7 +181,8 @@ def _initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
         g0 = sys.values(0.0, q0)
         worst = int(np.argmin(g0))
         if g0[worst] <= 0.0:
-            raise StepSizeTooLargeError(float(g0[worst]), sys.constraints[worst].id)
+            raise ValueError(f"initial position infeasible: g_{sys.constraints[worst].id}"
+                             f"(0, q0) = {g0[worst]:.6g} <= 0")
     f0 = field.step_average(0.0, h, q0)
     q1 = q0 + h * u0 + h * h * f0
     if sys.p:

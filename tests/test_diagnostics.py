@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
-                       ContactMeasure, InvalidConstantsError, Trajectory,
-                       affine_constraint, compute_constants, convergence_study,
-                       detect_impacts, diagnose, diagnostics, good_direction,
+                       ContactMeasure, InvalidConstantsError, StepSizeTooLargeError,
+                       Trajectory, affine_constraint, cli, compute_constants,
+                       convergence_study, detect_impacts, diagnose, diagnostics, good_direction,
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
                        project_point, run, total_variation, velocity_bound_ok,
                        verify_impact_law, ZERO_FORCE)
@@ -84,7 +84,7 @@ class TestImpactLaw:
             traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
             bound = 5 * h * (1 + scn.force.sup_F)
             for ev in verify_impact_law(traj, scn.system, sup_force=scn.force.sup_F):
-                assert ev.verifiable
+                assert not math.isnan(ev.law_residual)
                 assert ev.law_residual <= bound
 
     def test_jump_tol_override_suppresses_events(self):
@@ -100,9 +100,9 @@ class TestImpactLaw:
             for ev in verify_impact_law(traj, scn.system, sup_force=scn.force.sup_F):
                 assert np.linalg.norm(ev.u_plus) <= np.linalg.norm(ev.u_minus) + 1e-9
 
-    def test_unverifiable_event_flagged(self):
+    @staticmethod
+    def empty_polyhedron_jump():
         # velocity polyhedron u >= 1 and -u >= 1 is empty at the event point
-        from proxsweep import ConstraintFunction, ConstraintSystem
         c1 = ConstraintFunction(id=1, value=lambda t, q: float(q[0]) - t,
                                 gradient_q=lambda t, q: np.array([1.0]),
                                 dt=lambda t, q: -1.0)
@@ -110,11 +110,23 @@ class TestImpactLaw:
                                 gradient_q=lambda t, q: np.array([-1.0]),
                                 dt=lambda t, q: -1.0)
         sys = ConstraintSystem(dim=1, constraints=(c1, c2))
-        traj = make_traj([0.0, 0.1], [[0.0], [0.0]], [[-2.0], [0.5]])
+        return sys, make_traj([0.0, 0.1], [[0.0], [0.0]], [[-2.0], [0.5]])
+
+    def test_unverifiable_event_flagged(self):
+        sys, traj = self.empty_polyhedron_jump()
         events = verify_impact_law(traj, sys, sup_force=0.0)
         assert len(events) == 1
-        assert not events[0].verifiable
         assert math.isnan(events[0].law_residual)
+        assert math.isnan(events[0].variational_max)
+
+    def test_verify_gate_fails_unverifiable_event(self):
+        sys, traj = self.empty_polyhedron_jump()
+        contact = ContactMeasure(increments=np.array([[-2.5]]), multipliers=np.zeros((1, 2)),
+                                 residuals=np.zeros(1), force_averages=np.zeros((1, 1)))
+        report = diagnose(traj, contact, sys, ZERO_FORCE)
+        problems = cli._verify_run(report, 0.1, 0.0)
+        assert "impact at t=0.1 not verifiable (empty velocity polyhedron)" in problems
+        assert not any(p.startswith(("impact residual", "variational")) for p in problems)
 
     def test_parallel_rows_skip_singular_vertex(self):
         # rows (0, 1) and (0, 2) are both active on the floor: no vertex to solve for
@@ -122,7 +134,8 @@ class TestImpactLaw:
                                                    affine_constraint(2, [0.0, 2.0])))
         traj, _ = run(sys, ZERO_FORCE, np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)
         events = verify_impact_law(traj, sys)
-        assert [(ev.time, ev.verifiable) for ev in events] == [(pytest.approx(0.51), True)]
+        assert [ev.time for ev in events] == [pytest.approx(0.51)]
+        assert not math.isnan(events[0].law_residual)
         assert events[0].law_residual <= 1e-12
         assert events[0].variational_max <= 1e-12
 
@@ -131,8 +144,9 @@ class TestConstants:
     def test_floor_exact_values(self):
         scn = lookup("floor")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
-        assert est.kappa0 == 1.0
-        assert est.nu_min == 1.0 / 6.0  # r/(2 (c0 + delta + 2 kappa0)) with r=1
+        rec = compute_constants(scn.system, est, scn.u0, scn.force)
+        assert rec.kappa0 == 1.0
+        assert rec.nu_min == 1.0 / 6.0  # r/(2 (c0 + delta + 2 kappa0)) with r=1
 
     def test_horizon_eighth(self):
         rec = compute_constants(lookup("free").system, None, np.array([1.0]),
@@ -142,7 +156,6 @@ class TestConstants:
     def test_unavailable_without_certificate(self):
         rec = compute_constants(lookup("floor").system, None, np.array([0.0]),
                                 ZERO_FORCE, T=1.0)
-        assert not rec.available
         assert rec.kappa0 is None and rec.nu_min is None
 
     def test_velocity_bound_record(self):
@@ -193,12 +206,11 @@ class TestConvergence:
         assert all(row["err"] is not None for row in rows)
         assert rows[1]["err"] < rows[0]["err"]
 
-    def test_failed_run_recorded_not_raised(self):
+    def test_failed_run_raises(self):
         scn = lookup("floor")
-        rows = convergence_study(scn.system, scn.force, scn.q0, scn.u0, 2.0,
-                                 [1.0, 0.01], reference=scn.reference())
-        assert "failed" in rows[0]  # first configuration leaves the set
-        assert rows[1]["err"] is not None
+        with pytest.raises(StepSizeTooLargeError):  # first configuration leaves the set
+            convergence_study(scn.system, scn.force, scn.q0, scn.u0, 2.0,
+                              [1.0, 0.01], reference=scn.reference())
 
 
 class TestGaps:
@@ -218,6 +230,17 @@ class TestGaps:
         sys = ConstraintSystem(dim=1, constraints=(wall,))
         traj = make_traj([0, 1, 2, 3], [0, 0, 0, 0.4], [0, 0, 0, 0.4])
         assert max_intergrid_gap(traj, sys) == pytest.approx(0.2, abs=1e-12)
+
+    def test_unconverged_projection_counts_as_infinite(self):
+        # Newton on atan(q) >= 0 two-cycles from -1.75 and -2.875 (1.75 and 2.875
+        # outside) and converges only from -0.625; those two samples are no gap of 0
+        wall = ConstraintFunction(id=1, value=lambda t, q: math.atan(q[0]),
+                                  gradient_q=lambda t, q: np.array([1.0 / (1.0 + q[0] ** 2)]),
+                                  dt=lambda t, q: 0.0, hessian_bound=0.65)
+        sys = ConstraintSystem(dim=1, constraints=(wall,), hess_bound=0.65)
+        traj = make_traj([0, 1, 2], [0.5, -4.0, 0.5], [0, 0, 0])
+        assert not project_point(sys, 0.5, np.array([-1.75])).converged
+        assert max_intergrid_gap(traj, sys) == math.inf
 
     def test_projects_each_outside_sample_once(self, monkeypatch):
         # the piston's wall q >= t passes a particle parked at 0.5 halfway through
@@ -281,8 +304,8 @@ class TestGaps:
         assert report.velocity_bound_ok
         assert report.momentum_residual <= 1e-8
         assert len(report.impacts) == 1
-        assert report.constants.available
-        assert not report.partial_final_step
+        assert report.constants.kappa0 is not None
+        assert not traj.partial_final_step
 
 
 class TestDetectImpacts:

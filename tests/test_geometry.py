@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
                        ForceField, InvalidConstantsError, active_set, affine_constraint,
-                       good_direction, hypomonotonicity_residual, prox_constant,
-                       reverse_triangle_constant, velocity_polyhedron)
-from proxsweep.geometry import COVERING_RADIUS, activity_tolerance
+                       compute_constants, good_direction, hypomonotonicity_residual,
+                       prox_constant, reverse_triangle_constant, velocity_polyhedron)
+from proxsweep.diagnostics import COVERING_RADIUS
+from proxsweep.geometry import activity_tolerance
 from proxsweep.scenarios import lookup
 
 from conftest import (antipodal_pair, disc_complement, floor_2d, half_space_1d,
@@ -379,11 +380,12 @@ class TestGoodDirection:
     def test_constants_formulas(self):
         scn = lookup("piston")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
+        rec = compute_constants(scn.system, est, scn.u0, scn.force)
         c0, delta = scn.system.lipschitz_c0, est.delta
-        assert est.kappa0 == c0 / delta + 1.0
-        expected = min(scn.system.eta * delta / (2 * est.kappa0 + 2 * c0 + delta) ** 2,
-                       COVERING_RADIUS / (2 * (c0 + delta + 2 * est.kappa0)))
-        assert est.nu_min == expected
+        assert rec.kappa0 == c0 / delta + 1.0
+        expected = min(scn.system.eta * delta / (2 * rec.kappa0 + 2 * c0 + delta) ** 2,
+                       COVERING_RADIUS / (2 * (c0 + delta + 2 * rec.kappa0)))
+        assert rec.nu_min == expected
 
     @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket"])
     def test_certificate_self_check(self, name):

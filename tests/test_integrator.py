@@ -71,7 +71,7 @@ class TestInitialize:
         assert err.value.margin < 0.0
 
     def test_boundary_start_rejected(self):
-        with pytest.raises(StepSizeTooLargeError):
+        with pytest.raises(ValueError, match=r"initial position infeasible: g_1\(0, q0\) = 0"):
             initialize(half_space_1d(), ZERO_FORCE, np.array([0.0]), np.array([1.0]), 0.1)
 
     def test_zero_step_rejected(self):
@@ -97,7 +97,7 @@ class TestStep:
         np.testing.assert_allclose(out.state.u_curr, [-1.0], atol=1e-12)
         np.testing.assert_allclose(out.increment, [-1.0], atol=1e-12)
         np.testing.assert_allclose(out.multipliers, [1.0], atol=1e-12)
-        assert out.in_cone
+        assert out.multiplier_residual <= 1e-8 * (1.0 + np.linalg.norm(out.increment))
 
     def test_resting_contact_multiplier(self):
         sys = half_space_1d()
