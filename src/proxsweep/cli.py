@@ -9,10 +9,11 @@ and a JSON diagnostics summary with the stable schema
      constants: {kappa0, nu_min, T0},
      convergence: [{h, err, order}]}
 
-Settings come from one table, SETTINGS: each config-file key is also a flag
-(jump_tol is file-only), flag values win over file values, and every value is
-parsed from text by the same parser whichever source gave it.  Booleans take
-only 1/true/yes/0/false/no in any case; --verify and --json-only set "true".
+Settings come from one table, SETTINGS: each config-file key is also a flag,
+flag values win over file values, and every value is parsed from text by the
+same parser whichever source gave it; the library's own input rules then
+validate it, so the CLI restates none of them.  Booleans take only
+1/true/yes/0/false/no in any case; --verify and --json-only set "true".
 
 Exit codes: 0 success, 1 configuration error (an unknown key or flag, a value
 that does not parse or fails validation), 2 simulation abort (tube exit or
@@ -30,10 +31,11 @@ import sys as _sys
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, diagnose, error_table, finest_run_reference
-from .errors import ConfigError, ProxsweepError, SimulationAbort
+from .diagnostics import (DiagnosticsReport, compute_constants, diagnose, error_table,
+                          finest_run_reference)
+from .errors import ConfigError, InvalidConstantsError, ProxsweepError, SimulationAbort
 from .geometry import _active_mask, good_direction
-from .integrator import run
+from .integrator import _check_inputs, run
 from .scenarios import Scenario, lookup
 
 CSV_DIGITS = 17
@@ -57,8 +59,8 @@ def _bool(text: str) -> bool:
 _FROM_SCENARIO = object()
 
 # Every run setting: name -> (parser of its text, default, flag help).  Config
-# file keys and flags share these names (--json-only for json_only); a help of
-# None marks a file-only key, and _FROM_SCENARIO takes the scenario's value.
+# file keys and flags share these names (--json-only for json_only), and
+# _FROM_SCENARIO takes the scenario's value.
 SETTINGS = {
     "scenario": (str, "floor", "scenario name (floor, wedge, piston, pocket, free)"),
     "h": (float, _FROM_SCENARIO, "time step"),
@@ -70,7 +72,6 @@ SETTINGS = {
     "out": (str, "run", "output path stem (default: run)"),
     "json_only": (_bool, False, "skip CSV output"),
     "J": (float, 1.0, "horizon constant J (default 1)"),
-    "jump_tol": (float, None, None),
 }
 
 
@@ -96,7 +97,8 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
     """Parse, default and validate the run settings; flag values win over file values.
 
     Both sources give text.  Each value is parsed once by its SETTINGS parser;
-    an unknown key or a value that does not parse is a ConfigError.
+    an unknown key, a value that does not parse, or one the library rejects
+    (integrator._check_inputs, the J rule of compute_constants) is a ConfigError.
     """
     cfg = {}
     for key, text in {**file_values, **flag_values}.items():
@@ -110,27 +112,12 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
     for key, (_, default, _) in SETTINGS.items():
         cfg.setdefault(key, getattr(scn, key) if default is _FROM_SCENARIO else default)
 
-    T = cfg["T"]
-    for h in cfg["sweep"] or [cfg["h"]]:
-        if not h > 0.0:
-            raise ConfigError(f"h must be > 0, got {h}")
-        if not h < T < math.inf:
-            raise ConfigError(f"need T > h and T finite, got T={T}, h={h}")
-    for key in ("J", "jump_tol"):
-        if cfg[key] is not None and not 0.0 <= cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {cfg[key]}")
-    for key in ("q0", "u0"):
-        if len(cfg[key]) != scn.dim:
-            raise ConfigError(f"{key} must have length {scn.dim}, got {len(cfg[key])}")
-        if not np.all(np.isfinite(cfg[key])):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
-    if scn.system.p:
-        g0 = scn.system.values(0.0, cfg["q0"])
-        if np.min(g0) <= 0.0:
-            worst = int(np.argmin(g0))
-            raise ConfigError(
-                f"initial position infeasible: g_{scn.system.constraints[worst].id}"
-                f"(0, q0) = {g0[worst]:.6g} <= 0")
+    try:  # the library's own input rules, checked before any run or file
+        for h in cfg["sweep"] or [cfg["h"]]:
+            _check_inputs(scn.system, cfg["q0"], cfg["u0"], h, cfg["T"])
+        compute_constants(scn.system, None, cfg["u0"], scn.force, J=cfg["J"])
+    except (ValueError, InvalidConstantsError) as exc:
+        raise ConfigError(str(exc)) from exc
     return scn, argparse.Namespace(**cfg)
 
 
@@ -243,8 +230,7 @@ def run_cli(args: argparse.Namespace) -> int:
     trajectories, reports, problems = [], [], []
     for h in cfg.sweep or [cfg.h]:
         traj, contact = run(scn.system, scn.force, cfg.q0, cfg.u0, h, T)
-        report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J,
-                          jump_tol=cfg.jump_tol)
+        report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J)
         stem = f"{cfg.out}_h{h:g}" if cfg.sweep else cfg.out
         if not cfg.json_only:
             write_csv(f"{stem}.csv", scn, traj, contact)
@@ -281,7 +267,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per SETTINGS key with a help text, plus --config; values stay text."""
+    """One flag per SETTINGS key, plus --config; values stay text."""
     parser = _ArgumentParser(
         prog="proxsweep",
         description="Prediction-correction simulator for constrained second-order "
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag = "--" + key.replace("_", "-")
         if parse is _bool:  # a present flag reads as "true"
             parser.add_argument(flag, dest=key, action="store_const", const="true", help=text)
-        elif text is not None:  # no help: a file-only key
+        else:
             parser.add_argument(flag, dest=key, help=text)
     return parser
 

@@ -97,23 +97,18 @@ def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
 
 
 def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
-                   sup_force: float = 0.0,
-                   jump_tol: float | None = None) -> list[tuple[int, int]]:
+                   sup_force: float = 0.0) -> list[tuple[int, int]]:
     """Index windows [a, b] of steps forming one contact-induced jump.
 
     A window is a maximal run of steps that end in contact with a jump
     |u^{n+1} - u^n| above the smooth-forcing level, and that holds at least
     one jump above the seed threshold: an off-grid impact resolves over two
-    consecutive steps and must count as one event.  jump_tol, finite and
-    >= 0, overrides the seed threshold when given.
+    consecutive steps and must count as one event.  Both thresholds are
+    derived from the largest step h and sup_force, each floored at 1e-7.
     """
-    if jump_tol is not None and not 0.0 <= jump_tol < math.inf:
-        raise InvalidConstantsError(f"jump_tol must be finite and >= 0, got {jump_tol}")
     h = float(np.max(np.diff(traj.times))) if traj.nsteps else 0.0
     seed_tol = max(5.0 * h * sup_force, 1e-7)
     extend_tol = max(1.5 * h * sup_force, 1e-7)
-    if jump_tol is not None:
-        seed_tol, extend_tol = jump_tol, min(extend_tol, jump_tol)
     jumps = np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
     ends = traj.positions[1:]
     in_contact = _active_mask(sys.values(traj.times[1:], ends), ends).any(axis=1)
@@ -146,8 +141,7 @@ def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray) -> list[np.
 
 
 def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
-                      sup_force: float = 0.0,
-                      jump_tol: float | None = None) -> list[ImpactEvent]:
+                      sup_force: float = 0.0) -> list[ImpactEvent]:
     """Check u+ = P_V(u-) at every detected jump, plus its variational form.
 
     The variational form <u- - u+, w - u+> <= 0 is sampled at the polyhedron
@@ -155,7 +149,7 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
     empty (infeasible) carry NaN in both.
     """
     events: list[ImpactEvent] = []
-    for a, b in detect_impacts(traj, sys, sup_force, jump_tol=jump_tol):
+    for a, b in detect_impacts(traj, sys, sup_force):
         t_ev = float(traj.times[b + 1])
         q_ev = traj.positions[b + 1]
         u_minus = traj.velocities[a]
@@ -189,7 +183,7 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     A(k) = |u0| + 2 k kappa0 + k * integral of F over [0, T];
     T0 = 1 / (2 (J+1) (2|u0| + 3 sup F + sqrt(sup F))), infinite when the
     denominator vanishes.  Without a certificate (admiss None) only T0 is
-    set.  J must be finite and >= 0.
+    set.  A J that is negative or not finite raises InvalidConstantsError.
     """
     if not 0.0 <= J < math.inf:
         raise InvalidConstantsError(f"J must be finite and >= 0, got {J}")
@@ -269,10 +263,10 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
 
 def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
              force: ForceField, admiss: AdmissibilityEstimate | None = None,
-             J: float = 1.0, jump_tol: float | None = None) -> DiagnosticsReport:
+             J: float = 1.0) -> DiagnosticsReport:
     """Assemble the full report for one finished run."""
     T = float(traj.times[-1])
-    events = verify_impact_law(traj, sys, sup_force=force.sup_F, jump_tol=jump_tol)
+    events = verify_impact_law(traj, sys, sup_force=force.sup_F)
     constants = compute_constants(sys, admiss, traj.velocities[0], force, T=T, J=J)
     return DiagnosticsReport(
         max_feasibility_gap=max_feasibility_gap(traj, sys),

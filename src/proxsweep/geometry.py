@@ -23,9 +23,10 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
 Every polyhedral optimum in the package goes through one least-distance
 kernel, least_distance: min |x| s.t. G x >= h, one certified solve on the
 face of the violated rows (in closed form when that face is one nonzero
-row; a zero row is left to NNLS), else one NNLS problem.  gamma and the good
-direction are both read off its solution for the unit active normals, and
-projection.py builds the point and velocity projections on it.
+row; a zero row is left to NNLS), else one NNLS problem.  The good direction
+is read off its solution for the unit active normals, gamma as 1 / delta of
+that certificate, and projection.py builds the point and velocity
+projections on it.
 
 All operations are pure; a ConstraintSystem is shareable read-only across
 threads.
@@ -143,8 +144,8 @@ class ConstraintSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidConstantsError(f"dim must be >= 1, got {self.dim}")
-        if self.lipschitz_c0 < 0:
-            raise InvalidConstantsError("lipschitz_c0 must be >= 0")
+        if not self.lipschitz_c0 >= 0.0:
+            raise InvalidConstantsError(f"lipschitz_c0 must be >= 0, got {self.lipschitz_c0}")
         # beta divides run()'s start margin, eta is the tube radius of every projection
         if not self.beta > 0.0:
             raise InvalidConstantsError(f"beta must be > 0, got {self.beta}")
@@ -261,9 +262,9 @@ def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> Veloc
 
 def prox_constant(sys: ConstraintSystem) -> float:
     """alpha / hess_bound, capped at DEFAULT_ETA_MAX (the value for M = 0)."""
-    if sys.alpha <= 0.0:
+    if not sys.alpha > 0.0:
         raise InvalidConstantsError(f"alpha must be > 0, got {sys.alpha}")
-    if sys.hess_bound < 0.0:
+    if not sys.hess_bound >= 0.0:
         raise InvalidConstantsError(f"hess_bound must be >= 0, got {sys.hess_bound}")
     if sys.hess_bound == 0.0:
         return DEFAULT_ETA_MAX
@@ -322,52 +323,31 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
     return x, mu
 
 
-def _least_inward(grads: np.ndarray) -> np.ndarray | None:
-    """x* = argmin |x| s.t. <n_i / |n_i|, x> >= 1 over the rows n_i of grads.
-
-    |x*| = 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}; None when a
-    gradient vanishes or no such x exists (0 is in the hull of the unit
-    normals).
-    """
-    norms = np.linalg.norm(grads, axis=1)
-    if np.any(norms <= 0.0):
-        return None
-    try:
-        x, _ = least_distance(grads / norms[:, None], np.ones(len(norms)))
-    except InfeasibleConeError:
-        return None
-    return x
-
-
 def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
                               rho: float = 0.0) -> float:
     """gamma with sum lam_i |n_i| <= gamma |sum lam_i n_i| over near-active i.
 
     Equals 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}, which is the
-    norm of the least-distance point of {x : <n_i/|n_i|, x> >= 1}; returns
-    +inf when the minimum falls below the singularity tolerance (the
-    inequality fails) or an active gradient vanishes (no alpha > 0).
+    norm of the least-distance point of {x : <n_i/|n_i|, x> >= 1}, that is
+    1 / delta of the good-direction certificate; returns +inf where
+    good_direction finds none (delta below the singularity tolerance, or an
+    active gradient vanishes: no alpha > 0).
     """
-    q = np.asarray(q, dtype=float)
-    _, grads = _active_gradients(sys, t, q, rho)
-    if len(grads) <= 1:
-        return 1.0 if np.all(np.linalg.norm(grads, axis=1) > 0.0) else math.inf
-    x = _least_inward(grads)
-    if x is None:
-        return math.inf
-    gamma = float(np.linalg.norm(x))
-    return math.inf if 1.0 / gamma < TOL_SINGULAR else gamma
+    est = good_direction(sys, t, q, rho)
+    return math.inf if est is None else 1.0 / est.delta
 
 
 def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
                    rho: float = 0.0) -> AdmissibilityEstimate | None:
-    """Best uniform-angle certificate (u, delta) at (t, q), or None on failure.
+    """Best uniform-angle certificate (u, delta) at (t, q), or None.
 
     Solves max delta s.t. <u, -n_i> >= delta |n_i| over the near-active
     gradients and Euclidean unit vectors u.  The optimum is u = -x*/|x*| with
     delta = 1/|x*|, where x* is the least-distance point of
     {x : <n_i/|n_i|, x> >= 1}.  delta is recomputed from the returned
-    direction so the certificate is exact by construction.
+    direction so the certificate is exact by construction.  None when an
+    active gradient vanishes, or when no such x exists (0 is in the hull of
+    the unit normals) or delta is below TOL_SINGULAR.
     """
     q = np.asarray(q, dtype=float)
     _, grads = _active_gradients(sys, t, q, rho)
@@ -375,11 +355,15 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
         direction = np.zeros(sys.dim)
         direction[0] = -1.0
         return AdmissibilityEstimate(delta=1.0, direction=direction)
-    x = _least_inward(grads)
-    if x is None:
+    norms = np.linalg.norm(grads, axis=1)
+    if np.any(norms <= 0.0):
+        return None
+    try:
+        x, _ = least_distance(grads / norms[:, None], np.ones(len(norms)))
+    except InfeasibleConeError:
         return None
     direction = -x / np.linalg.norm(x)
-    delta = float(np.min((-grads @ direction) / np.linalg.norm(grads, axis=1)))
+    delta = float(np.min((-grads @ direction) / norms))
     if delta <= TOL_SINGULAR:
         return None
     return AdmissibilityEstimate(delta=delta, direction=direction)

@@ -165,6 +165,30 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
                                 float(res), float(res) <= tol_kkt)
 
 
+def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
+                  T: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rules on a run's inputs, each a ValueError: h > 0, h < T < inf when
+    a horizon T is given, q0 and u0 finite of length sys.dim, g_i(0, q0) > 0
+    for every i.  Returns q0 and u0 as float arrays."""
+    if not h > 0.0:
+        raise ValueError(f"h must be > 0, got {h}")
+    if T is not None and not h < T < math.inf:
+        raise ValueError(f"need T > h and T finite, got T={T}, h={h}")
+    q0, u0 = np.asarray(q0, dtype=float), np.asarray(u0, dtype=float)
+    for name, v in (("q0", q0), ("u0", u0)):
+        if v.shape != (sys.dim,):
+            raise ValueError(f"{name} must have length {sys.dim}, got {v.size}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if sys.p:
+        g0 = sys.values(0.0, q0)
+        worst = int(np.argmin(g0))
+        if g0[worst] <= 0.0:
+            raise ValueError(f"initial position infeasible: g_{sys.constraints[worst].id}"
+                             f"(0, q0) = {g0[worst]:.6g} <= 0")
+    return q0, u0
+
+
 def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
                u0: np.ndarray, h: float) -> SchemeState:
     """Build (q^0, q^1) = (q0, q0 + h u0 + h^2 f^0); q0 must be strictly interior."""
@@ -172,17 +196,9 @@ def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
 
 
 def _initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
-                u0: np.ndarray, h: float) -> tuple[SchemeState, np.ndarray]:
-    q0 = np.asarray(q0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    if h <= 0.0:
-        raise ValueError("step size h must be > 0")
-    if sys.p:
-        g0 = sys.values(0.0, q0)
-        worst = int(np.argmin(g0))
-        if g0[worst] <= 0.0:
-            raise ValueError(f"initial position infeasible: g_{sys.constraints[worst].id}"
-                             f"(0, q0) = {g0[worst]:.6g} <= 0")
+                u0: np.ndarray, h: float, T: float | None = None
+                ) -> tuple[SchemeState, np.ndarray]:
+    q0, u0 = _check_inputs(sys, q0, u0, h, T)
     f0 = field.step_average(0.0, h, q0)
     q1 = q0 + h * u0 + h * h * f0
     if sys.p:
@@ -233,14 +249,12 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
-    Step failures propagate as SimulationAbort carrying the step index and
-    the last valid state.
+    Inputs that break a rule of _check_inputs raise ValueError.  Step
+    failures propagate as SimulationAbort carrying the step index and the
+    last valid state.
     """
-    if not 0.0 < h < T < np.inf:
-        raise ValueError(f"need 0 < h < T < inf, got h={h}, T={T}")
+    state, f0 = _initialize(sys, field, q0, u0, h, T)
     n_full, partial = _grid(h, T)
-
-    state, f0 = _initialize(sys, field, q0, u0, h)
     # row n of each array is written once; step 0 is free flight, with no contact
     N, d = n_full + partial, sys.dim
     times, positions, velocities = np.empty(N + 1), np.empty((N + 1, d)), np.empty((N + 1, d))

@@ -87,12 +87,6 @@ class TestImpactLaw:
                 assert not math.isnan(ev.law_residual)
                 assert ev.law_residual <= bound
 
-    def test_jump_tol_override_suppresses_events(self):
-        scn = lookup("floor")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
-        assert verify_impact_law(traj, scn.system, sup_force=scn.force.sup_F,
-                                 jump_tol=1e9) == []
-
     def test_static_impacts_do_not_speed_up(self):
         for name in ("floor", "wedge", "pocket"):
             scn = lookup(name)
@@ -323,13 +317,11 @@ class TestDetectImpacts:
         windows = detect_impacts(traj, scn.system, sup_force=0.0)
         assert len(windows) == 2
 
-    @pytest.mark.parametrize("sup_force, jump_tol, expected", [
-        (1.0, None, [(0, 1), (7, 9)]),
-        (1.0, 1.0, [(0, 1), (3, 5), (7, 9)]),
-        (1.0, 3.0, [(0, 1), (7, 9)]),
-        (0.0, None, [(0, 1), (3, 5), (7, 9)]),
+    @pytest.mark.parametrize("sup_force, expected", [
+        (1.0, [(0, 1), (7, 9)]),
+        (0.0, [(0, 1), (3, 5), (7, 9)]),
     ])
-    def test_windows_exact(self, sup_force, jump_tol, expected):
+    def test_windows_exact(self, sup_force, expected):
         # h = 1: seed 5 h sup_force, extension 1.5 h sup_force.  Runs of jumps
         # above the extension level in contact: steps 0-1 (from step 0), 3-5
         # (no jump above 5) and 7-9 (to the last step); the jump of 6 at step
@@ -338,17 +330,7 @@ class TestDetectImpacts:
         contact = [1, 1, 0, 1, 1, 1, 0, 1, 1, 1]
         traj = make_traj(range(11), [1] + [1 - c for c in contact],
                          np.cumsum([0] + jumps))
-        assert detect_impacts(traj, lookup("floor").system, sup_force=sup_force,
-                              jump_tol=jump_tol) == expected
-
-
-    @pytest.mark.parametrize("jump_tol", [math.nan, math.inf, -1.0])
-    def test_jump_tol_out_of_range(self, jump_tol):
-        # nan and inf would silently detect no impact at all, -1 every step in contact
-        scn = lookup("floor")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
-        with pytest.raises(InvalidConstantsError, match="jump_tol must be finite and >= 0"):
-            detect_impacts(traj, scn.system, sup_force=10.0, jump_tol=jump_tol)
+        assert detect_impacts(traj, lookup("floor").system, sup_force=sup_force) == expected
 
 
 def forces(*values):

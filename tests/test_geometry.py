@@ -271,6 +271,19 @@ class TestProxConstant:
         with pytest.raises(InvalidConstantsError, match=message):
             make()
 
+    # a NaN alpha or hess_bound used to give eta = nan, which aborted the first
+    # contact step as a tube exit; a NaN lipschitz_c0 gave kappa0 = nan
+    @pytest.mark.parametrize("field, message", [
+        ("alpha", "alpha must be > 0, got nan"),
+        ("hess_bound", "hess_bound must be >= 0, got nan"),
+        ("lipschitz_c0", "lipschitz_c0 must be >= 0, got nan"),
+    ], ids=["alpha", "hess_bound", "lipschitz_c0"])
+    def test_nan_constants_rejected(self, field, message):
+        wall = disc_complement().constraints
+        with pytest.raises(InvalidConstantsError, match=message):
+            ConstraintSystem(**{"dim": 2, "constraints": wall, "alpha": 2.0,
+                                "hess_bound": 2.0, field: math.nan})
+
     def test_disc_rolling_ball(self):
         # external unit balls touching the circle from inside the disc must
         # avoid the admissible set: B(x - x, 1) = B(0, 1) for |x| = 1

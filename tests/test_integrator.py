@@ -75,8 +75,14 @@ class TestInitialize:
             initialize(half_space_1d(), ZERO_FORCE, np.array([0.0]), np.array([1.0]), 0.1)
 
     def test_zero_step_rejected(self):
-        with pytest.raises(ValueError, match="h must be > 0"):
+        with pytest.raises(ValueError, match="h must be > 0, got 0.0"):
             initialize(half_space_1d(), ZERO_FORCE, np.array([1.0]), np.array([0.0]), 0.0)
+
+    def test_short_velocity_rejected(self):
+        # a length-1 u0 used to broadcast to (-2, -2)
+        scn = lookup("wedge")
+        with pytest.raises(ValueError, match="u0 must have length 2, got 1"):
+            initialize(scn.system, scn.force, np.array([1.0, 1.0]), np.array([-2.0]), 0.01)
 
 
 class TestStep:
@@ -344,12 +350,27 @@ class TestRun:
             assert not traj.partial_final_step
             assert traj.nsteps == nsteps
 
-    @pytest.mark.parametrize("h, T", [(2.0, 1.0), (0.0, 1.0), (0.01, math.inf)])
-    def test_h_not_less_than_T_rejected(self, h, T):
+    @pytest.mark.parametrize("h, T, message", [
+        (2.0, 1.0, r"need T > h and T finite, got T=1.0, h=2.0"),
+        (0.0, 1.0, r"h must be > 0, got 0.0"),
+        (0.01, math.inf, r"need T > h and T finite, got T=inf, h=0.01"),
+    ], ids=["2.0-1.0", "0.0-1.0", "0.01-inf"])
+    def test_h_not_less_than_T_rejected(self, h, T, message):
         # h = 0 would divide by zero in the grid, T = inf overflow it
         scn = lookup("free")
-        with pytest.raises(ValueError, match="need 0 < h < T < inf"):
+        with pytest.raises(ValueError, match=message):
             run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+
+    # a NaN q0 used to run to a NaN trajectory with no error
+    @pytest.mark.parametrize("q0, u0, message", [
+        ([math.nan], [-1.0], r"q0 must be finite, got \[nan\]"),
+        ([1.0, 0.0], [-1.0], "q0 must have length 1, got 2"),
+        ([1.0], [math.inf], r"u0 must be finite, got \[inf\]"),
+    ], ids=["q0-nan", "q0-length", "u0-inf"])
+    def test_bad_start_rejected(self, q0, u0, message):
+        scn = lookup("free")
+        with pytest.raises(ValueError, match=message):
+            run(scn.system, scn.force, np.array(q0), np.array(u0), 0.01, 1.0)
 
     def test_margin_flag(self):
         scn = lookup("floor")

@@ -135,7 +135,6 @@ class TestConfigFile:
         pytest.param("h", "abc", False, id="h"),
         pytest.param("T", "abc", False, id="T"),
         pytest.param("J", "abc", False, id="J"),
-        pytest.param("jump_tol", "abc", False, id="jump_tol"),
         pytest.param("h", "abc", True, id="flag-h"),
         pytest.param("T", "x", True, id="flag-T"),
         pytest.param("J", "y", True, id="flag-J"),
@@ -174,15 +173,11 @@ class TestConfigFile:
         ("J=-1", [], "J must be finite and >= 0, got -1.0"),
         ("J=inf", [], "J must be finite and >= 0, got inf"),
         ("", ["--J=-2"], "J must be finite and >= 0, got -2.0"),
-        ("scenario=floor\nsweep=0.02,0.01\nverify=yes\njump_tol=nan", [],
-         "jump_tol must be finite and >= 0, got nan"),
-        ("jump_tol=inf", [], "jump_tol must be finite and >= 0, got inf"),
-        ("jump_tol=-1", [], "jump_tol must be finite and >= 0, got -1.0"),
+        ("jump_tol=0.5", [], "unknown config key 'jump_tol'"),
     ], ids=["unknown-key", "unknown-flag", "missing-flag-value", "bad-float-list",
             "bad-flag-vector", "h-zero", "sweep-h-negative", "T-below-h", "T-infinite",
             "vector-length", "q0-nan", "unknown-scenario", "J-negative", "J-minus-one",
-            "J-infinite", "flag-J-negative", "jump_tol-nan", "jump_tol-inf",
-            "jump_tol-negative"])
+            "J-infinite", "flag-J-negative", "jump_tol-unknown"])
     def test_config_errors_exit_1(self, tmp_path, capsys, lines, flags, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines + "\n")
@@ -196,17 +191,13 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("config error: cannot read config file ")
 
     def test_every_key_from_file_equals_flags(self, tmp_path):
-        # jump_tol has no flag, so the flag run reads it alone from a file
         settings = {"scenario": "wedge", "h": "0.02", "T": "0.6", "q0": "1.5,1.25",
                     "u0": "-2,-3", "sweep": "0.04,0.02", "verify": "yes",
-                    "json_only": "TRUE", "J": "2", "jump_tol": "0.5"}
+                    "json_only": "TRUE", "J": "2"}
         from_file = tmp_path / "all.cfg"
         from_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items())
                              + f"out={tmp_path / 'file'}\n")
-        only_jump_tol = tmp_path / "jump.cfg"
-        only_jump_tol.write_text("jump_tol=0.5\n")
-        flags = ["--config", str(only_jump_tol), "--out", str(tmp_path / "flag"),
-                 "--verify", "--json-only"]
+        flags = ["--out", str(tmp_path / "flag"), "--verify", "--json-only"]
         for key in ("scenario", "h", "T", "q0", "u0", "sweep", "J"):
             flags.append(f"--{key}={settings[key]}")  # "=" lets a value start with "-"
         assert main(["--config", str(from_file)]) == 0
