@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConstantsError
 
@@ -144,6 +143,10 @@ class ConstraintSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidConstantsError(f"dim must be >= 1, got {self.dim}")
+        if not self.alpha > 0.0:
+            raise InvalidConstantsError(f"alpha must be > 0, got {self.alpha}")
+        if not self.hess_bound >= 0.0:
+            raise InvalidConstantsError(f"hess_bound must be >= 0, got {self.hess_bound}")
         if not self.lipschitz_c0 >= 0.0:
             raise InvalidConstantsError(f"lipschitz_c0 must be >= 0, got {self.lipschitz_c0}")
         # beta divides run()'s start margin, eta is the tube radius of every projection
@@ -262,13 +265,15 @@ def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> Veloc
 
 def prox_constant(sys: ConstraintSystem) -> float:
     """alpha / hess_bound, capped at DEFAULT_ETA_MAX (the value for M = 0)."""
-    if not sys.alpha > 0.0:
-        raise InvalidConstantsError(f"alpha must be > 0, got {sys.alpha}")
-    if not sys.hess_bound >= 0.0:
-        raise InvalidConstantsError(f"hess_bound must be >= 0, got {sys.hess_bound}")
     if sys.hess_bound == 0.0:
         return DEFAULT_ETA_MAX
     return min(sys.alpha / sys.hess_bound, DEFAULT_ETA_MAX)
+
+
+def nnls(A, b):
+    """scipy.optimize.nnls, imported on first call: most runs never fall back to it."""
+    from scipy.optimize import nnls as _nnls
+    return _nnls(A, b)
 
 
 def least_distance(rows: np.ndarray, rhs: np.ndarray,
@@ -293,7 +298,8 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
     max|rhs|; when it vanishes the rows admit no x and
     InfeasibleConeError(base_point) is raised.  x is finally re-solved on the
     rows with mu_i > 0 as equalities, so points on affine faces come out
-    exact rather than within roundoff.
+    exact rather than within roundoff.  This step imports SciPy on its first
+    use, so a process whose solves all stay on the face never loads it.
     """
     face = rhs > 0.0
     if face.any():

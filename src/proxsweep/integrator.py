@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InvalidConstantsError, SimulationAbort, StepSizeTooLargeError
-from .geometry import ConstraintSystem, _active_mask
+from .geometry import ConstraintSystem, _active_mask, nnls
 from .projection import project_point
 
 (_N0, _N1, _N2), (_W0, _W1, _W2) = (a.tolist() for a in np.polynomial.legendre.leggauss(3))

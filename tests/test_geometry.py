@@ -242,11 +242,16 @@ class TestProxConstant:
         # a ratio alpha / M above the cap is capped as well
         assert prox_constant(ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9)) == 1e6
 
-    @pytest.mark.parametrize("field, value", [("alpha", -1.0), ("dim", 0),
-                                              ("lipschitz_c0", -1.0), ("hess_bound", -1.0)])
-    def test_invalid_constants(self, field, value):
+    # with an explicit eta, prox_constant never runs: the alpha and
+    # hess_bound checks must not depend on it
+    @pytest.mark.parametrize("field, value, eta", [
+        ("alpha", -1.0, None), ("dim", 0, None), ("lipschitz_c0", -1.0, None),
+        ("hess_bound", -1.0, None), ("alpha", -1.0, 1.0), ("hess_bound", -1.0, 1.0),
+    ], ids=["alpha--1.0", "dim-0", "lipschitz_c0--1.0", "hess_bound--1.0",
+            "alpha--1.0-eta", "hess_bound--1.0-eta"])
+    def test_invalid_constants(self, field, value, eta):
         with pytest.raises(InvalidConstantsError):
-            ConstraintSystem(**{"dim": 1, "constraints": (), field: value})
+            ConstraintSystem(**{"dim": 1, "constraints": (), "eta": eta, field: value})
 
     # beta = 0 used to divide by zero in run()'s margin check and beta < 0 to
     # invert it; eta <= 0 or NaN aborted every contact step as a tube exit;
@@ -273,16 +278,18 @@ class TestProxConstant:
 
     # a NaN alpha or hess_bound used to give eta = nan, which aborted the first
     # contact step as a tube exit; a NaN lipschitz_c0 gave kappa0 = nan
-    @pytest.mark.parametrize("field, message", [
-        ("alpha", "alpha must be > 0, got nan"),
-        ("hess_bound", "hess_bound must be >= 0, got nan"),
-        ("lipschitz_c0", "lipschitz_c0 must be >= 0, got nan"),
-    ], ids=["alpha", "hess_bound", "lipschitz_c0"])
-    def test_nan_constants_rejected(self, field, message):
+    @pytest.mark.parametrize("field, message, eta", [
+        ("alpha", "alpha must be > 0, got nan", None),
+        ("hess_bound", "hess_bound must be >= 0, got nan", None),
+        ("lipschitz_c0", "lipschitz_c0 must be >= 0, got nan", None),
+        ("alpha", "alpha must be > 0, got nan", 1.0),
+        ("hess_bound", "hess_bound must be >= 0, got nan", 1.0),
+    ], ids=["alpha", "hess_bound", "lipschitz_c0", "alpha-eta", "hess_bound-eta"])
+    def test_nan_constants_rejected(self, field, message, eta):
         wall = disc_complement().constraints
         with pytest.raises(InvalidConstantsError, match=message):
             ConstraintSystem(**{"dim": 2, "constraints": wall, "alpha": 2.0,
-                                "hess_bound": 2.0, field: math.nan})
+                                "hess_bound": 2.0, "eta": eta, field: math.nan})
 
     def test_disc_rolling_ball(self):
         # external unit balls touching the circle from inside the disc must

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,10 +178,11 @@ class TestConfigFile:
         ("J=inf", [], "J must be finite and >= 0, got inf"),
         ("", ["--J=-2"], "J must be finite and >= 0, got -2.0"),
         ("jump_tol=0.5", [], "unknown config key 'jump_tol'"),
+        ("verify", [], "run.cfg:1: expected key=value, got 'verify\\n'"),
     ], ids=["unknown-key", "unknown-flag", "missing-flag-value", "bad-float-list",
             "bad-flag-vector", "h-zero", "sweep-h-negative", "T-below-h", "T-infinite",
             "vector-length", "q0-nan", "unknown-scenario", "J-negative", "J-minus-one",
-            "J-infinite", "flag-J-negative", "jump_tol-unknown"])
+            "J-infinite", "flag-J-negative", "jump_tol-unknown", "no-equals"])
     def test_config_errors_exit_1(self, tmp_path, capsys, lines, flags, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines + "\n")
@@ -451,3 +456,40 @@ class TestSweepExecution:
         assert rc == 0
         payload = json.loads((tmp_path / "cfgrun.json").read_text())
         assert payload["h"] == 0.02  # flag wins over file
+
+
+# run in a fresh interpreter: the built-in sweeps, then one least-distance
+# problem whose face solve fails the residual guard and falls back to NNLS
+COLD_START = """
+import json, sys
+import numpy as np
+import proxsweep
+from proxsweep import cli
+from proxsweep.geometry import least_distance
+
+codes = [cli.main(["--scenario", name, "--sweep", sweep, "--T", "1", "--verify",
+                   "--out", f"{sys.argv[1]}/{name}"])
+         for name, sweep in (("floor", "0.02,0.01"), ("wedge", "0.01,0.005"),
+                             ("piston", "0.02,0.01"), ("pocket", "0.02,0.01"))]
+scipy_after_sweeps = "scipy" in sys.modules
+x, _ = least_distance(np.array([[1.0, 0.0], [-1.0, 3e-6]]), np.array([1.0, 1.0]))
+print(json.dumps({"codes": codes, "scipy_after_sweeps": scipy_after_sweeps,
+                  "x": x.tolist(), "optimize_after_fallback": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_nnls(tmp_path):
+    # every projection of the built-in sweeps is a certified face solve, so
+    # SciPy is imported by the first NNLS fallback and not before
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert not result["scipy_after_sweeps"]
+    np.testing.assert_allclose(result["x"], [1.0, 2 / 3e-6], rtol=1e-9)
+    assert result["optimize_after_fallback"]
