@@ -21,12 +21,12 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
   empirically.
 
 Every polyhedral optimum in the package goes through one least-distance
-kernel, least_distance: min |x| s.t. G x >= h, one certified solve on the
-face of the violated rows (in closed form when that face is one nonzero
-row; a zero row is left to NNLS), else one NNLS problem.  The good direction
-is read off its solution for the unit active normals, gamma as 1 / delta of
-that certificate, and projection.py builds the point and velocity
-projections on it.
+kernel, least_distance: min |x| s.t. G x >= h, x = 0 when no row is
+violated, else one certified solve on the face of the violated rows (in
+closed form when that face is one nonzero row; a zero row is left to NNLS),
+else one NNLS problem.  The good direction is read off its solution for the
+unit active normals, gamma as 1 / delta of that certificate, and
+projection.py builds the point and velocity projections on it.
 
 All operations are pure; a ConstraintSystem is shareable read-only across
 threads.
@@ -145,6 +145,8 @@ class ConstraintSystem:
             raise InvalidConstantsError(f"dim must be >= 1, got {self.dim}")
         if not self.alpha > 0.0:
             raise InvalidConstantsError(f"alpha must be > 0, got {self.alpha}")
+        if not self.kappa > 0.0:
+            raise InvalidConstantsError(f"kappa must be > 0, got {self.kappa}")
         if not self.hess_bound >= 0.0:
             raise InvalidConstantsError(f"hess_bound must be >= 0, got {self.hess_bound}")
         if not self.lipschitz_c0 >= 0.0:
@@ -280,7 +282,8 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
                    base_point=None) -> tuple[np.ndarray, np.ndarray]:
     """Least-norm x with rows @ x >= rhs, and its multipliers mu >= 0.
 
-    First the violated rows F = {i : rhs_i > 0} are tried as the optimal
+    With no violated row (rhs <= 0) x = 0 and mu = 0 is the KKT point.
+    Otherwise the violated rows F = {i : rhs_i > 0} are tried as the optimal
     face: (R R^T) y = rhs_F with R = rows[F] gives x = R^T y, and mu = y on
     F, 0 off it.  A face of one row r is solved in closed form, y = rhs_F /
     (r . r); a zero row (r . r = 0) is a singular Gram matrix and falls
@@ -302,19 +305,20 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
     use, so a process whose solves all stay on the face never loads it.
     """
     face = rhs > 0.0
-    if face.any():
-        R = rows[face]
-        with contextlib.suppress(np.linalg.LinAlgError):  # a singular Gram matrix
-            # one row r: y = rhs / (r . r); solve() finds a zero row singular
-            rr = R[0] @ R[0] if len(R) == 1 else 0.0
-            y = rhs[face] / rr if rr > 0.0 else np.linalg.solve(R @ R.T, rhs[face])
-            x = y @ R
-            r = rows @ x - rhs
-            if (y > 0.0).all() and np.where(face, abs(r) <= 1e-12 * rhs, r >= 0.0).all():
-                mu = np.zeros(len(rhs))
-                mu[face] = y
-                return x, mu
     d = rows.shape[1]
+    if not face.any():  # x = 0 is feasible; NNLS aborts the process on zero rows
+        return np.zeros(d), np.zeros(len(rhs))
+    R = rows[face]
+    with contextlib.suppress(np.linalg.LinAlgError):  # a singular Gram matrix
+        # one row r: y = rhs / (r . r); solve() finds a zero row singular
+        rr = R[0] @ R[0] if len(R) == 1 else 0.0
+        y = rhs[face] / rr if rr > 0.0 else np.linalg.solve(R @ R.T, rhs[face])
+        x = y @ R
+        r = rows @ x - rhs
+        if (y > 0.0).all() and np.where(face, abs(r) <= 1e-12 * rhs, r >= 0.0).all():
+            mu = np.zeros(len(rhs))
+            mu[face] = y
+            return x, mu
     scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
     lhs = np.vstack([rows.T, rhs / scale])
     target = np.zeros(d + 1)

@@ -20,6 +20,13 @@ is an exact proximal normal at q^{n+1}: h dk^n is the displacement the
 projection removed, so its Kuhn-Tucker multipliers are the projection's own
 divided by h.  extract_multipliers recovers them independently, by
 nonnegative least squares on the active gradients.
+
+A resting particle repeats its step.  On a still set (no callable
+constraint, every affine rate 0) C(t) and its gradients do not depend on t,
+so step() depends on t only through f^n.  Once a computed step returns its
+input (q^n, u^n) bit for bit, run() copies its outcome into each next step
+of the same h whose f^n is bit-equal, instead of calling step() again; the
+arrays are those of a chain of step() calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -248,6 +255,12 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
+    Each step is one step() call, except a resting step on a still set: when
+    the set has no callable constraint and no affine rate, the last computed
+    step returned its input (q^n, u^n) bit for bit, h_n is unchanged and f^n,
+    averaged at the new step's times, is bit-equal to that step's, its
+    outcome is copied and only t advances, by t^n + h_n as in step().
+
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
     last valid state.
@@ -261,10 +274,21 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     force_averages = np.empty((N, d))
     times[:2], force_averages[0] = (0.0, h), f0
     positions[:2], velocities[:2] = (q0, state.q_curr), (u0, state.u_curr)
+    # rest: (h_n, f^n bytes, outcome) of the last computed step on a still set
+    # that returned its input (q^n, u^n) bit for bit
+    still, rest = not sys._pointwise and not sys._block[2].any(), None
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
     for n, h_n in enumerate([h] * (n_full - 1) + ([T - n_full * h] if partial else []), 1):
-        out = step(state, sys, field, h_n)
-        state = out.state
+        t_next = state.t_n + h_n
+        if rest and rest[0] == h_n and rest[1] == field.step_average(
+                state.t_n, t_next, state.q_curr).tobytes():
+            out, state = rest[2], SchemeState(state.n + 1, t_next, state.q_curr, state.u_curr)
+        else:
+            out = step(state, sys, field, h_n)
+            returned = (out.state.q_curr.tobytes(), out.state.u_curr.tobytes()) == (
+                state.q_curr.tobytes(), state.u_curr.tobytes())
+            rest = (h_n, out.force_average.tobytes(), out) if still and returned else None
+            state = out.state
         times[n + 1], positions[n + 1], velocities[n + 1] = state.t_n, state.q_curr, state.u_curr
         increments[n], multipliers[n], residuals[n], force_averages[n] = (
             out.increment, out.multipliers, out.multiplier_residual, out.force_average)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,16 @@ import pytest
 from proxsweep import ConstraintFunction, ConstraintSystem, registry
 
 H_SWEEP = [0.04, 0.02, 0.01, 0.005]
+
+
+def run_child(code: str, *args: str, timeout: float = 300) -> subprocess.CompletedProcess:
+    """python -c code args in a fresh interpreter that imports proxsweep from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

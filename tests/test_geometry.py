@@ -247,8 +247,9 @@ class TestProxConstant:
     @pytest.mark.parametrize("field, value, eta", [
         ("alpha", -1.0, None), ("dim", 0, None), ("lipschitz_c0", -1.0, None),
         ("hess_bound", -1.0, None), ("alpha", -1.0, 1.0), ("hess_bound", -1.0, 1.0),
+        ("kappa", 0.0, None), ("kappa", -1.0, 1.0),
     ], ids=["alpha--1.0", "dim-0", "lipschitz_c0--1.0", "hess_bound--1.0",
-            "alpha--1.0-eta", "hess_bound--1.0-eta"])
+            "alpha--1.0-eta", "hess_bound--1.0-eta", "kappa-0.0", "kappa--1.0-eta"])
     def test_invalid_constants(self, field, value, eta):
         with pytest.raises(InvalidConstantsError):
             ConstraintSystem(**{"dim": 1, "constraints": (), "eta": eta, field: value})
@@ -284,7 +285,8 @@ class TestProxConstant:
         ("lipschitz_c0", "lipschitz_c0 must be >= 0, got nan", None),
         ("alpha", "alpha must be > 0, got nan", 1.0),
         ("hess_bound", "hess_bound must be >= 0, got nan", 1.0),
-    ], ids=["alpha", "hess_bound", "lipschitz_c0", "alpha-eta", "hess_bound-eta"])
+        ("kappa", "kappa must be > 0, got nan", None),
+    ], ids=["alpha", "hess_bound", "lipschitz_c0", "alpha-eta", "hess_bound-eta", "kappa"])
     def test_nan_constants_rejected(self, field, message, eta):
         wall = disc_complement().constraints
         with pytest.raises(InvalidConstantsError, match=message):

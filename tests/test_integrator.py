@@ -7,7 +7,8 @@ import pytest
 from proxsweep import (ForceField, SimulationAbort, StepSizeTooLargeError,
                        ZERO_FORCE, active_set, extract_multipliers, initialize,
                        geometry, integrator, projection, run, step)
-from proxsweep.geometry import least_distance
+from proxsweep.geometry import (ConstraintFunction, ConstraintSystem, affine_constraint,
+                                least_distance)
 from proxsweep.integrator import SchemeState
 from proxsweep.scenarios import lookup
 
@@ -305,9 +306,10 @@ class TestRun:
         np.testing.assert_array_equal(contact.residuals[:impact],
                                       [np.linalg.norm(inc) for inc in free_fall])
 
-    @pytest.mark.parametrize("name, solves", [("floor", 1501), ("pocket", 1505)])
+    @pytest.mark.parametrize("name, solves", [("floor", 3), ("pocket", 1505)])
     def test_kernel_solves_per_run(self, name, solves, monkeypatch):
-        # an affine contact step is one least-distance solve; the pocket's
+        # an affine contact step is one least-distance solve, and the floor's
+        # resting steps reuse the first that returned its input; the pocket's
         # callable wall keeps the solve that confirms the iterate stopped
         calls = []
 
@@ -320,7 +322,7 @@ class TestRun:
         _, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.001, scn.T)
         assert len(calls) == solves
         if name == "floor":
-            assert solves == np.count_nonzero(contact.multipliers.any(axis=1))
+            assert np.count_nonzero(contact.multipliers.any(axis=1)) == 1501
 
     def test_momentum_balance(self):
         from proxsweep import momentum_residual
@@ -420,12 +422,7 @@ class TestRunLoop:
                 np.array(increments), np.reshape(multipliers, (len(multipliers), sys.p)),
                 np.array(residuals), np.array(force_averages))
 
-    @pytest.mark.parametrize("name, h, T", CASES)
-    def test_run_matches_chained_steps(self, name, h, T):
-        scn = lookup(name)
-        T = scn.T if T is None else T
-        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
-        assert traj.partial_final_step == (name == "free")
+    def assert_matches_by_hand(self, traj, contact, scn, h, T):
         got = (traj.times, traj.positions, traj.velocities, contact.increments,
                contact.multipliers, contact.residuals, contact.force_averages)
         for array, expected in zip(got, self.by_hand(scn, h, T)):
@@ -433,9 +430,46 @@ class TestRunLoop:
             np.testing.assert_array_equal(array, expected)
 
     @pytest.mark.parametrize("name, h, T", CASES)
-    def test_one_step_call_per_step(self, name, h, T, monkeypatch):
-        # run() calls step() through the module name once per step after the
-        # first, which initialize takes; the traced per-step metrics rely on it
+    def test_run_matches_chained_steps(self, name, h, T):
+        scn = lookup(name)
+        T = scn.T if T is None else T
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+        assert traj.partial_final_step == (name == "free")
+        self.assert_matches_by_hand(traj, contact, scn, h, T)
+
+    @staticmethod
+    def approaching_wall(kind):
+        """A particle at rest at q = 1 under no force, met at t = 0.5 by the
+        wall q >= 0.5 + t, affine or per-point."""
+        if kind == "affine":
+            wall = affine_constraint(1, [1.0], offset=-0.5, rate=-1.0)
+        else:
+            wall = ConstraintFunction(1, lambda t, q: float(q[0]) - 0.5 - t,
+                                      lambda t, q: np.array([1.0]), lambda t, q: -1.0)
+        return dataclasses.replace(lookup("piston"), system=ConstraintSystem(1, (wall,)),
+                                   q0=np.array([1.0]), u0=np.array([0.0]))
+
+    # each case breaks one condition of run()'s reuse of a resting step after
+    # the rest began: the set moves (by an affine rate or a callable), f^n
+    # changes, or the step size does
+    @pytest.mark.parametrize("case", ["affine-wall", "callable-wall", "lift-off",
+                                      "partial-final-step"])
+    def test_resting_steps_match_chained_steps(self, case):
+        h, T = 0.01, 1.0
+        if case.endswith("wall"):
+            scn, end = self.approaching_wall(case.split("-")[0]), 1.5
+        elif case == "lift-off":
+            push = ForceField(f=lambda t, q: np.array([-10.0 if t < 1.0 else 10.0]),
+                              bound_F=lambda t: 10.0, sup_F=10.0)
+            scn, T, end = dataclasses.replace(lookup("floor"), force=push), 2.0, 5.0
+        else:
+            scn, T, end = lookup("floor"), 2.005, 0.0
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+        assert traj.positions[-1, 0] == pytest.approx(end, abs=0.05)
+        self.assert_matches_by_hand(traj, contact, scn, h, T)
+
+    @staticmethod
+    def count_step_calls(monkeypatch):
         calls = []
 
         def counted(*args):
@@ -443,9 +477,28 @@ class TestRunLoop:
             return step(*args)
 
         monkeypatch.setattr(integrator, "step", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, h, T", [("piston", 0.01, None), ("pocket", 0.01, None),
+                                            ("free", 0.01, 0.205)])
+    def test_one_step_call_per_step(self, name, h, T, monkeypatch):
+        # run() calls step() through the module name once per step after the
+        # first, which initialize takes, when the set moves (piston), has a
+        # callable constraint (pocket) or the state never rests (free)
+        calls = self.count_step_calls(monkeypatch)
         scn = lookup(name)
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T if T is None else T)
         assert len(calls) == traj.nsteps - 1
+
+    @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 501), ("wedge", 0.00025, 2002)])
+    def test_resting_steps_reused(self, name, h, calls, monkeypatch):
+        # on a still set, the steps after the first that returned its input
+        # copy its outcome; the floor rests from t = 0.5 of 2, the wedge's
+        # corner from t = 0.5 of 1
+        counted = self.count_step_calls(monkeypatch)
+        scn = lookup(name)
+        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
+        assert (traj.nsteps, len(counted)) == (round(scn.T / h), calls)
 
 
 class TestSweepBoundedness:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -14,7 +15,7 @@ from proxsweep.geometry import least_distance
 from proxsweep.projection import MAX_ITER
 from proxsweep.scenarios import lookup
 
-from conftest import disc_complement, half_space_1d, sample_boundary
+from conftest import disc_complement, half_space_1d, run_child, sample_boundary
 from oracles import enumerate_qp, grid_project
 
 
@@ -235,10 +236,30 @@ class TestLeastDistance:
         np.testing.assert_allclose(rows.T @ mu, x, atol=1e-15)
 
     @pytest.mark.parametrize("rhs", [-1.0, 0.0])
-    def test_origin_already_feasible(self, rhs):
+    def test_origin_already_feasible(self, rhs, monkeypatch):
+        calls = self.counted_nnls(monkeypatch)
         x, mu = least_distance(np.array([[1.0, 1.0]]), np.array([rhs]))
         np.testing.assert_array_equal(x, [0.0, 0.0])
         np.testing.assert_array_equal(mu, [0.0])
+        assert calls == []
+
+    # in a child interpreter, since SciPy's NNLS on the (3, 0) matrix of no
+    # rows used to abort the process with a double free
+    NO_VIOLATED_ROW = """
+import json, sys
+import numpy as np
+from proxsweep.geometry import least_distance
+print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (-1, 2)),
+                                                           np.array(rhs, dtype=float))]
+                          for rows, rhs in (([], []), ([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0]))],
+                  "optimize_loaded": "scipy.optimize" in sys.modules}))
+"""
+
+    def test_no_violated_row_needs_no_nnls(self):
+        done = run_child(self.NO_VIOLATED_ROW, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"out": [[[0.0, 0.0], []], [[0.0, 0.0], [0.0, 0.0]]],
+                                           "optimize_loaded": False}
 
     def test_infeasible_carries_base_point(self):
         base = (0.5, np.zeros(1))
@@ -299,8 +320,6 @@ class TestLeastDistance:
         "off-face-row-broken": ([[1.0, 0.0], [-1.0, 1.0]], [1.0, 0.0]),
         # nearly opposed rows: y > 0, but R x misses rhs by 2e-5 relative
         "residual-guard": ([[1.0, 0.0], [-1.0, 3e-6]], [1.0, 1.0]),
-        # the origin is feasible: no face to guess
-        "no-violated-row": ([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0]),
     }
 
     @pytest.mark.parametrize("case", sorted(FALLBACKS))

@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +9,7 @@ from proxsweep import ConfigError, active_set, cli, diagnose, diagnostics, run
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
+from conftest import run_child
 from oracles import analytic_reference
 
 
@@ -481,12 +478,7 @@ print(json.dumps({"codes": codes, "scipy_after_sweeps": scipy_after_sweeps,
 def test_cold_start_loads_scipy_only_for_nnls(tmp_path):
     # every projection of the built-in sweeps is a certified face solve, so
     # SciPy is imported by the first NNLS fallback and not before
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    done = run_child(COLD_START, str(tmp_path))
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
