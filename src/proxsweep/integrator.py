@@ -10,9 +10,10 @@ with inelastic impacts.  The scheme advances a position pair:
     q^{n+1} = P_{C(t^{n+1})} [ q^n + h u^n + h^2 f^n ],
 
 where f^n is the time average of f(s, q^n) over the step (3-point
-Gauss-Legendre) and u^n = (q^n - q^{n-1}) / h.  For uniform h the predictor
-equals 2 q^n - q^{n-1} + h^2 f^n.  Velocities are piecewise constant,
-positions piecewise linear.  Per step the contact increment
+Gauss-Legendre; a constant force is averaged once, when its ForceField is
+built, to the same bits) and u^n = (q^n - q^{n-1}) / h.  For uniform h the
+predictor equals 2 q^n - q^{n-1} + h^2 f^n.  Velocities are piecewise
+constant, positions piecewise linear.  Per step the contact increment
 
     dk^n = u^n + h f^n - u^{n+1}
 
@@ -49,23 +50,41 @@ _BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
 class ForceField:
     """External force f(t, q) with its envelope.
 
+    f is a callable f(t, q), or a constant c: an array, or a float taken in
+    every coordinate of q.  A constant must be finite with sup_F >= |c| (to
+    roundoff); its step average is computed once, by step_average's own
+    expression, so it is bit-equal to a callable's and no call is made.
+
     bound_F(t) >= |f(t, q)| for feasible q; sup_F is its sup norm, used by
     the local-horizon formulas.
     """
 
-    f: Callable[[float, np.ndarray], np.ndarray]
+    f: Callable[[float, np.ndarray], np.ndarray] | np.ndarray | float
     bound_F: Callable[[float], float] = lambda t: 0.0
     sup_F: float = 0.0
+    _average = None  # not a field: a constant's step average, set by __post_init__
 
     def __post_init__(self):
         if not self.sup_F >= 0.0:
             raise InvalidConstantsError(f"sup_F must be >= 0, got {self.sup_F}")
+        if not callable(self.f):
+            c = np.asarray(self.f, dtype=float)
+            # to 1e-12 relative: sup_F = g sqrt(n) can sit an ulp below |c|
+            if not (np.all(np.isfinite(c)) and np.linalg.norm(c) <= self.sup_F * (1 + 1e-12)):
+                raise InvalidConstantsError(f"a constant force needs finite entries and "
+                                            f"sup_F >= |f|, got f = {c}, sup_F = {self.sup_F}")
+            object.__setattr__(self, "_average", 0.5 * (0 + _W0 * c + _W1 * c + _W2 * c))
 
     def __call__(self, t: float, q: np.ndarray) -> np.ndarray:
+        if not callable(self.f):
+            return np.array(np.broadcast_to(self.f, np.shape(q)), dtype=float)
         return np.asarray(self.f(t, q), dtype=float)
 
     def step_average(self, t0: float, t1: float, q: np.ndarray) -> np.ndarray:
         """(1/h) integral of f(s, q) ds over [t0, t1], 3-point Gauss-Legendre."""
+        avg = self._average
+        if avg is not None:  # a constant: its stored average, in q's shape for a float
+            return np.full(np.shape(q), avg) if avg.ndim == 0 else avg.copy()
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         # sum() unrolled: the leading 0 + turns -0.0 into 0.0 as sum() does
         return 0.5 * (0 + _W0 * self(mid + half * _N0, q) + _W1 * self(mid + half * _N1, q)
@@ -78,7 +97,7 @@ class ForceField:
                                 for x, w in zip(_BOUND_NODES, _BOUND_WEIGHTS)))
 
 
-ZERO_FORCE = ForceField(f=lambda t, q: np.zeros(np.shape(q)))
+ZERO_FORCE = ForceField(f=0.0)
 
 
 @dataclass(frozen=True)
@@ -222,11 +241,14 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     f_avg = field.step_average(state.t_n, t_next, state.q_curr)
     predicted = state.q_curr + h * state.u_curr + h * h * f_avg
     proj = project_point(sys, t_next, predicted)
-    if not proj.converged:
-        raise SimulationAbort(state.n, state, "projection did not converge: " + proj.diagnostic)
-    if not proj.certified:
-        raise SimulationAbort(state.n, state, "left prox-regular tube (distance "
-                              f"{proj.distance:.6g} >= eta {sys.eta:.6g})")
+    if not (proj.converged and proj.certified):
+        if not np.all(np.isfinite(predicted)):
+            reason = f"prediction is not finite: {predicted} (f^n = {f_avg})"
+        elif not proj.converged:
+            reason = "projection did not converge: " + proj.diagnostic
+        else:
+            reason = f"left prox-regular tube (distance {proj.distance:.6g} >= eta {sys.eta:.6g})"
+        raise SimulationAbort(state.n, state, reason)
     q_next = proj.point
     u_next = (q_next - state.q_curr) / h
     increment = state.u_curr + h * f_avg - u_next

@@ -46,7 +46,7 @@ class Scenario:
 def _gravity_force(g: float, dim: int) -> ForceField:
     pull = np.zeros(dim)
     pull[-1] = -g
-    return ForceField(f=lambda t, q: pull.copy(), bound_F=lambda t: g, sup_F=g)
+    return ForceField(f=pull, bound_F=lambda t: g, sup_F=g)
 
 
 def _wall_reference(g, c, v):

@@ -272,10 +272,26 @@ class TestProxConstant:
                      "sup_F must be >= 0, got -1.0", id="sup_F=-1"),
         pytest.param(lambda: ForceField(f=lambda t, q: q, sup_F=math.nan),
                      "sup_F must be >= 0, got nan", id="sup_F=nan"),
+        # a constant force is checked once, when built: a non-finite entry, or
+        # an envelope below its norm that would feed T0 and A(k)
+        pytest.param(lambda: ForceField(f=np.array([0.0, math.nan]), sup_F=10.0),
+                     r"got f = \[ 0. nan\], sup_F = 10.0", id="constant-nan"),
+        pytest.param(lambda: ForceField(f=math.inf, sup_F=10.0),
+                     r"got f = inf, sup_F = 10.0", id="constant-inf"),
+        pytest.param(lambda: ForceField(f=np.array([-10.0])),
+                     r"sup_F >= \|f\|, got f = \[-10.\], sup_F = 0.0", id="constant-sup_F=0"),
+        pytest.param(lambda: ForceField(f=np.array([6.0, -8.0]), sup_F=9.0),
+                     r"got f = \[ 6. -8.\], sup_F = 9.0", id="constant-sup_F-below-norm"),
     ])
     def test_constants_rejected_at_construction(self, make, message):
         with pytest.raises(InvalidConstantsError, match=message):
             make()
+
+    def test_constant_force_at_its_envelope_accepted(self):
+        # 10 sqrt(3) rounds one ulp below the computed norm of three discs' gravity
+        pull = np.tile([0.0, -10.0], 3)
+        assert 10.0 * math.sqrt(3) < np.linalg.norm(pull)
+        ForceField(f=pull, sup_F=10.0 * math.sqrt(3))
 
     # a NaN alpha or hess_bound used to give eta = nan, which aborted the first
     # contact step as a tube exit; a NaN lipschitz_c0 gave kappa0 = nan

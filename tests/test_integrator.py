@@ -39,6 +39,14 @@ class TestForceField:
         assert f.dtype == np.float64 and f.shape == (2,)
         np.testing.assert_array_equal(f, [0.0, 0.0])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_force_average_follows_q(self, d):
+        # ZERO_FORCE is the constant 0.0: its stored average takes q's shape
+        avg = ZERO_FORCE.step_average(0.0, 0.1, np.ones(d))
+        assert avg.dtype == np.float64 and avg.shape == (d,)
+        np.testing.assert_array_equal(avg, np.zeros(d))
+        assert not np.signbit(avg).any()
+
     def test_step_average_exact_for_linear_t(self):
         field = ForceField(f=lambda t, q: np.array([2.0 * t + 1.0]),
                            bound_F=lambda t: abs(2.0 * t + 1.0), sup_F=3.0)
@@ -133,6 +141,20 @@ class TestStep:
             step(st, sys, ZERO_FORCE, 0.1)
         assert "did not converge" in err.value.reason
         assert err.value.step_index == 4
+
+    # a NaN force used to abort the floor as a tube exit at distance nan, and
+    # the pocket, whose wall is a callable, as a projection that did not
+    # converge after 50 solves; NaN, not inf, which would raise a
+    # RuntimeWarning in the prediction
+    @pytest.mark.parametrize("name, nans", [("floor", "[nan]"), ("pocket", "[nan nan]")])
+    def test_non_finite_prediction_aborts(self, name, nans):
+        scn = lookup(name)
+        field = dataclasses.replace(scn.force, f=lambda t, q: scn.force(t, q) if t < 0.5
+                                    else np.full(scn.dim, math.nan))
+        with pytest.raises(SimulationAbort) as err:
+            run(scn.system, field, scn.q0, scn.u0, 0.01, scn.T)
+        assert err.value.step_index == 50 and err.value.state.t_n == pytest.approx(0.5)
+        assert err.value.reason == f"prediction is not finite: {nans} (f^n = {nans})"
 
 
 class TestExtractMultipliers:
@@ -290,6 +312,16 @@ class TestRun:
         assert len(calls) == 6  # three Gauss nodes for each of the two steps
         np.testing.assert_array_equal(contact.force_averages, np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket", "free"])
+    def test_constant_force_is_never_called(self, name, monkeypatch):
+        # every scenario's force is a constant, averaged once when it was built
+        def called(self, t, q):
+            raise AssertionError(f"force called at t = {t}")
+
+        monkeypatch.setattr(ForceField, "__call__", called)
+        scn = lookup(name)
+        run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
+
     def test_feasible_steps_evaluate_no_gradient(self):
         # a feasible prediction has every multiplier 0 and residual |increment|,
         # so the pocket's free fall makes no gradient call before impact
@@ -422,10 +454,13 @@ class TestRunLoop:
                 np.array(increments), np.reshape(multipliers, (len(multipliers), sys.p)),
                 np.array(residuals), np.array(force_averages))
 
+    @staticmethod
+    def arrays(traj, contact):
+        return (traj.times, traj.positions, traj.velocities, contact.increments,
+                contact.multipliers, contact.residuals, contact.force_averages)
+
     def assert_matches_by_hand(self, traj, contact, scn, h, T):
-        got = (traj.times, traj.positions, traj.velocities, contact.increments,
-               contact.multipliers, contact.residuals, contact.force_averages)
-        for array, expected in zip(got, self.by_hand(scn, h, T)):
+        for array, expected in zip(self.arrays(traj, contact), self.by_hand(scn, h, T)):
             assert array.shape == expected.shape
             np.testing.assert_array_equal(array, expected)
 
@@ -436,6 +471,22 @@ class TestRunLoop:
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
         assert traj.partial_final_step == (name == "free")
         self.assert_matches_by_hand(traj, contact, scn, h, T)
+
+    # the stored average of a constant is the bits a callable returning it
+    # gives at every step; golden_runs.json pins neither force_averages nor
+    # residuals
+    @pytest.mark.parametrize("name, h, T", CASES + [("piston", 0.01, None)])
+    def test_constant_force_matches_callable(self, name, h, T):
+        scn = lookup(name)
+        T = scn.T if T is None else T
+        c = scn.force(0.0, scn.q0)
+        callable_force = ForceField(f=lambda t, q: c.copy(), bound_F=scn.force.bound_F,
+                                    sup_F=scn.force.sup_F)
+        runs = [run(scn.system, force, scn.q0, scn.u0, h, T)
+                for force in (scn.force, callable_force)]
+        assert runs[0][0].partial_final_step == (name == "free")
+        for a, b in zip(*(self.arrays(*r) for r in runs)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @staticmethod
     def approaching_wall(kind):
