@@ -44,9 +44,6 @@ import numpy as np
 
 from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConstantsError
 
-# cap on eta, and its value for affine systems (M = 0: a convex half-space, eta = inf)
-DEFAULT_ETA_MAX = 1.0e6
-
 # below this, reverse-triangle / admissibility optima count as failures
 TOL_SINGULAR = 1.0e-6
 
@@ -122,8 +119,8 @@ class ConstraintSystem:
     alpha, beta bound the gradient norms near the boundary, hess_bound the
     spatial Hessians, kappa is the neighborhood width on which those bounds
     are asserted, lipschitz_c0 the Lipschitz constant of t -> C(t) in
-    Hausdorff distance.  eta defaults to alpha / hess_bound (capped at
-    DEFAULT_ETA_MAX) and may be overridden per scenario.
+    Hausdorff distance.  eta defaults to alpha / hess_bound (inf for a convex
+    set, M = 0) and may be overridden per scenario.
 
     values(t, q) maps a point q (d,) to (p,), and points q (m, d) at a time t
     or at times t (m,) to (m, p); gradients (p, d) and dts (p,) take a point.
@@ -266,10 +263,8 @@ def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> Veloc
 
 
 def prox_constant(sys: ConstraintSystem) -> float:
-    """alpha / hess_bound, capped at DEFAULT_ETA_MAX (the value for M = 0)."""
-    if sys.hess_bound == 0.0:
-        return DEFAULT_ETA_MAX
-    return min(sys.alpha / sys.hess_bound, DEFAULT_ETA_MAX)
+    """alpha / hess_bound, inf when hess_bound is 0 (a convex set)."""
+    return math.inf if sys.hess_bound == 0.0 else sys.alpha / sys.hess_bound
 
 
 def nnls(A, b):

@@ -23,11 +23,11 @@ divided by h.  extract_multipliers recovers them independently, by
 nonnegative least squares on the active gradients.
 
 A resting particle repeats its step.  On a still set (no callable
-constraint, every affine rate 0) C(t) and its gradients do not depend on t,
-so step() depends on t only through f^n.  Once a computed step returns its
-input (q^n, u^n) bit for bit, run() copies its outcome into each next step
-of the same h whose f^n is bit-equal, instead of calling step() again; the
-arrays are those of a chain of step() calls, bit for bit.
+constraint, every affine rate 0) under a constant force, step() does not
+depend on t at all, so run() decides once per run that steps repeat: once a
+computed step returns its input (q^n, u^n) bit for bit, its outcome is
+copied into each next step of the same h instead of calling step() again.
+The arrays are those of a chain of step() calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ _BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
 class ForceField:
     """External force f(t, q) with its envelope.
 
-    f is a callable f(t, q), or a constant c: an array, or a float taken in
-    every coordinate of q.  A constant must be finite with sup_F >= |c| (to
-    roundoff); its step average is computed once, by step_average's own
-    expression, so it is bit-equal to a callable's and no call is made.
+    f is a callable f(t, q), or a constant c: an array, or the float 0.0
+    taken in every coordinate of q.  A constant must be finite with
+    bound_F(0) >= |c| and sup_F >= |c| (to roundoff); its step average is
+    computed once, by step_average's own expression, so it is bit-equal to a
+    callable's and no call is made.
 
     bound_F(t) >= |f(t, q)| for feasible q; sup_F is its sup norm, used by
     the local-horizon formulas.
@@ -68,11 +69,14 @@ class ForceField:
         if not self.sup_F >= 0.0:
             raise InvalidConstantsError(f"sup_F must be >= 0, got {self.sup_F}")
         if not callable(self.f):
-            c = np.asarray(self.f, dtype=float)
-            # to 1e-12 relative: sup_F = g sqrt(n) can sit an ulp below |c|
-            if not (np.all(np.isfinite(c)) and np.linalg.norm(c) <= self.sup_F * (1 + 1e-12)):
-                raise InvalidConstantsError(f"a constant force needs finite entries and "
-                                            f"sup_F >= |f|, got f = {c}, sup_F = {self.sup_F}")
+            c, bound = np.asarray(self.f, dtype=float), self.bound_F(0.0)
+            # a float is taken in all d coordinates of q, so only 0.0 has a known
+            # norm; to 1e-12 relative, as sup_F = g sqrt(n) can sit an ulp below |c|
+            if not (np.all(np.isfinite(c)) and (c.ndim or c == 0.0)
+                    and np.linalg.norm(c) <= min(bound, self.sup_F) * (1 + 1e-12)):
+                raise InvalidConstantsError(
+                    f"a constant force needs finite entries, an array unless 0.0, and bound_F(0), "
+                    f"sup_F >= |f|, got f = {c}, sup_F = {self.sup_F}, bound_F(0) = {bound}")
             object.__setattr__(self, "_average", 0.5 * (0 + _W0 * c + _W1 * c + _W2 * c))
 
     def __call__(self, t: float, q: np.ndarray) -> np.ndarray:
@@ -277,11 +281,11 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
-    Each step is one step() call, except a resting step on a still set: when
-    the set has no callable constraint and no affine rate, the last computed
-    step returned its input (q^n, u^n) bit for bit, h_n is unchanged and f^n,
-    averaged at the new step's times, is bit-equal to that step's, its
-    outcome is copied and only t advances, by t^n + h_n as in step().
+    Each step is one step() call, except a resting step of a run whose
+    steps repeat: a still set (no callable constraint, every affine rate 0)
+    under a constant force.  There, once a computed step returns its input
+    (q^n, u^n) bit for bit, each next step of the same h_n copies its outcome
+    and only t advances, by t^n + h_n as in step().
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
@@ -296,21 +300,19 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     force_averages = np.empty((N, d))
     times[:2], force_averages[0] = (0.0, h), f0
     positions[:2], velocities[:2] = (q0, state.q_curr), (u0, state.u_curr)
-    # rest: (h_n, f^n bytes, outcome) of the last computed step on a still set
-    # that returned its input (q^n, u^n) bit for bit
-    still, rest = not sys._pointwise and not sys._block[2].any(), None
+    # rest: (h_n, outcome) of the last computed step that returned its input,
+    # kept only when steps repeat
+    repeats, rest = not callable(field.f) and not sys._pointwise and not sys._block[2].any(), None
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
     for n, h_n in enumerate([h] * (n_full - 1) + ([T - n_full * h] if partial else []), 1):
-        t_next = state.t_n + h_n
-        if rest and rest[0] == h_n and rest[1] == field.step_average(
-                state.t_n, t_next, state.q_curr).tobytes():
-            out, state = rest[2], SchemeState(state.n + 1, t_next, state.q_curr, state.u_curr)
+        if rest and rest[0] == h_n:
+            out, state = rest[1], SchemeState(state.n + 1, state.t_n + h_n, state.q_curr,
+                                              state.u_curr)
         else:
             out = step(state, sys, field, h_n)
-            returned = (out.state.q_curr.tobytes(), out.state.u_curr.tobytes()) == (
+            returned = repeats and (out.state.q_curr.tobytes(), out.state.u_curr.tobytes()) == (
                 state.q_curr.tobytes(), state.u_curr.tobytes())
-            rest = (h_n, out.force_average.tobytes(), out) if still and returned else None
-            state = out.state
+            rest, state = (h_n, out) if returned else None, out.state
         times[n + 1], positions[n + 1], velocities[n + 1] = state.t_n, state.q_curr, state.u_curr
         increments[n], multipliers[n], residuals[n], force_averages[n] = (
             out.increment, out.multipliers, out.multiplier_residual, out.force_average)

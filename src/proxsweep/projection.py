@@ -60,9 +60,9 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     """
     x = np.asarray(x, dtype=float)
     g = sys.values(t, x)
-    if (g >= 0.0).all():
-        return ProjectionResult(point=x.copy(), multipliers=np.zeros(sys.p),
-                                distance=0.0, converged=True, iterations=0)
+    if (g >= 0.0).all():  # with no constraint a non-finite x is "feasible": not converged
+        return ProjectionResult(point=x.copy(), multipliers=np.zeros(sys.p), distance=0.0,
+                                converged=sys.p > 0 or bool(np.isfinite(x).all()), iterations=0)
 
     tol = 1e-12 * (1.0 + math.sqrt(x @ x))
     y, mu = x, np.zeros(sys.p)

@@ -210,7 +210,7 @@ def test_criterion_9_theoretical_constants(sweeps):
     consts = compute_constants(scn.system, good_direction(scn.system, *scn.probe), scn.u0,
                                scn.force)
     kappa_ok = consts.kappa0 == 1.0
-    nu_ok = consts.nu_min == 1.0 / 6.0  # min(1e6/9, 1/(2*(0+1+2))) by hand
+    nu_ok = consts.nu_min == 1.0 / 6.0  # min(inf, 1/(2*(0+1+2))) by hand
 
     rec = compute_constants(lookup("free").system, None, np.array([1.0]),
                             ZERO_FORCE, J=1.0)

@@ -236,11 +236,10 @@ class TestProxConstant:
         sys2 = ConstraintSystem(dim=1, constraints=(), alpha=1.0, hess_bound=2.0)
         assert prox_constant(sys2) == pytest.approx(0.5)
 
-    def test_affine_cap(self):
-        sys = half_space_1d()
-        assert prox_constant(sys) == pytest.approx(1e6)
-        # a ratio alpha / M above the cap is capped as well
-        assert prox_constant(ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9)) == 1e6
+    def test_convex_set_uncapped(self):
+        # M = 0, a convex set, has an infinite tube, and a tiny M its plain ratio
+        assert prox_constant(half_space_1d()) == math.inf
+        assert prox_constant(ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9)) == 1 / 1e-9
 
     # with an explicit eta, prox_constant never runs: the alpha and
     # hess_bound checks must not depend on it
@@ -282,6 +281,12 @@ class TestProxConstant:
                      r"sup_F >= \|f\|, got f = \[-10.\], sup_F = 0.0", id="constant-sup_F=0"),
         pytest.param(lambda: ForceField(f=np.array([6.0, -8.0]), sup_F=9.0),
                      r"got f = \[ 6. -8.\], sup_F = 9.0", id="constant-sup_F-below-norm"),
+        # a float is taken in every coordinate, so 10.0 in d = 2 would have norm 10 sqrt(2)
+        pytest.param(lambda: ForceField(f=10.0, bound_F=lambda t: 10.0, sup_F=10.0),
+                     r"an array unless 0.0, .* got f = 10.0", id="constant-float-nonzero"),
+        pytest.param(lambda: ForceField(f=np.array([-10.0]), sup_F=10.0),
+                     r"got f = \[-10.\], sup_F = 10.0, bound_F\(0\) = 0.0",
+                     id="constant-bound_F-below-norm"),
     ])
     def test_constants_rejected_at_construction(self, make, message):
         with pytest.raises(InvalidConstantsError, match=message):
@@ -291,7 +296,7 @@ class TestProxConstant:
         # 10 sqrt(3) rounds one ulp below the computed norm of three discs' gravity
         pull = np.tile([0.0, -10.0], 3)
         assert 10.0 * math.sqrt(3) < np.linalg.norm(pull)
-        ForceField(f=pull, sup_F=10.0 * math.sqrt(3))
+        ForceField(f=pull, bound_F=lambda t: 10.0 * math.sqrt(3), sup_F=10.0 * math.sqrt(3))
 
     # a NaN alpha or hess_bound used to give eta = nan, which aborted the first
     # contact step as a tube exit; a NaN lipschitz_c0 gave kappa0 = nan

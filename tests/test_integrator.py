@@ -142,11 +142,12 @@ class TestStep:
         assert "did not converge" in err.value.reason
         assert err.value.step_index == 4
 
-    # a NaN force used to abort the floor as a tube exit at distance nan, and
-    # the pocket, whose wall is a callable, as a projection that did not
-    # converge after 50 solves; NaN, not inf, which would raise a
-    # RuntimeWarning in the prediction
-    @pytest.mark.parametrize("name, nans", [("floor", "[nan]"), ("pocket", "[nan nan]")])
+    # a NaN force used to abort the floor as a tube exit at distance nan, the
+    # pocket, whose wall is a callable, as a projection that did not converge
+    # after 50 solves, and not at all on the free set, which has no constraint
+    # to fail; NaN, not inf, which would raise a RuntimeWarning in the prediction
+    @pytest.mark.parametrize("name, nans", [("floor", "[nan]"), ("pocket", "[nan nan]"),
+                                            ("free", "[nan]")])
     def test_non_finite_prediction_aborts(self, name, nans):
         scn = lookup(name)
         field = dataclasses.replace(scn.force, f=lambda t, q: scn.force(t, q) if t < 0.5
@@ -500,9 +501,9 @@ class TestRunLoop:
         return dataclasses.replace(lookup("piston"), system=ConstraintSystem(1, (wall,)),
                                    q0=np.array([1.0]), u0=np.array([0.0]))
 
-    # each case breaks one condition of run()'s reuse of a resting step after
-    # the rest began: the set moves (by an affine rate or a callable), f^n
-    # changes, or the step size does
+    # each case breaks one condition of run()'s reuse of a resting step: the
+    # set moves (by an affine rate or a callable), the force is a callable,
+    # which is never reused, or the step size changes after the rest began
     @pytest.mark.parametrize("case", ["affine-wall", "callable-wall", "lift-off",
                                       "partial-final-step"])
     def test_resting_steps_match_chained_steps(self, case):
@@ -510,9 +511,7 @@ class TestRunLoop:
         if case.endswith("wall"):
             scn, end = self.approaching_wall(case.split("-")[0]), 1.5
         elif case == "lift-off":
-            push = ForceField(f=lambda t, q: np.array([-10.0 if t < 1.0 else 10.0]),
-                              bound_F=lambda t: 10.0, sup_F=10.0)
-            scn, T, end = dataclasses.replace(lookup("floor"), force=push), 2.0, 5.0
+            scn, T, end = self.lift_off([]), 2.0, 5.0
         else:
             scn, T, end = lookup("floor"), 2.005, 0.0
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
@@ -520,36 +519,50 @@ class TestRunLoop:
         self.assert_matches_by_hand(traj, contact, scn, h, T)
 
     @staticmethod
-    def count_step_calls(monkeypatch):
-        calls = []
+    def lift_off(calls):
+        """The floor under a callable force, -10 until t = 1 and +10 after,
+        which appends the time of each of its calls to calls."""
+        push = ForceField(f=lambda t, q: calls.append(t) or np.array([-10.0 if t < 1.0 else 10.0]),
+                          bound_F=lambda t: 10.0, sup_F=10.0)
+        return dataclasses.replace(lookup("floor"), force=push)
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Record each call of owner.name, which still runs."""
+        calls, original = [], getattr(owner, name)
 
         def counted(*args):
             calls.append(args)
-            return step(*args)
+            return original(*args)
 
-        monkeypatch.setattr(integrator, "step", counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     @pytest.mark.parametrize("name, h, T", [("piston", 0.01, None), ("pocket", 0.01, None),
-                                            ("free", 0.01, 0.205)])
+                                            ("free", 0.01, 0.205), ("lift-off", 0.01, 2.0)])
     def test_one_step_call_per_step(self, name, h, T, monkeypatch):
         # run() calls step() through the module name once per step after the
         # first, which initialize takes, when the set moves (piston), has a
-        # callable constraint (pocket) or the state never rests (free)
-        calls = self.count_step_calls(monkeypatch)
-        scn = lookup(name)
+        # callable constraint (pocket), the state never rests (free) or the
+        # force is a callable (lift-off rests on the still floor until t = 1)
+        forces = []
+        scn = self.lift_off(forces) if name == "lift-off" else lookup(name)
+        steps = self.count_calls(monkeypatch, integrator, "step")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T if T is None else T)
-        assert len(calls) == traj.nsteps - 1
+        assert len(steps) == traj.nsteps - 1
+        assert len(forces) == (3 * traj.nsteps if name == "lift-off" else 0)
 
     @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 501), ("wedge", 0.00025, 2002)])
     def test_resting_steps_reused(self, name, h, calls, monkeypatch):
-        # on a still set, the steps after the first that returned its input
-        # copy its outcome; the floor rests from t = 0.5 of 2, the wedge's
-        # corner from t = 0.5 of 1
-        counted = self.count_step_calls(monkeypatch)
+        # under a constant force on a still set, the steps after the first
+        # that returned its input copy its outcome and average no force, so
+        # f^n is averaged once by initialize and once per step() call; the
+        # floor rests from t = 0.5 of 2, the wedge's corner from t = 0.5 of 1
+        steps = self.count_calls(monkeypatch, integrator, "step")
+        averages = self.count_calls(monkeypatch, ForceField, "step_average")
         scn = lookup(name)
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
-        assert (traj.nsteps, len(counted)) == (round(scn.T / h), calls)
+        assert (traj.nsteps, len(steps), len(averages)) == (round(scn.T / h), calls, calls + 1)
 
 
 class TestSweepBoundedness:

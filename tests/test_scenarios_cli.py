@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ class TestRegistry:
         scn = lookup("floor")
         s = scn.system
         assert (s.alpha, s.beta, s.hess_bound, s.lipschitz_c0) == (1.0, 1.0, 0.0, 0.0)
-        assert s.eta == 1e6  # affine cap
+        assert s.eta == math.inf  # a convex set: alpha / M with M = 0
 
     def test_piston_lipschitz(self):
         # Hausdorff distance of translated half-lines is |v_w dt|
