@@ -14,8 +14,7 @@ from .diagnostics import (ConstantsRecord, DiagnosticsReport, ImpactEvent,
                           max_intergrid_gap, momentum_residual, sup_velocity,
                           total_variation, velocity_bound_ok, verify_impact_law)
 from .errors import (ConfigError, ConstraintEvaluationError, InfeasibleConeError,
-                     InvalidConstantsError, ProxsweepError, SimulationAbort,
-                     StepSizeTooLargeError)
+                     InvalidConstantsError, ProxsweepError, SimulationAbort)
 from .geometry import (AdmissibilityEstimate, ConstraintFunction, ConstraintSystem,
                        VelocityPolyhedron, active_set, affine_constraint, good_direction,
                        hypomonotonicity_residual, prox_constant, reverse_triangle_constant,
@@ -32,7 +31,7 @@ __all__ = [
     "ContactMeasure", "DiagnosticsReport", "ForceField", "GRAVITY",
     "ImpactEvent", "InfeasibleConeError", "InvalidConstantsError",
     "MultiplierExtraction", "ProjectionResult", "ProxsweepError", "Scenario",
-    "SchemeState", "SimulationAbort", "StepOutcome", "StepSizeTooLargeError",
+    "SchemeState", "SimulationAbort", "StepOutcome",
     "Trajectory", "VelocityPolyhedron", "ZERO_FORCE", "active_set",
     "affine_constraint", "compute_constants", "convergence_study", "detect_impacts",
     "diagnose", "extract_multipliers", "good_direction", "hypomonotonicity_residual",

@@ -30,19 +30,9 @@ class InfeasibleConeError(ProxsweepError):
         super().__init__(f"infeasible velocity polyhedron at base point {base_point}")
 
 
-class StepSizeTooLargeError(ProxsweepError):
-    """The first configuration left the admissible set; h must shrink."""
-
-    def __init__(self, margin: float, violated_id: int):
-        self.margin = margin
-        self.violated_id = violated_id
-        super().__init__(
-            f"initial step leaves the admissible set: g_{violated_id} = {margin:.6g} < 0; "
-            "reduce the step size")
-
-
 class SimulationAbort(ProxsweepError):
-    """A time step failed; carries the step index and the last valid state."""
+    """A time step failed, step 0 from (q0, u0) included; carries the step
+    index and the last valid state."""
 
     def __init__(self, step_index: int, state, reason: str):
         self.step_index = step_index

@@ -4,14 +4,14 @@ The state q obeys, in the sense of measures,
 
     du + dk = f(t, q) dt,   dk supported on contact, dk in N(C(t), q),
 
-with inelastic impacts.  The scheme advances a position pair:
+with inelastic impacts.  From (q^0, u^0) = (q0, u0) every step, the first
+included, predicts by free flight and corrects by projection:
 
-    q^0 = q0,   q^1 = q0 + h u0 + h^2 f^0,
-    q^{n+1} = P_{C(t^{n+1})} [ q^n + h u^n + h^2 f^n ],
+    q^{n+1} = P_{C(t^{n+1})} [ q^n + h u^n + h^2 f^n ],   u^{n+1} = (q^{n+1} - q^n) / h,
 
-where f^n is the time average of f(s, q^n) over the step (3-point
-Gauss-Legendre; a constant force is averaged once, when its ForceField is
-built, to the same bits) and u^n = (q^n - q^{n-1}) / h.  For uniform h the
+for n >= 0, where f^n is the time average of f(s, q^n) over the step
+(3-point Gauss-Legendre; a constant force is averaged once, when its
+ForceField is built, to the same bits).  For uniform h and n >= 1 the
 predictor equals 2 q^n - q^{n-1} + h^2 f^n.  Velocities are piecewise
 constant, positions piecewise linear.  Per step the contact increment
 
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidConstantsError, SimulationAbort, StepSizeTooLargeError
+from .errors import InvalidConstantsError, SimulationAbort
 from .geometry import ConstraintSystem, _active_mask, nnls
 from .projection import project_point
 
@@ -106,7 +106,8 @@ ZERO_FORCE = ForceField(f=0.0)
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One node of the recurrence: (q^n, u^n) at t^n, with u^n = (q^n - q^{n-1}) / h."""
+    """One node of the recurrence: (q^n, u^n) at t^n, with u^0 = u0 and
+    u^n = (q^n - q^{n-1}) / h after."""
 
     n: int
     t_n: float
@@ -206,7 +207,8 @@ def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
     q0, u0 = np.asarray(q0, dtype=float), np.asarray(u0, dtype=float)
     for name, v in (("q0", q0), ("u0", u0)):
         if v.shape != (sys.dim,):
-            raise ValueError(f"{name} must have length {sys.dim}, got {v.size}")
+            got = v.size if v.ndim == 1 else f"shape {v.shape}"
+            raise ValueError(f"{name} must have length {sys.dim}, got {got}")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite, got {v}")
     if sys.p:
@@ -220,22 +222,12 @@ def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
 
 def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
                u0: np.ndarray, h: float) -> SchemeState:
-    """Build (q^0, q^1) = (q0, q0 + h u0 + h^2 f^0); q0 must be strictly interior."""
-    return _initialize(sys, field, q0, u0, h)[0]
+    """The state at t = h: step 0 from (q0, u0), projected like any other.
 
-
-def _initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
-                u0: np.ndarray, h: float, T: float | None = None
-                ) -> tuple[SchemeState, np.ndarray]:
-    q0, u0 = _check_inputs(sys, q0, u0, h, T)
-    f0 = field.step_average(0.0, h, q0)
-    q1 = q0 + h * u0 + h * h * f0
-    if sys.p:
-        g1 = sys.values(h, q1)
-        worst = int(np.argmin(g1))
-        if g1[worst] < -1e-12 * (1.0 + np.linalg.norm(q1)):
-            raise StepSizeTooLargeError(float(g1[worst]), sys.constraints[worst].id)
-    return SchemeState(n=1, t_n=h, q_curr=q1, u_curr=(q1 - q0) / h), f0
+    q0 must be strictly interior (_check_inputs); a failed projection raises
+    SimulationAbort at step 0."""
+    q0, u0 = _check_inputs(sys, q0, u0, h)
+    return step(SchemeState(n=0, t_n=0.0, q_curr=q0, u_curr=u0), sys, field, h).state
 
 
 def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
@@ -281,30 +273,30 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
-    Each step is one step() call, except a resting step of a run whose
-    steps repeat: a still set (no callable constraint, every affine rate 0)
-    under a constant force.  There, once a computed step returns its input
-    (q^n, u^n) bit for bit, each next step of the same h_n copies its outcome
-    and only t advances, by t^n + h_n as in step().
+    Every step, step 0 from (q0, u0) included, is one step() call, except
+    a resting step of a run whose steps repeat: a still set (no callable
+    constraint, every affine rate 0) under a constant force.
+    There, once a computed step returns its input (q^n, u^n) bit for bit,
+    each next step of the same h_n copies its outcome and only t advances,
+    by t^n + h_n as in step().
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
     last valid state.
     """
-    state, f0 = _initialize(sys, field, q0, u0, h, T)
+    q0, u0 = _check_inputs(sys, q0, u0, h, T)
     n_full, partial = _grid(h, T)
-    # row n of each array is written once; step 0 is free flight, with no contact
     N, d = n_full + partial, sys.dim
     times, positions, velocities = np.empty(N + 1), np.empty((N + 1, d)), np.empty((N + 1, d))
-    increments, multipliers, residuals = np.zeros((N, d)), np.zeros((N, sys.p)), np.zeros(N)
+    increments, multipliers, residuals = np.empty((N, d)), np.empty((N, sys.p)), np.empty(N)
     force_averages = np.empty((N, d))
-    times[:2], force_averages[0] = (0.0, h), f0
-    positions[:2], velocities[:2] = (q0, state.q_curr), (u0, state.u_curr)
+    times[0], positions[0], velocities[0] = 0.0, q0, u0
+    state = SchemeState(n=0, t_n=0.0, q_curr=q0, u_curr=u0)
     # rest: (h_n, outcome) of the last computed step that returned its input,
     # kept only when steps repeat
     repeats, rest = not callable(field.f) and not sys._pointwise and not sys._block[2].any(), None
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
-    for n, h_n in enumerate([h] * (n_full - 1) + ([T - n_full * h] if partial else []), 1):
+    for n, h_n in enumerate([h] * n_full + ([T - n_full * h] if partial else [])):
         if rest and rest[0] == h_n:
             out, state = rest[1], SchemeState(state.n + 1, state.t_n + h_n, state.q_curr,
                                               state.u_curr)

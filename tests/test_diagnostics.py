@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
-                       ContactMeasure, InvalidConstantsError, StepSizeTooLargeError,
+                       ContactMeasure, InvalidConstantsError, SimulationAbort,
                        Trajectory, affine_constraint, cli, compute_constants,
                        convergence_study, detect_impacts, diagnose, diagnostics, good_direction,
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
@@ -201,10 +201,13 @@ class TestConvergence:
         assert rows[1]["err"] < rows[0]["err"]
 
     def test_failed_run_raises(self):
-        scn = lookup("floor")
-        with pytest.raises(StepSizeTooLargeError):  # first configuration leaves the set
+        # at h = 1 the pocket's first prediction falls through the disc and the
+        # floor, where the linearised constraints are infeasible
+        scn = lookup("pocket")
+        with pytest.raises(SimulationAbort) as err:
             convergence_study(scn.system, scn.force, scn.q0, scn.u0, 2.0,
                               [1.0, 0.01], reference=scn.reference())
+        assert err.value.step_index == 0
 
 
 class TestGaps:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from proxsweep import (ForceField, SimulationAbort, StepSizeTooLargeError,
-                       ZERO_FORCE, active_set, extract_multipliers, initialize,
-                       geometry, integrator, projection, run, step)
+from proxsweep import (ForceField, SimulationAbort, ZERO_FORCE, active_set,
+                       extract_multipliers, initialize, geometry, integrator, projection,
+                       run, step, verify_impact_law)
 from proxsweep.geometry import (ConstraintFunction, ConstraintSystem, affine_constraint,
                                 least_distance)
 from proxsweep.integrator import SchemeState
@@ -74,10 +74,16 @@ class TestInitialize:
         st = initialize(half_space_1d(), GRAV, np.array([1.0]), np.array([-0.3]), 0.05)
         np.testing.assert_array_equal(st.u_curr, (st.q_curr - 1.0) / 0.05)
 
-    def test_first_step_leaving_set_rejected(self):
-        with pytest.raises(StepSizeTooLargeError) as err:
-            initialize(half_space_1d(), ZERO_FORCE, np.array([0.05]), np.array([-1.0]), 0.1)
-        assert err.value.margin < 0.0
+    def test_first_step_leaving_set_projected(self):
+        # the prediction 0.05 - 0.1 leaves q >= 0 and is projected onto the wall
+        sys, q0, u0 = half_space_1d(), np.array([0.05]), np.array([-1.0])
+        st = initialize(sys, ZERO_FORCE, q0, u0, 0.1)
+        np.testing.assert_array_equal(st.q_curr, [0.0])
+        np.testing.assert_array_equal(st.u_curr, [-0.5])
+        traj, contact = run(sys, ZERO_FORCE, q0, u0, 0.1, 0.5)
+        assert contact.multipliers[0, 0] == 0.5 and contact.increments[0, 0] == -0.5
+        (event,) = verify_impact_law(traj, sys)
+        assert (event.u_minus[0], event.u_plus[0], event.law_residual) == (-1.0, 0.0, 0.0)
 
     def test_boundary_start_rejected(self):
         with pytest.raises(ValueError, match=r"initial position infeasible: g_1\(0, q0\) = 0"):
@@ -305,7 +311,7 @@ class TestRun:
         assert np.max(contact.multipliers) > 0.0
 
     def test_force_averaged_once_per_step(self):
-        # the first row's f^0 is the one initialize averaged for q^1
+        # step 0 averages f^0 like every other step
         calls = []
         field = ForceField(f=lambda t, q: calls.append(t) or np.zeros_like(q))
         scn = lookup("free")
@@ -401,7 +407,8 @@ class TestRun:
         ([math.nan], [-1.0], r"q0 must be finite, got \[nan\]"),
         ([1.0, 0.0], [-1.0], "q0 must have length 1, got 2"),
         ([1.0], [math.inf], r"u0 must be finite, got \[inf\]"),
-    ], ids=["q0-nan", "q0-length", "u0-inf"])
+        ([[1.0]], [-1.0], r"q0 must have length 1, got shape \(1, 1\)"),
+    ], ids=["q0-nan", "q0-length", "u0-inf", "q0-2d"])
     def test_bad_start_rejected(self, q0, u0, message):
         scn = lookup("free")
         with pytest.raises(ValueError, match=message):
@@ -424,7 +431,7 @@ class TestRun:
 
 
 class TestRunLoop:
-    """run() against initialize and step() chained by hand, bit for bit."""
+    """run() against step() chained by hand from (q0, u0), bit for bit."""
 
     # (scenario, h, T): a uniform grid on three contact scenarios, and a free
     # flight whose T / h = 20.5 ends in a half step
@@ -433,14 +440,13 @@ class TestRunLoop:
 
     @staticmethod
     def by_hand(scn, h, T):
-        """The seven arrays of run(), from one initialize and one step() per step."""
+        """The seven arrays of run(), from one step() per step."""
         sys, field = scn.system, scn.force
-        state = initialize(sys, field, scn.q0, scn.u0, h)
+        state = SchemeState(n=0, t_n=0.0, q_curr=scn.q0, u_curr=scn.u0)
         n_full = int(T / h)
-        sizes = [h] * (n_full - 1) + ([T - n_full * h] if T - n_full * h > 1e-9 * T else [])
-        times, positions, velocities = [0.0, h], [scn.q0, state.q_curr], [scn.u0, state.u_curr]
-        increments, multipliers = [np.zeros(sys.dim)], [np.zeros(sys.p)]
-        residuals, force_averages = [0.0], [field.step_average(0.0, h, scn.q0)]
+        sizes = [h] * n_full + ([T - n_full * h] if T - n_full * h > 1e-9 * T else [])
+        times, positions, velocities = [0.0], [scn.q0], [scn.u0]
+        increments, multipliers, residuals, force_averages = [], [], [], []
         for h_n in sizes:
             out = step(state, sys, field, h_n)
             state = out.state
@@ -541,28 +547,45 @@ class TestRunLoop:
     @pytest.mark.parametrize("name, h, T", [("piston", 0.01, None), ("pocket", 0.01, None),
                                             ("free", 0.01, 0.205), ("lift-off", 0.01, 2.0)])
     def test_one_step_call_per_step(self, name, h, T, monkeypatch):
-        # run() calls step() through the module name once per step after the
-        # first, which initialize takes, when the set moves (piston), has a
-        # callable constraint (pocket), the state never rests (free) or the
-        # force is a callable (lift-off rests on the still floor until t = 1)
+        # run() calls step() through the module name once per step, the first
+        # included, when the set moves (piston), has a callable constraint
+        # (pocket), the state never rests (free) or the force is a callable
+        # (lift-off rests on the still floor until t = 1)
         forces = []
         scn = self.lift_off(forces) if name == "lift-off" else lookup(name)
         steps = self.count_calls(monkeypatch, integrator, "step")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T if T is None else T)
-        assert len(steps) == traj.nsteps - 1
+        assert len(steps) == traj.nsteps
         assert len(forces) == (3 * traj.nsteps if name == "lift-off" else 0)
 
-    @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 501), ("wedge", 0.00025, 2002)])
+    @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 502), ("wedge", 0.00025, 2003)])
     def test_resting_steps_reused(self, name, h, calls, monkeypatch):
         # under a constant force on a still set, the steps after the first
         # that returned its input copy its outcome and average no force, so
-        # f^n is averaged once by initialize and once per step() call; the
-        # floor rests from t = 0.5 of 2, the wedge's corner from t = 0.5 of 1
+        # f^n is averaged once per step() call; the floor rests from t = 0.5
+        # of 2, the wedge's corner from t = 0.5 of 1
         steps = self.count_calls(monkeypatch, integrator, "step")
         averages = self.count_calls(monkeypatch, ForceField, "step_average")
         scn = lookup(name)
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
-        assert (traj.nsteps, len(steps), len(averages)) == (round(scn.T / h), calls, calls + 1)
+        assert (traj.nsteps, len(steps), len(averages)) == (round(scn.T / h), calls, calls)
+
+    # a run restarted at grid point k from (q^k, u^k) over T - t^k repeats the
+    # original rows from k on, bit for bit, also one step before impact (floor
+    # and pocket k = 49, wedge k = 33); the piston's wall moves with t, so a
+    # restart at t = 0 is another problem
+    @pytest.mark.parametrize("name, k", [("floor", 10), ("floor", 40), ("floor", 49),
+                                         ("wedge", 10), ("wedge", 30), ("wedge", 33),
+                                         ("pocket", 10), ("pocket", 49), ("free", 7)])
+    def test_restart_reproduces_tail(self, name, k):
+        scn, h = lookup(name), 0.01
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
+        tail = run(scn.system, scn.force, traj.positions[k], traj.velocities[k], h,
+                   scn.T - traj.times[k])
+        whole = (traj.positions[k:], traj.velocities[k:], contact.increments[k:],
+                 contact.multipliers[k:], contact.residuals[k:], contact.force_averages[k:])
+        for a, b in zip(whole, self.arrays(*tail)[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSweepBoundedness:

@@ -231,7 +231,7 @@ class TestCliExitCodes:
         assert rc == 1
 
     def test_simulation_abort_is_exit_2(self, tmp_path):
-        # a first step that leaves the admissible set
+        # the first step lands on the disc; the second's linearisation is infeasible
         rc = main(["--scenario", "pocket", "--u0", "0,-50", "--h", "0.04",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
