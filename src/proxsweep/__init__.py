@@ -17,7 +17,6 @@ from .errors import (ConfigError, ConstraintEvaluationError, InfeasibleConeError
                      InvalidConstantsError, ProxsweepError, SimulationAbort)
 from .geometry import (AdmissibilityEstimate, ConstraintFunction, ConstraintSystem,
                        VelocityPolyhedron, active_set, affine_constraint, good_direction,
-                       hypomonotonicity_residual, prox_constant, reverse_triangle_constant,
                        velocity_polyhedron)
 from .integrator import (ContactMeasure, ForceField, MultiplierExtraction,
                          SchemeState, StepOutcome, Trajectory, ZERO_FORCE,
@@ -34,11 +33,10 @@ __all__ = [
     "SchemeState", "SimulationAbort", "StepOutcome",
     "Trajectory", "VelocityPolyhedron", "ZERO_FORCE", "active_set",
     "affine_constraint", "compute_constants", "convergence_study", "detect_impacts",
-    "diagnose", "extract_multipliers", "good_direction", "hypomonotonicity_residual",
-    "initialize", "interpolant_sup_error", "lookup", "max_feasibility_gap",
-    "max_intergrid_gap", "momentum_residual", "project_point", "project_velocity",
-    "prox_constant", "registry", "reverse_triangle_constant", "run", "step",
-    "sup_velocity", "total_variation", "velocity_bound_ok",
+    "diagnose", "extract_multipliers", "good_direction", "initialize",
+    "interpolant_sup_error", "lookup", "max_feasibility_gap", "max_intergrid_gap",
+    "momentum_residual", "project_point", "project_velocity", "registry", "run",
+    "step", "sup_velocity", "total_variation", "velocity_bound_ok",
     "velocity_polyhedron", "verify_impact_law",
 ]
 

@@ -3,7 +3,7 @@
 Everything here reads a finished trajectory: feasibility gaps on and between
 grid points, total variation and sup norm of the velocity, impact events and
 their residuals against the inelastic law u+ = P_V(u-), the a-priori velocity
-bound A(k) and the local horizon T0.  compute_constants is the one place the
+bound A(1) and the local horizon T0.  compute_constants is the one place the
 inward-cone constants kappa0 and nu_min are derived from a good-direction
 certificate's delta.
 """
@@ -172,15 +172,15 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
 
 def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | None,
                       u0: np.ndarray, force: ForceField, T: float = 1.0,
-                      k: int = 1, J: float = 1.0) -> ConstantsRecord:
-    """kappa0, nu_min, the velocity bound A(k) and the local horizon T0.
+                      J: float = 1.0) -> ConstantsRecord:
+    """kappa0, nu_min, the velocity bound A(1) and the local horizon T0.
 
     From the certificate's delta, with c0 = sys.lipschitz_c0, eta = sys.eta
     and r = COVERING_RADIUS:
     kappa0 = c0/delta + 1;
     nu_min = min(eta delta / (2 kappa0 + 2 c0 + delta)^2,
                  r / (2 (c0 + delta + 2 kappa0)));
-    A(k) = |u0| + 2 k kappa0 + k * integral of F over [0, T];
+    A(1) = A_k = |u0| + 2 kappa0 + integral of F over [0, T];
     T0 = 1 / (2 (J+1) (2|u0| + 3 sup F + sqrt(sup F))), infinite when the
     denominator vanishes.  Without a certificate (admiss None) only T0 is
     set.  A J that is negative or not finite raises InvalidConstantsError.
@@ -197,7 +197,7 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     rec.kappa0 = kappa0 = c0 / delta + 1.0
     rec.nu_min = min(sys.eta * delta / (2.0 * kappa0 + 2.0 * c0 + delta) ** 2,
                      COVERING_RADIUS / (2.0 * (c0 + delta + 2.0 * kappa0)))
-    rec.A_k = speed + 2.0 * k * kappa0 + k * force.integral_bound(0.0, T)
+    rec.A_k = speed + 2.0 * kappa0 + force.integral_bound(0.0, T)
     return rec
 
 

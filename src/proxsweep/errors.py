@@ -23,11 +23,8 @@ class InvalidConstantsError(ProxsweepError):
 
 
 class InfeasibleConeError(ProxsweepError):
-    """The admissible-velocity polyhedron is empty."""
-
-    def __init__(self, base_point):
-        self.base_point = base_point
-        super().__init__(f"infeasible velocity polyhedron at base point {base_point}")
+    """A least-distance program has no feasible point, e.g. an empty
+    admissible-velocity polyhedron."""
 
 
 class SimulationAbort(ProxsweepError):

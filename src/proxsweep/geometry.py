@@ -10,23 +10,17 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
 * active constraints I_rho(t, q) = { i : g_i(t, q) <= rho },
 * the polyhedron of admissible velocities
       V(t, q) = { u : dt g_i(t, q) + <grad g_i(t, q), u> >= 0, i active },
-* a prox-regularity constant eta = alpha / M (gradient floor over Hessian
-  bound), below which point projection is single-valued,
-* a reverse-triangle constant gamma quantifying positive linear independence
-  of active gradients,
 * "good direction" certificates (u, delta) with <u, -grad g_i> >= delta
   |grad g_i| for every active i (diagnostics.compute_constants derives the
-  inward-cone constants kappa0 and nu_min from delta),
-* pointwise hypomonotonicity residuals used to check prox-regularity
-  empirically.
+  inward-cone constants kappa0 and nu_min from delta).
 
 Every polyhedral optimum in the package goes through one least-distance
 kernel, least_distance: min |x| s.t. G x >= h, x = 0 when no row is
 violated, else one certified solve on the face of the violated rows (in
 closed form when that face is one nonzero row; a zero row is left to NNLS),
 else one NNLS problem.  The good direction is read off its solution for the
-unit active normals, gamma as 1 / delta of that certificate, and
-projection.py builds the point and velocity projections on it.
+unit active normals, and projection.py builds the point and velocity
+projections on it.
 
 All operations are pure; a ConstraintSystem is shareable read-only across
 threads.
@@ -44,7 +38,7 @@ import numpy as np
 
 from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConstantsError
 
-# below this, reverse-triangle / admissibility optima count as failures
+# a good direction with delta at or below this counts as none
 TOL_SINGULAR = 1.0e-6
 
 # least-distance programs count as infeasible once the optimum would lie
@@ -85,9 +79,19 @@ class ConstraintFunction:
     hessian_bound: float = 0.0
 
 
+def _value(c: ConstraintFunction, t: float, q: np.ndarray) -> float:
+    """g_i(t, q), raising at a NaN value for a finite q: least_distance would
+    drop its row and so treat it as satisfied.  A non-finite q is left to
+    step()'s abort."""
+    v = float(c.value(t, q))
+    if math.isnan(v) and np.isfinite(q).all():
+        raise ValueError(f"NaN at q = {q}")
+    return v
+
+
 # ConstraintSystem._fill's label -> the callable it evaluates, with the result converted
 _EVALUATE = {
-    "value": lambda c, t, q: float(c.value(t, q)),
+    "value": _value,
     "gradient": lambda c, t, q: np.asarray(c.gradient_q(t, q), dtype=float),
     "dt": lambda c, t, q: float(c.dt(t, q)),
 }
@@ -103,10 +107,14 @@ def affine_constraint(cid: int, normal, offset: float = 0.0,
     """g(t, q) = <normal, q> + (offset + rate t) >= 0, with M = 0.
 
     A ConstraintSystem evaluates all of its affine constraints as one block;
-    the per-point callables compute the same sum.
+    the per-point callables compute the same sum.  A non-finite normal,
+    offset or rate raises InvalidConstantsError.
     """
     a = np.array(normal, dtype=float)
     offset, rate = float(offset), float(rate)
+    if not np.isfinite([*a, offset, rate]).all():
+        raise InvalidConstantsError(f"constraint {cid}: normal, offset and rate must be "
+                                    f"finite, got {a}, {offset}, {rate}")
     return _AffineConstraint(cid, lambda t, q: float(a @ q) + (offset + rate * t),
                              lambda t, q: a.copy(), lambda t, q: rate,
                              row=(tuple(a), offset, rate))
@@ -171,8 +179,9 @@ class ConstraintSystem:
                 A[i], b[i], r[i] = c.row
         object.__setattr__(self, "_block", (A, b, r, bool(b.any() or r.any())))
         object.__setattr__(self, "_pointwise", tuple(pointwise))
-        if self.eta is None:
-            object.__setattr__(self, "eta", prox_constant(self))
+        if self.eta is None:  # inf for a convex set, M = 0
+            eta = math.inf if self.hess_bound == 0.0 else self.alpha / self.hess_bound
+            object.__setattr__(self, "eta", eta)
 
     @property
     def p(self) -> int:
@@ -198,7 +207,8 @@ class ConstraintSystem:
 
     def _fill(self, out: np.ndarray, what: str, t: float, q: np.ndarray) -> np.ndarray:
         """out with entry i of every non-affine constraint set by its callable;
-        a callable that raises surfaces as ConstraintEvaluationError(id, what)."""
+        a callable that raises, or a NaN value at a finite q, surfaces as
+        ConstraintEvaluationError(id, what)."""
         evaluate = _EVALUATE[what]
         for i, c in self._pointwise:
             try:
@@ -218,7 +228,6 @@ class VelocityPolyhedron:
 
     normals: np.ndarray  # shape (m, d)
     offsets: np.ndarray  # shape (m,)
-    base_point: tuple[float, np.ndarray]
 
     @property
     def nrows(self) -> int:
@@ -259,12 +268,7 @@ def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> Veloc
     """Half-space rows (grad g_i, dt g_i) over the exactly-active constraints."""
     q = np.asarray(q, dtype=float)
     mask, normals = _active_gradients(sys, t, q)
-    return VelocityPolyhedron(normals, sys.dts(t, q)[mask], (t, q))
-
-
-def prox_constant(sys: ConstraintSystem) -> float:
-    """alpha / hess_bound, inf when hess_bound is 0 (a convex set)."""
-    return math.inf if sys.hess_bound == 0.0 else sys.alpha / sys.hess_bound
+    return VelocityPolyhedron(normals, sys.dts(t, q)[mask])
 
 
 def nnls(A, b):
@@ -273,8 +277,7 @@ def nnls(A, b):
     return _nnls(A, b)
 
 
-def least_distance(rows: np.ndarray, rhs: np.ndarray,
-                   base_point=None) -> tuple[np.ndarray, np.ndarray]:
+def least_distance(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-norm x with rows @ x >= rhs, and its multipliers mu >= 0.
 
     With no violated row (rhs <= 0) x = 0 and mu = 0 is the KKT point.
@@ -293,10 +296,10 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
     1974, ch. 23) decides: its residual r gives x = -r[:d] / r[d] and
     mu = -u / r[d], so x = rows^T mu with mu_i > 0 only on rows that hold
     with equality.  At a feasible optimum -r[d] = 1 / (1 + |x|^2) in units of
-    max|rhs|; when it vanishes the rows admit no x and
-    InfeasibleConeError(base_point) is raised.  x is finally re-solved on the
-    rows with mu_i > 0 as equalities, so points on affine faces come out
-    exact rather than within roundoff.  This step imports SciPy on its first
+    max|rhs|; when it vanishes the rows admit no x and InfeasibleConeError
+    is raised.  x is finally re-solved on the rows with mu_i > 0 as
+    equalities, so points on affine faces come out exact rather than within
+    roundoff.  This step imports SciPy on its first
     use, so a process whose solves all stay on the face never loads it.
     """
     face = rhs > 0.0
@@ -321,25 +324,11 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray,
     u, _ = nnls(lhs, target)
     r = lhs @ u - target
     if -r[-1] <= _INFEASIBLE:
-        raise InfeasibleConeError(base_point)
+        raise InfeasibleConeError("the least-distance rows admit no point")
     mu = -(scale / r[-1]) * u
     face = mu > 0.0
     x, *_ = np.linalg.lstsq(rows[face], rhs[face], rcond=None)
     return x, mu
-
-
-def reverse_triangle_constant(sys: ConstraintSystem, t: float, q: np.ndarray,
-                              rho: float = 0.0) -> float:
-    """gamma with sum lam_i |n_i| <= gamma |sum lam_i n_i| over near-active i.
-
-    Equals 1 / min{|sum mu_i n_i/|n_i||, mu on the simplex}, which is the
-    norm of the least-distance point of {x : <n_i/|n_i|, x> >= 1}, that is
-    1 / delta of the good-direction certificate; returns +inf where
-    good_direction finds none (delta below the singularity tolerance, or an
-    active gradient vanishes: no alpha > 0).
-    """
-    est = good_direction(sys, t, q, rho)
-    return math.inf if est is None else 1.0 / est.delta
 
 
 def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
@@ -373,18 +362,3 @@ def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,
         return None
     return AdmissibilityEstimate(delta=delta, direction=direction)
 
-
-def hypomonotonicity_residual(sys: ConstraintSystem, t: float, x: np.ndarray,
-                              y: np.ndarray, v: np.ndarray) -> float:
-    """<v, y-x> - |v| |x-y|^2 / (2 eta); nonpositive iff the inequality holds.
-
-    x is a boundary point, y any point of C(t) and v a proximal normal at x.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 0.0
-    diff = y - x
-    return float(v @ diff) - nv * float(diff @ diff) / (2.0 * sys.eta)

@@ -19,8 +19,9 @@ constant, positions piecewise linear.  Per step the contact increment
 
 is an exact proximal normal at q^{n+1}: h dk^n is the displacement the
 projection removed, so its Kuhn-Tucker multipliers are the projection's own
-divided by h.  extract_multipliers recovers them independently, by
-nonnegative least squares on the active gradients.
+divided by h.  A step aborts unless its projection converges closer than
+eta, inside the prox-regular tube.  extract_multipliers, which run() does not
+call, cross-checks them by nonnegative least squares on the active gradients.
 
 A resting particle repeats its step.  On a still set (no callable
 constraint, every affine rate 0) under a constant force, step() does not
@@ -237,7 +238,7 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     f_avg = field.step_average(state.t_n, t_next, state.q_curr)
     predicted = state.q_curr + h * state.u_curr + h * h * f_avg
     proj = project_point(sys, t_next, predicted)
-    if not (proj.converged and proj.certified):
+    if not (proj.converged and proj.distance < sys.eta):
         if not np.all(np.isfinite(predicted)):
             reason = f"prediction is not finite: {predicted} (f^n = {f_avg})"
         elif not proj.converged:

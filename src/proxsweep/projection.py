@@ -10,7 +10,7 @@ moved to the result until it stops moving.  An affine set is its own
 linearisation at every y, so there the first projection is the nearest point
 with its exact certificate and is returned after one solve.  The result is
 the unique nearest point whenever dist(x, C(t)) < eta; farther out it is a
-local solution flagged non-certified.
+local solution, which integrator.step refuses.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ class ProjectionResult:
     constraints of the system, in order, or the rows of the velocity
     polyhedron), with (x - point) + sum lam_i n_i ~ 0 for the row normals n_i
     at the point, and lam_i > 0 only on rows that hold with equality; all
-    zero when x is already inside.  certified means the distance is below the
-    prox-regularity constant, i.e. the projection is provably the unique
-    nearest point.
+    zero when x is already inside.
     """
 
     point: np.ndarray
@@ -44,7 +42,6 @@ class ProjectionResult:
     distance: float
     converged: bool
     iterations: int
-    certified: bool = True
     diagnostic: str = ""
 
 
@@ -54,9 +51,7 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     Feasible x is returned unchanged, and affine constraints alone take one
     solve.  Otherwise the iteration stops once it moves less than 1e-12
     (1 + |x|); an infeasible linearisation or MAX_ITER projections without
-    that leave converged False.  Results with distance >= eta are flagged
-    non-certified ("outside the prox-regular tube"): uniqueness is not
-    guaranteed there and the integrator refuses to continue on them.
+    that leave converged False.
     """
     x = np.asarray(x, dtype=float)
     g = sys.values(t, x)
@@ -82,12 +77,8 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
     else:
         diag = f"no convergence in {MAX_ITER} projections"
 
-    dist = math.sqrt((x - y) @ (x - y))
-    certified = dist < sys.eta
-    if not certified:
-        diag = (diag + "; " if diag else "") + "outside prox-regular tube"
-    return ProjectionResult(point=y, multipliers=mu, distance=dist, converged=converged,
-                            iterations=iters, certified=certified, diagnostic=diag)
+    return ProjectionResult(point=y, multipliers=mu, distance=math.sqrt((x - y) @ (x - y)),
+                            converged=converged, iterations=iters, diagnostic=diag)
 
 
 def project_velocity(poly: VelocityPolyhedron, u: np.ndarray) -> ProjectionResult:
@@ -103,7 +94,7 @@ def project_velocity(poly: VelocityPolyhedron, u: np.ndarray) -> ProjectionResul
     if poly.membership(u, tol=1e-12 * scale):
         return ProjectionResult(point=u.copy(), multipliers=np.zeros(m),
                                 distance=0.0, converged=True, iterations=0)
-    move, mu = least_distance(poly.normals, -poly.residuals(u), poly.base_point)
+    move, mu = least_distance(poly.normals, -poly.residuals(u))
     return ProjectionResult(point=u + move, multipliers=mu,
                             distance=float(np.linalg.norm(move)), converged=True,
                             iterations=1)

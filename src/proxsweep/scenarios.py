@@ -1,11 +1,12 @@
 """Built-in analytic scenarios: constraint sets, forces, defaults, references.
 
-Every scenario supplies its regularity constants (alpha, beta, M, kappa, c0,
-eta) together with a boundary probe point for the good-direction certificate
-and an analytic reference, times (m,) -> positions (m, d).  Each reference is
-one closed form fed with data: per coordinate, free flight until the
-coordinate meets its (possibly moving) wall, then the wall's motion.  The
-builder returns None when overridden initial data fall outside its validity.
+Every scenario passes ConstraintSystem the read constants (beta, eta, c0)
+that differ from its defaults, and supplies a boundary probe point for the
+good-direction certificate and an analytic reference, times (m,) -> positions
+(m, d).  Each reference is one closed form fed with data: per coordinate, free
+flight until the coordinate meets its (possibly moving) wall, then the wall's
+motion.  The builder returns None when overridden initial data fall outside
+its validity.
 """
 
 from __future__ import annotations
@@ -80,9 +81,7 @@ def _wall_reference(g, c, v):
 
 
 def _make_floor() -> Scenario:
-    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0]),),
-                           alpha=1.0, beta=1.0, hess_bound=0.0, kappa=0.5,
-                           lipschitz_c0=0.0)
+    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0]),))
     # q0 = 1.25 puts the analytic impact at t = 0.5, well sampled by the
     # standard h sweep; q0 = 1 lands it at sqrt(0.2) where the coarsest grid
     # undersamples the impact speed by a full 10%
@@ -96,9 +95,7 @@ def _make_floor() -> Scenario:
 def _make_wedge() -> Scenario:
     sys = ConstraintSystem(dim=2,
                            constraints=(affine_constraint(1, [1.0, 0.0]),
-                                        affine_constraint(2, [0.0, 1.0])),
-                           alpha=1.0, beta=1.0, hess_bound=0.0, kappa=0.5,
-                           lipschitz_c0=0.0)
+                                        affine_constraint(2, [0.0, 1.0])))
     return Scenario(name="wedge", dim=2, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0, 1.0]), u0=np.array([-2.0, -3.0]), h=0.01, T=1.0,
                     probe=(0.0, np.array([0.0, 0.0])),
@@ -107,7 +104,6 @@ def _make_wedge() -> Scenario:
 
 def _make_piston(v_w: float = 1.0) -> Scenario:
     sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0], rate=-v_w),),
-                           alpha=1.0, beta=1.0, hess_bound=0.0, kappa=0.5,
                            lipschitz_c0=abs(v_w))
     return Scenario(name="piston", dim=1, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0]), u0=np.array([-0.5]), h=0.01, T=2.0,
@@ -116,18 +112,16 @@ def _make_piston(v_w: float = 1.0) -> Scenario:
 
 
 def _make_pocket() -> Scenario:
-    # exterior of the unit disc; |grad| = 2 on the wall, Hessian = 2 I
+    # exterior of the unit disc: eta = 1, its radius; |grad| = 2 on the wall
     wall = ConstraintFunction(
         id=1,
         value=lambda t, q: float(q @ q) - 1.0,
         gradient_q=lambda t, q: 2.0 * np.asarray(q, dtype=float),
         dt=lambda t, q: 0.0,
-        hessian_bound=2.0,
     )
-    # floor scaled so its gradient norm matches alpha = 2
+    # floor scaled so its gradient norm matches the wall's, beta = 2
     floor = affine_constraint(2, [0.0, 2.0])
-    sys = ConstraintSystem(dim=2, constraints=(wall, floor), alpha=2.0, beta=2.0,
-                           hess_bound=2.0, kappa=0.1, lipschitz_c0=0.0)
+    sys = ConstraintSystem(dim=2, constraints=(wall, floor), beta=2.0, eta=1.0)
     # a vertical drop onto the pole, whose tangent y = 1 is the wall; the closed
     # form needs q0 on the symmetry axis (x0 = u0x = 0)
     drop = _wall_reference([0.0, GRAVITY], [-math.inf, 1.0], [0.0, 0.0])
@@ -140,8 +134,7 @@ def _make_pocket() -> Scenario:
 
 
 def _make_free() -> Scenario:
-    sys = ConstraintSystem(dim=1, constraints=(), alpha=1.0, beta=1.0,
-                           hess_bound=0.0, kappa=0.5, lipschitz_c0=0.0)
+    sys = ConstraintSystem(dim=1, constraints=())
     return Scenario(name="free", dim=1, system=sys, force=ZERO_FORCE,
                     q0=np.array([1.0]), u0=np.array([-1.0]), h=0.01, T=2.0,
                     probe=(0.0, np.array([1.0])),

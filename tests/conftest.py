@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxsweep import ConstraintFunction, ConstraintSystem, registry
+from proxsweep import ConstraintFunction, ConstraintSystem, good_direction, registry
 
 H_SWEEP = [0.04, 0.02, 0.01, 0.005]
 
@@ -54,6 +54,13 @@ def disc_complement(eta=None) -> ConstraintSystem:
                              hessian_bound=2.0)
     return ConstraintSystem(dim=2, constraints=(con,), alpha=2.0, beta=2.0,
                             hess_bound=2.0, eta=eta)
+
+
+def reverse_triangle_constant(sys, t, q) -> float:
+    """gamma with sum lam_i |n_i| <= gamma |sum lam_i n_i| over the active
+    normals: 1 / delta of the good direction, inf where there is none."""
+    est = good_direction(sys, t, q)
+    return math.inf if est is None else 1.0 / est.delta
 
 
 def antipodal_pair() -> ConstraintSystem:

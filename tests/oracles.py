@@ -1,7 +1,8 @@
 """Slow, independent oracles used only by the test suite.
 
-Deliberately naive: exhaustive grids, exhaustive active-set enumeration and
-closed-form kinematics.  They exist to catch solver bugs, so they must not
+Deliberately naive: exhaustive grids, exhaustive active-set enumeration,
+closed-form kinematics and the hypomonotonicity inequality of a proximal
+normal.  They exist to catch solver bugs, so they must not
 share code paths with the library solvers.
 """
 
@@ -153,6 +154,19 @@ def enumerate_qp(poly, u) -> OracleResult:
     if best is None:
         raise OracleInfeasibleError("no KKT-consistent subset")
     return OracleResult(best, "active-set-enumeration", 0.0)
+
+
+def hypomonotonicity_residual(sys, t, x, y, v) -> float:
+    """<v, y-x> - |v| |x-y|^2 / (2 eta); nonpositive iff the inequality holds.
+
+    x is a boundary point, y any point of C(t) and v a proximal normal at x.
+    """
+    x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return 0.0
+    diff = y - x
+    return float(v @ diff) - nv * float(diff @ diff) / (2.0 * sys.eta)
 
 
 def analytic_reference(name: str, params: dict, t: float):

@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 from proxsweep import (InfeasibleConeError, active_set, compute_constants,
-                       convergence_study, good_direction,
-                       hypomonotonicity_residual, max_intergrid_gap,
-                       momentum_residual, project_point, project_velocity,
-                       reverse_triangle_constant, run, sup_velocity,
-                       total_variation, verify_impact_law, ZERO_FORCE)
+                       convergence_study, good_direction, max_intergrid_gap,
+                       momentum_residual, project_point, project_velocity, run,
+                       sup_velocity, total_variation, verify_impact_law, ZERO_FORCE)
 from proxsweep.scenarios import lookup, registry
 
-from conftest import (H_SWEEP, antipodal_pair, half_space_1d, sample_boundary,
-                      sample_feasible, sample_normal)
-from oracles import OracleInfeasibleError, enumerate_qp, grid_project
+from conftest import (H_SWEEP, antipodal_pair, half_space_1d, reverse_triangle_constant,
+                      sample_boundary, sample_feasible, sample_normal)
+from oracles import (OracleInfeasibleError, enumerate_qp, grid_project,
+                     hypomonotonicity_residual)
 
 NAMES = ["floor", "wedge", "piston", "pocket", "free"]
 

@@ -155,9 +155,9 @@ class TestConstants:
     def test_velocity_bound_record(self):
         scn = lookup("floor")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
-        rec = compute_constants(scn.system, est, scn.u0, scn.force, T=2.0, k=3)
-        # A(k) = |u0| + 2 k kappa0 + k * integral F = 0 + 6 + 3 * 20
-        assert rec.A_k == pytest.approx(66.0, rel=1e-12)
+        rec = compute_constants(scn.system, est, scn.u0, scn.force, T=2.0)
+        # A(1) = |u0| + 2 kappa0 + integral F = 0 + 2 + 20
+        assert rec.A_k == pytest.approx(22.0, rel=1e-12)
 
     def test_infinite_horizon_when_still(self):
         rec = compute_constants(lookup("free").system, None, np.array([0.0]),

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
                        ForceField, InvalidConstantsError, active_set, affine_constraint,
-                       compute_constants, good_direction, hypomonotonicity_residual,
-                       prox_constant, reverse_triangle_constant, velocity_polyhedron)
+                       compute_constants, good_direction, velocity_polyhedron)
 from proxsweep.diagnostics import COVERING_RADIUS
 from proxsweep.geometry import activity_tolerance
 from proxsweep.scenarios import lookup
 
 from conftest import (antipodal_pair, disc_complement, floor_2d, half_space_1d,
-                      sample_boundary, sample_feasible, sample_normal)
+                      reverse_triangle_constant, sample_boundary, sample_feasible,
+                      sample_normal)
+from oracles import hypomonotonicity_residual
 
 
 class TestActiveSet:
@@ -61,9 +62,11 @@ class TestActiveSet:
             raise FloatingPointError("nope")
 
         q = np.array([0.0])
-        # a raise, or a result of the wrong shape (3 gradient entries in d = 1)
+        # a raise, a result of the wrong shape (3 gradient entries in d = 1), or a
+        # NaN value at a finite q, which least_distance would drop as satisfied
         for what, field, bad, call in [
                 ("value", "value", boom, lambda sys: active_set(sys, 0.0, q)),
+                ("value", "value", lambda t, q: math.nan, lambda sys: sys.values(0.0, q)),
                 ("gradient", "gradient_q", boom, lambda sys: sys.gradients(0.0, q)),
                 ("gradient", "gradient_q", lambda t, q: np.ones(3),
                  lambda sys: sys.gradients(0.0, q)),
@@ -229,19 +232,18 @@ class TestConstraintDerivatives:
 
 
 class TestProxConstant:
+    # without an explicit eta, ConstraintSystem sets it to alpha / hess_bound
     def test_ratio(self):
-        sys = disc_complement()
-        assert prox_constant(sys) == pytest.approx(1.0)
-        from proxsweep import ConstraintSystem
+        assert disc_complement().eta == pytest.approx(1.0)
         sys2 = ConstraintSystem(dim=1, constraints=(), alpha=1.0, hess_bound=2.0)
-        assert prox_constant(sys2) == pytest.approx(0.5)
+        assert sys2.eta == pytest.approx(0.5)
 
     def test_convex_set_uncapped(self):
         # M = 0, a convex set, has an infinite tube, and a tiny M its plain ratio
-        assert prox_constant(half_space_1d()) == math.inf
-        assert prox_constant(ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9)) == 1 / 1e-9
+        assert half_space_1d().eta == math.inf
+        assert ConstraintSystem(dim=1, constraints=(), hess_bound=1e-9).eta == 1 / 1e-9
 
-    # with an explicit eta, prox_constant never runs: the alpha and
+    # with an explicit eta, the default is never computed: the alpha and
     # hess_bound checks must not depend on it
     @pytest.mark.parametrize("field, value, eta", [
         ("alpha", -1.0, None), ("dim", 0, None), ("lipschitz_c0", -1.0, None),
@@ -267,6 +269,10 @@ class TestProxConstant:
                      "eta must be > 0, got -1.0", id="eta=-1"),
         pytest.param(lambda: ConstraintSystem(dim=1, constraints=(), eta=math.nan),
                      "eta must be > 0, got nan", id="eta=nan"),
+        # a NaN offset used to leave the wall out of every projection
+        pytest.param(lambda: affine_constraint(3, [1.0], offset=math.nan),
+                     r"constraint 3: normal, offset and rate must be finite, got \[1.\], nan",
+                     id="affine-offset-nan"),
         pytest.param(lambda: ForceField(f=lambda t, q: q, sup_F=-1.0),
                      "sup_F must be >= 0, got -1.0", id="sup_F=-1"),
         pytest.param(lambda: ForceField(f=lambda t, q: q, sup_F=math.nan),
@@ -318,7 +324,7 @@ class TestProxConstant:
         # external unit balls touching the circle from inside the disc must
         # avoid the admissible set: B(x - x, 1) = B(0, 1) for |x| = 1
         sys = disc_complement()
-        eta = prox_constant(sys)
+        eta = sys.eta
         assert eta == pytest.approx(1.0)
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -36,27 +36,23 @@ class TestGridProject:
 
 class TestEnumerateQp:
     def test_wedge(self):
-        poly = VelocityPolyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                                  np.zeros(2), (0.0, np.zeros(2)))
+        poly = VelocityPolyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
         res = enumerate_qp(poly, np.array([-1.0, -2.0]))
         np.testing.assert_allclose(res.value, [0.0, 0.0], atol=1e-12)
         assert res.method == "active-set-enumeration"
 
     def test_feasible_identity(self):
-        poly = VelocityPolyhedron(np.array([[1.0, 0.0]]), np.zeros(1),
-                                  (0.0, np.zeros(2)))
+        poly = VelocityPolyhedron(np.array([[1.0, 0.0]]), np.zeros(1))
         res = enumerate_qp(poly, np.array([2.0, -1.0]))
         np.testing.assert_allclose(res.value, [2.0, -1.0])
 
     def test_single_row_shift(self):
-        poly = VelocityPolyhedron(np.array([[1.0]]), np.array([-1.0]),
-                                  (0.0, np.zeros(1)))
+        poly = VelocityPolyhedron(np.array([[1.0]]), np.array([-1.0]))
         res = enumerate_qp(poly, np.array([0.0]))
         assert res.value[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_infeasible(self):
-        poly = VelocityPolyhedron(np.array([[1.0], [-1.0]]),
-                                  np.array([-1.0, -1.0]), (0.0, np.zeros(1)))
+        poly = VelocityPolyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
         with pytest.raises(OracleInfeasibleError):
             enumerate_qp(poly, np.array([0.0]))
 

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from proxsweep import (ConstraintFunction, ConstraintSystem, InfeasibleConeError,
                        VelocityPolyhedron, active_set, affine_constraint, extract_multipliers,
-                       geometry, hypomonotonicity_residual, project_point, project_velocity,
-                       velocity_polyhedron)
+                       geometry, project_point, project_velocity, velocity_polyhedron)
 from proxsweep.geometry import least_distance
 from proxsweep.projection import MAX_ITER
 from proxsweep.scenarios import lookup
 
 from conftest import disc_complement, half_space_1d, run_child, sample_boundary
-from oracles import enumerate_qp, grid_project
+from oracles import enumerate_qp, grid_project, hypomonotonicity_residual
 
 
 def kkt_ok(sys, t, x, res, tol=1e-9):
@@ -41,7 +40,7 @@ class TestProjectPoint:
         np.testing.assert_array_equal(res.point, [0.5])
         assert res.distance == 0.0
         np.testing.assert_array_equal(res.multipliers, [0.0])
-        assert res.converged and res.certified
+        assert res.converged and res.iterations == 0
 
     def test_half_line(self):
         sys = half_space_1d()
@@ -56,13 +55,15 @@ class TestProjectPoint:
         res = project_point(sys, 0.0, np.array([0.5, 0.0]))
         np.testing.assert_allclose(res.point, [1.0, 0.0], atol=1e-10)
         assert res.distance == pytest.approx(0.5, abs=1e-10)
-        assert res.certified  # 0.5 < eta = 1
+        assert res.converged and res.diagnostic == ""
 
-    def test_outside_tube_flagged(self):
-        sys = disc_complement(eta=0.3)
-        res = project_point(sys, 0.0, np.array([0.5, 0.0]))
-        assert not res.certified
-        assert "tube" in res.diagnostic
+    def test_outside_tube_left_to_step(self):
+        # eta does not enter the projection: step() alone refuses distance >= eta
+        x = np.array([0.5, 0.0])
+        inside, outside = (project_point(disc_complement(eta), 0.0, x) for eta in (1.0, 0.3))
+        np.testing.assert_array_equal(outside.point, inside.point)
+        assert (outside.distance, outside.converged, outside.diagnostic) == (
+            inside.distance, True, "")
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -102,7 +103,7 @@ class TestProjectPoint:
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
             res = project_point(sys, 0.0, x)
-            if res.distance == 0.0 or not res.certified:
+            if res.distance == 0.0 or res.distance >= sys.eta:
                 continue
             v = x - res.point
             for _ in range(50):
@@ -261,11 +262,9 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
         assert json.loads(done.stdout) == {"out": [[[0.0, 0.0], []], [[0.0, 0.0], [0.0, 0.0]]],
                                            "optimize_loaded": False}
 
-    def test_infeasible_carries_base_point(self):
-        base = (0.5, np.zeros(1))
-        with pytest.raises(InfeasibleConeError) as err:
-            least_distance(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), base)
-        assert err.value.base_point is base
+    def test_infeasible_raises(self):
+        with pytest.raises(InfeasibleConeError, match="^the least-distance rows admit no point$"):
+            least_distance(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
 
     def test_scale_invariant(self):
         rows = np.array([[1.0, 0.2], [-0.3, 1.0]])
@@ -376,12 +375,8 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
         assert checked >= 100
 
 
-def make_poly(normals, offsets, base=None):
-    normals = np.asarray(normals, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    if base is None:
-        base = (0.0, np.zeros(normals.shape[1]))
-    return VelocityPolyhedron(normals, offsets, base)
+def make_poly(normals, offsets):
+    return VelocityPolyhedron(np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float))
 
 
 def random_polyhedron_instance(rng, max_rows=10, max_dim=6):
@@ -399,7 +394,7 @@ def random_polyhedron_instance(rng, max_rows=10, max_dim=6):
     slack = np.abs(rng.normal(size=m)) * 0.5
     offsets = -(normals @ anchor) + slack
     u = anchor + rng.normal(size=d) * 1.5
-    return make_poly(normals, offsets, base=(0.0, np.zeros(d))), u
+    return make_poly(normals, offsets), u
 
 
 class TestProjectVelocity:
@@ -427,9 +422,8 @@ class TestProjectVelocity:
 
     def test_infeasible_polyhedron(self):
         poly = make_poly([[1.0], [-1.0]], [-1.0, -1.0])  # u >= 1 and u <= -1
-        with pytest.raises(InfeasibleConeError) as err:
+        with pytest.raises(InfeasibleConeError):
             project_velocity(poly, np.array([0.0]))
-        assert err.value.base_point is poly.base_point
 
     def test_multiplier_reconstruction(self):
         rng = np.random.default_rng(41)

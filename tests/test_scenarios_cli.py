@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from proxsweep import ConfigError, active_set, cli, diagnose, diagnostics, run
+from proxsweep import (ConfigError, ConstraintEvaluationError, active_set, cli, diagnose,
+                       diagnostics, run)
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
@@ -41,9 +42,10 @@ class TestRegistry:
             assert max(one_way, other_way) == pytest.approx(c0 * abs(t - s), abs=1e-12)
 
     def test_pocket_prox_constant(self):
+        # the unit disc's exterior is prox-regular with eta = 1, its radius;
+        # |grad g| = 2 on the wall and on the floor
         s = lookup("pocket").system
-        assert (s.alpha, s.hess_bound) == (2.0, 2.0)
-        assert s.eta == 1.0
+        assert (s.beta, s.eta) == (2.0, 1.0)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
@@ -235,6 +237,17 @@ class TestCliExitCodes:
         rc = main(["--scenario", "pocket", "--u0", "0,-50", "--h", "0.04",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_solver_error_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a ProxsweepError other than SimulationAbort, here from a constraint callable
+        def failing_run(*args, **kwargs):
+            raise ConstraintEvaluationError(1, "value")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        rc = main(["--scenario", "floor", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "simulation abort: constraint 1: failed to evaluate value\n")
 
     def test_tube_exit_is_exit_2(self, tmp_path):
         rc = main(["--scenario", "pocket", "--u0", "0,-30", "--h", "0.04",

@@ -52,6 +52,17 @@ def test_perfbench_contract(monkeypatch):
     assert force.sup_F == pytest.approx(10.0 * 3 ** 0.5)
 
 
+@pytest.mark.parametrize("workload", ["floor-sweep", "wedge-sweep"])
+def test_perfbench_workloads(workload, monkeypatch, tmp_path):
+    # the workloads call initialize, good_direction on Scenario.probe and
+    # diagnose(admiss=), and read Scenario.dim and reference; run them tiny
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # workloads.py imports discs
+    workloads = _load_perfbench("workloads", monkeypatch)
+    sweep = workloads.make(workload, seed=1, workdir=str(tmp_path), tiny=True)
+    sweep.setup()
+    assert sweep.probe().problems == []
+
+
 def test_export_list_resolves():
     # a name deleted from a module but left in __all__ breaks `from proxsweep import *`
     assert len(set(proxsweep.__all__)) == len(proxsweep.__all__)
