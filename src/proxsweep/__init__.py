@@ -18,9 +18,8 @@ from .errors import (ConfigError, ConstraintEvaluationError, InfeasibleConeError
 from .geometry import (AdmissibilityEstimate, ConstraintFunction, ConstraintSystem,
                        VelocityPolyhedron, active_set, affine_constraint, good_direction,
                        velocity_polyhedron)
-from .integrator import (ContactMeasure, ForceField, MultiplierExtraction,
-                         SchemeState, StepOutcome, Trajectory, ZERO_FORCE,
-                         extract_multipliers, initialize, run, step)
+from .integrator import (ContactMeasure, ForceField, MultiplierExtraction, SchemeState,
+                         StepOutcome, Trajectory, extract_multipliers, initialize, run, step)
 from .projection import ProjectionResult, project_point, project_velocity
 from .scenarios import GRAVITY, Scenario, lookup, registry
 
@@ -31,7 +30,7 @@ __all__ = [
     "ImpactEvent", "InfeasibleConeError", "InvalidConstantsError",
     "MultiplierExtraction", "ProjectionResult", "ProxsweepError", "Scenario",
     "SchemeState", "SimulationAbort", "StepOutcome",
-    "Trajectory", "VelocityPolyhedron", "ZERO_FORCE", "active_set",
+    "Trajectory", "VelocityPolyhedron", "active_set",
     "affine_constraint", "compute_constants", "convergence_study", "detect_impacts",
     "diagnose", "extract_multipliers", "good_direction", "initialize",
     "interpolant_sup_error", "lookup", "max_feasibility_gap", "max_intergrid_gap",

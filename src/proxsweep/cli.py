@@ -31,9 +31,8 @@ import sys as _sys
 
 import numpy as np
 
-from .diagnostics import (DiagnosticsReport, compute_constants, diagnose, error_table,
-                          finest_run_reference)
-from .errors import ConfigError, InvalidConstantsError, ProxsweepError, SimulationAbort
+from .diagnostics import DiagnosticsReport, diagnose, error_table, finest_run_reference
+from .errors import ConfigError, ProxsweepError, SimulationAbort
 from .geometry import _active_mask, good_direction
 from .integrator import _check_inputs, run
 from .scenarios import Scenario, lookup
@@ -63,7 +62,7 @@ _FROM_SCENARIO = object()
 # _FROM_SCENARIO takes the scenario's value.
 SETTINGS = {
     "scenario": (str, "floor", "scenario name (floor, wedge, piston, pocket, free)"),
-    "h": (float, _FROM_SCENARIO, "time step"),
+    "h": (float, 0.01, "time step (default: 0.01)"),
     "T": (float, _FROM_SCENARIO, "final time"),
     "q0": (_vector, _FROM_SCENARIO, "initial position, comma separated"),
     "u0": (_vector, _FROM_SCENARIO, "initial velocity, comma separated"),
@@ -71,7 +70,6 @@ SETTINGS = {
     "verify": (_bool, False, "check invariants and convergence; exit 3 on failure"),
     "out": (str, "run", "output path stem (default: run)"),
     "json_only": (_bool, False, "skip CSV output"),
-    "J": (float, 1.0, "horizon constant J (default 1)"),
 }
 
 
@@ -98,7 +96,7 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
 
     Both sources give text.  Each value is parsed once by its SETTINGS parser;
     an unknown key, a value that does not parse, or one the library rejects
-    (integrator._check_inputs, the J rule of compute_constants) is a ConfigError.
+    (integrator._check_inputs) is a ConfigError.
     """
     cfg = {}
     for key, text in {**file_values, **flag_values}.items():
@@ -115,8 +113,7 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
     try:  # the library's own input rules, checked before any run or file
         for h in cfg["sweep"] or [cfg["h"]]:
             _check_inputs(scn.system, cfg["q0"], cfg["u0"], h, cfg["T"])
-        compute_constants(scn.system, None, cfg["u0"], scn.force, J=cfg["J"])
-    except (ValueError, InvalidConstantsError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return scn, argparse.Namespace(**cfg)
 
@@ -230,7 +227,7 @@ def run_cli(args: argparse.Namespace) -> int:
     trajectories, reports, problems = [], [], []
     for h in cfg.sweep or [cfg.h]:
         traj, contact = run(scn.system, scn.force, cfg.q0, cfg.u0, h, T)
-        report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss, J=cfg.J)
+        report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss)
         stem = f"{cfg.out}_h{h:g}" if cfg.sweep else cfg.out
         if not cfg.json_only:
             write_csv(f"{stem}.csv", scn, traj, contact)

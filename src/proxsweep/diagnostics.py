@@ -3,9 +3,9 @@
 Everything here reads a finished trajectory: feasibility gaps on and between
 grid points, total variation and sup norm of the velocity, impact events and
 their residuals against the inelastic law u+ = P_V(u-), the a-priori velocity
-bound A(1) and the local horizon T0.  compute_constants is the one place the
-inward-cone constants kappa0 and nu_min are derived from a good-direction
-certificate's delta.
+bound A(1), the local horizon T0 and the start margin.  compute_constants is
+the one place these constants are derived, kappa0 and nu_min from a
+good-direction certificate's delta.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleConeError, InvalidConstantsError
+from .errors import InfeasibleConeError
 from .geometry import (AdmissibilityEstimate, ConstraintSystem, VelocityPolyhedron,
                        _active_mask, velocity_polyhedron)
 from .integrator import ContactMeasure, ForceField, Trajectory, run
@@ -50,6 +50,7 @@ class ConstantsRecord:
     nu_min: float | None = None
     T0: float | None = None
     A_k: float | None = None
+    margin_ok: bool | None = None
 
 
 @dataclass
@@ -171,9 +172,10 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
 
 
 def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | None,
-                      u0: np.ndarray, force: ForceField, T: float = 1.0,
-                      J: float = 1.0) -> ConstantsRecord:
-    """kappa0, nu_min, the velocity bound A(1) and the local horizon T0.
+                      q0: np.ndarray, u0: np.ndarray, force: ForceField, h: float,
+                      T: float) -> ConstantsRecord:
+    """kappa0, nu_min, the velocity bound A(1), the local horizon T0 and the
+    start margin of a run from (q0, u0) with first step h to time T.
 
     From the certificate's delta, with c0 = sys.lipschitz_c0, eta = sys.eta
     and r = COVERING_RADIUS:
@@ -181,15 +183,17 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     nu_min = min(eta delta / (2 kappa0 + 2 c0 + delta)^2,
                  r / (2 (c0 + delta + 2 kappa0)));
     A(1) = A_k = |u0| + 2 kappa0 + integral of F over [0, T];
-    T0 = 1 / (2 (J+1) (2|u0| + 3 sup F + sqrt(sup F))), infinite when the
-    denominator vanishes.  Without a certificate (admiss None) only T0 is
-    set.  A J that is negative or not finite raises InvalidConstantsError.
+    T0 = 1 / (4 (2|u0| + 3 sup F + sqrt(sup F))), infinite when the
+    denominator vanishes;
+    margin_ok: min_i g_i(0, q0) / beta > h (|u0| + integral of F over
+    [0, T]), true with no constraint.  Without a certificate (admiss None)
+    kappa0, nu_min and A(1) stay None.
     """
-    if not 0.0 <= J < math.inf:
-        raise InvalidConstantsError(f"J must be finite and >= 0, got {J}")
-    rec = ConstantsRecord()
-    speed = float(np.linalg.norm(u0))
-    denom = 2.0 * (J + 1.0) * (2.0 * speed + 3.0 * force.sup_F + math.sqrt(force.sup_F))
+    speed, impulse = float(np.linalg.norm(u0)), force.integral_bound(0.0, T)
+    # min g / beta bounds the distance from q0 to the boundary of C(0) from below
+    rec = ConstantsRecord(margin_ok=sys.p == 0 or (
+        float(np.min(sys.values(0.0, q0))) / sys.beta > h * (speed + impulse)))
+    denom = 4.0 * (2.0 * speed + 3.0 * force.sup_F + math.sqrt(force.sup_F))
     rec.T0 = math.inf if denom == 0.0 else 1.0 / denom
     if admiss is None:
         return rec
@@ -197,7 +201,7 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
     rec.kappa0 = kappa0 = c0 / delta + 1.0
     rec.nu_min = min(sys.eta * delta / (2.0 * kappa0 + 2.0 * c0 + delta) ** 2,
                      COVERING_RADIUS / (2.0 * (c0 + delta + 2.0 * kappa0)))
-    rec.A_k = speed + 2.0 * kappa0 + force.integral_bound(0.0, T)
+    rec.A_k = speed + 2.0 * kappa0 + impulse
     return rec
 
 
@@ -262,12 +266,12 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
 
 
 def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
-             force: ForceField, admiss: AdmissibilityEstimate | None = None,
-             J: float = 1.0) -> DiagnosticsReport:
+             force: ForceField, admiss: AdmissibilityEstimate | None = None
+             ) -> DiagnosticsReport:
     """Assemble the full report for one finished run."""
-    T = float(traj.times[-1])
     events = verify_impact_law(traj, sys, sup_force=force.sup_F)
-    constants = compute_constants(sys, admiss, traj.velocities[0], force, T=T, J=J)
+    constants = compute_constants(sys, admiss, traj.positions[0], traj.velocities[0], force,
+                                  float(traj.times[1]), float(traj.times[-1]))
     return DiagnosticsReport(
         max_feasibility_gap=max_feasibility_gap(traj, sys),
         max_intergrid_gap=max_intergrid_gap(traj, sys),

@@ -133,7 +133,8 @@ class ConstraintSystem:
     values(t, q) maps a point q (d,) to (p,), and points q (m, d) at a time t
     or at times t (m,) to (m, p); gradients (p, d) and dts (p,) take a point.
     Affine constraints are stacked once into rows of A, b, r and evaluated as
-    q A^T + (b + r t); every other one is called point by point.
+    q A^T + (b + r t); every other one is called point by point.  Derived:
+    affine (no callable constraint) and still (affine with every rate 0).
     """
 
     dim: int
@@ -156,7 +157,7 @@ class ConstraintSystem:
             raise InvalidConstantsError(f"hess_bound must be >= 0, got {self.hess_bound}")
         if not self.lipschitz_c0 >= 0.0:
             raise InvalidConstantsError(f"lipschitz_c0 must be >= 0, got {self.lipschitz_c0}")
-        # beta divides run()'s start margin, eta is the tube radius of every projection
+        # beta divides compute_constants' start margin, eta is every projection's tube radius
         if not self.beta > 0.0:
             raise InvalidConstantsError(f"beta must be > 0, got {self.beta}")
         if self.eta is not None and not self.eta > 0.0:
@@ -179,6 +180,8 @@ class ConstraintSystem:
                 A[i], b[i], r[i] = c.row
         object.__setattr__(self, "_block", (A, b, r, bool(b.any() or r.any())))
         object.__setattr__(self, "_pointwise", tuple(pointwise))
+        object.__setattr__(self, "affine", not pointwise)
+        object.__setattr__(self, "still", not pointwise and not r.any())
         if self.eta is None:  # inf for a convex set, M = 0
             eta = math.inf if self.hess_bound == 0.0 else self.alpha / self.hess_bound
             object.__setattr__(self, "eta", eta)
@@ -207,7 +210,8 @@ class ConstraintSystem:
 
     def _fill(self, out: np.ndarray, what: str, t: float, q: np.ndarray) -> np.ndarray:
         """out with entry i of every non-affine constraint set by its callable;
-        a callable that raises, or a NaN value at a finite q, surfaces as
+        a callable that raises, a NaN value, or a non-finite gradient or dt (one
+        check per call; affine rows are finite) at a finite q surfaces as
         ConstraintEvaluationError(id, what)."""
         evaluate = _EVALUATE[what]
         for i, c in self._pointwise:
@@ -215,6 +219,11 @@ class ConstraintSystem:
                 out[i] = evaluate(c, t, q)
             except Exception as exc:  # noqa: BLE001 - rewrap with the offending id
                 raise ConstraintEvaluationError(c.id, what, exc) from exc
+        if (what != "value" and self._pointwise and not np.isfinite(out).all()
+                and np.isfinite(q).all()):
+            i = int(np.argmin(np.isfinite(out.reshape(self.p, -1)).all(axis=1)))
+            raise ConstraintEvaluationError(self.constraints[i].id, what,
+                                            ValueError(f"non-finite at q = {q}"))
         return out
 
 

@@ -51,17 +51,16 @@ _BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
 class ForceField:
     """External force f(t, q) with its envelope.
 
-    f is a callable f(t, q), or a constant c: an array, or the float 0.0
-    taken in every coordinate of q.  A constant must be finite with
-    bound_F(0) >= |c| and sup_F >= |c| (to roundoff); its step average is
-    computed once, by step_average's own expression, so it is bit-equal to a
-    callable's and no call is made.
+    f is a callable f(t, q), or a constant c: a 1-D array of length d.  A
+    constant must be finite with bound_F(0) >= |c| and sup_F >= |c| (to
+    roundoff); its step average is computed once, by step_average's own
+    expression, so it is bit-equal to a callable's and no call is made.
 
     bound_F(t) >= |f(t, q)| for feasible q; sup_F is its sup norm, used by
     the local-horizon formulas.
     """
 
-    f: Callable[[float, np.ndarray], np.ndarray] | np.ndarray | float
+    f: Callable[[float, np.ndarray], np.ndarray] | np.ndarray
     bound_F: Callable[[float], float] = lambda t: 0.0
     sup_F: float = 0.0
     _average = None  # not a field: a constant's step average, set by __post_init__
@@ -71,25 +70,23 @@ class ForceField:
             raise InvalidConstantsError(f"sup_F must be >= 0, got {self.sup_F}")
         if not callable(self.f):
             c, bound = np.asarray(self.f, dtype=float), self.bound_F(0.0)
-            # a float is taken in all d coordinates of q, so only 0.0 has a known
-            # norm; to 1e-12 relative, as sup_F = g sqrt(n) can sit an ulp below |c|
-            if not (np.all(np.isfinite(c)) and (c.ndim or c == 0.0)
+            # to 1e-12 relative, as sup_F = g sqrt(n) can sit an ulp below |c|
+            if not (c.ndim == 1 and np.all(np.isfinite(c))
                     and np.linalg.norm(c) <= min(bound, self.sup_F) * (1 + 1e-12)):
                 raise InvalidConstantsError(
-                    f"a constant force needs finite entries, an array unless 0.0, and bound_F(0), "
+                    f"a constant force needs a 1-D array of finite entries and bound_F(0), "
                     f"sup_F >= |f|, got f = {c}, sup_F = {self.sup_F}, bound_F(0) = {bound}")
             object.__setattr__(self, "_average", 0.5 * (0 + _W0 * c + _W1 * c + _W2 * c))
 
     def __call__(self, t: float, q: np.ndarray) -> np.ndarray:
         if not callable(self.f):
-            return np.array(np.broadcast_to(self.f, np.shape(q)), dtype=float)
+            return np.array(self.f, dtype=float)
         return np.asarray(self.f(t, q), dtype=float)
 
     def step_average(self, t0: float, t1: float, q: np.ndarray) -> np.ndarray:
         """(1/h) integral of f(s, q) ds over [t0, t1], 3-point Gauss-Legendre."""
-        avg = self._average
-        if avg is not None:  # a constant: its stored average, in q's shape for a float
-            return np.full(np.shape(q), avg) if avg.ndim == 0 else avg.copy()
+        if self._average is not None:  # a constant: its stored average
+            return self._average.copy()
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         # sum() unrolled: the leading 0 + turns -0.0 into 0.0 as sum() does
         return 0.5 * (0 + _W0 * self(mid + half * _N0, q) + _W1 * self(mid + half * _N1, q)
@@ -100,9 +97,6 @@ class ForceField:
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         return float(half * sum(w * self.bound_F(mid + half * x)
                                 for x, w in zip(_BOUND_NODES, _BOUND_WEIGHTS)))
-
-
-ZERO_FORCE = ForceField(f=0.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,6 @@ class Trajectory:
     positions: np.ndarray   # shape (N+1, d)
     velocities: np.ndarray  # shape (N+1, d)
     partial_final_step: bool = False
-    margin_ok: bool = True
 
     @property
     def nsteps(self) -> int:
@@ -199,7 +192,7 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
 def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
                   T: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The rules on a run's inputs, each a ValueError: h > 0, h < T < inf when
-    a horizon T is given, q0 and u0 finite of length sys.dim, g_i(0, q0) > 0
+    a horizon T is given, q0 and u0 finite of length sys.dim, g_i(0, q0) >= 0
     for every i.  Returns q0 and u0 as float arrays."""
     if not h > 0.0:
         raise ValueError(f"h must be > 0, got {h}")
@@ -215,9 +208,9 @@ def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
     if sys.p:
         g0 = sys.values(0.0, q0)
         worst = int(np.argmin(g0))
-        if g0[worst] <= 0.0:
+        if g0[worst] < 0.0:
             raise ValueError(f"initial position infeasible: g_{sys.constraints[worst].id}"
-                             f"(0, q0) = {g0[worst]:.6g} <= 0")
+                             f"(0, q0) = {g0[worst]:.6g} < 0")
     return q0, u0
 
 
@@ -225,8 +218,8 @@ def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
                u0: np.ndarray, h: float) -> SchemeState:
     """The state at t = h: step 0 from (q0, u0), projected like any other.
 
-    q0 must be strictly interior (_check_inputs); a failed projection raises
-    SimulationAbort at step 0."""
+    q0 may lie on the boundary of C(0) (_check_inputs); a failed projection
+    raises SimulationAbort at step 0."""
     q0, u0 = _check_inputs(sys, q0, u0, h)
     return step(SchemeState(n=0, t_n=0.0, q_curr=q0, u_curr=u0), sys, field, h).state
 
@@ -275,8 +268,8 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     """Integrate from t = 0 to T; deterministic given its inputs.
 
     Every step, step 0 from (q0, u0) included, is one step() call, except
-    a resting step of a run whose steps repeat: a still set (no callable
-    constraint, every affine rate 0) under a constant force.
+    a resting step of a run whose steps repeat: a still set (sys.still)
+    under a constant force.
     There, once a computed step returns its input (q^n, u^n) bit for bit,
     each next step of the same h_n copies its outcome and only t advances,
     by t^n + h_n as in step().
@@ -295,7 +288,7 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     state = SchemeState(n=0, t_n=0.0, q_curr=q0, u_curr=u0)
     # rest: (h_n, outcome) of the last computed step that returned its input,
     # kept only when steps repeat
-    repeats, rest = not callable(field.f) and not sys._pointwise and not sys._block[2].any(), None
+    repeats, rest = sys.still and not callable(field.f), None
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
     for n, h_n in enumerate([h] * n_full + ([T - n_full * h] if partial else [])):
         if rest and rest[0] == h_n:
@@ -310,10 +303,5 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         increments[n], multipliers[n], residuals[n], force_averages[n] = (
             out.increment, out.multipliers, out.multiplier_residual, out.force_average)
 
-    # min g / beta bounds the distance from q0 to the boundary of C(0) from below
-    margin = sys.p == 0 or float(np.min(sys.values(0.0, q0))) / sys.beta > h * (
-        float(np.linalg.norm(u0)) + field.integral_bound(0.0, T))
-    traj = Trajectory(times=times, positions=positions, velocities=velocities,
-                      partial_final_step=partial, margin_ok=bool(margin))
-    return traj, ContactMeasure(increments=increments, multipliers=multipliers,
-                                residuals=residuals, force_averages=force_averages)
+    return (Trajectory(times, positions, velocities, partial),
+            ContactMeasure(increments, multipliers, residuals, force_averages))

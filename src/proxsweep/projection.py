@@ -70,7 +70,7 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
             diag = "linearised constraints infeasible"
             break
         y, y_prev = x + move, y
-        converged = not sys._pointwise or math.sqrt((y - y_prev) @ (y - y_prev)) < tol
+        converged = sys.affine or math.sqrt((y - y_prev) @ (y - y_prev)) < tol
         if converged:
             break
         g = sys.values(t, y)

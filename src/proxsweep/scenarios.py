@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import ConstraintFunction, ConstraintSystem, affine_constraint
-from .integrator import ForceField, ZERO_FORCE
+from .integrator import ForceField
 
 GRAVITY = 10.0
 
@@ -27,16 +27,18 @@ GRAVITY = 10.0
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    dim: int
     system: ConstraintSystem
     force: ForceField
     q0: np.ndarray
     u0: np.ndarray
-    h: float
     T: float
     probe: tuple[float, np.ndarray]     # boundary point for certificates
     # analytic(q0, u0) -> (times (m,) -> positions (m, d)), or None outside its validity
     analytic: Callable
+
+    @property
+    def dim(self) -> int:
+        return self.system.dim
 
     def reference(self, q0=None, u0=None):
         q0 = self.q0 if q0 is None else np.asarray(q0, dtype=float)
@@ -44,10 +46,10 @@ class Scenario:
         return self.analytic(q0, u0)
 
 
-def _gravity_force(g: float, dim: int) -> ForceField:
+def _gravity_force(dim: int) -> ForceField:
     pull = np.zeros(dim)
-    pull[-1] = -g
-    return ForceField(f=pull, bound_F=lambda t: g, sup_F=g)
+    pull[-1] = -GRAVITY
+    return ForceField(f=pull, bound_F=lambda t: GRAVITY, sup_F=GRAVITY)
 
 
 def _wall_reference(g, c, v):
@@ -57,12 +59,12 @@ def _wall_reference(g, c, v):
     it meets its wall c_i + v_i t at t*_i, then moves with the wall: on a
     single half-space u+ = P_V(u-) keeps the wall's speed.  c_i = -inf is no
     wall.  build(q0, u0) returns times (m,) -> positions (m, d), or None
-    unless q0 has length d and lies strictly above every wall.
+    unless q0 has length d and lies on or above every wall.
     """
     g, c, v = (np.array(x, dtype=float) for x in (g, c, v))
 
     def build(q0, u0):
-        if q0.shape != c.shape or np.any(q0 <= c):
+        if q0.shape != c.shape or np.any(q0 < c):
             return None
         rel, gap = u0 - v, q0 - c
         # t*: the positive root of g t^2 / 2 - rel t - gap = 0; for g = 0 the
@@ -85,9 +87,8 @@ def _make_floor() -> Scenario:
     # q0 = 1.25 puts the analytic impact at t = 0.5, well sampled by the
     # standard h sweep; q0 = 1 lands it at sqrt(0.2) where the coarsest grid
     # undersamples the impact speed by a full 10%
-    return Scenario(name="floor", dim=1, system=sys,
-                    force=_gravity_force(GRAVITY, 1),
-                    q0=np.array([1.25]), u0=np.array([0.0]), h=0.01, T=2.0,
+    return Scenario(name="floor", system=sys, force=_gravity_force(1),
+                    q0=np.array([1.25]), u0=np.array([0.0]), T=2.0,
                     probe=(0.0, np.array([0.0])),
                     analytic=_wall_reference([GRAVITY], [0.0], [0.0]))
 
@@ -96,19 +97,20 @@ def _make_wedge() -> Scenario:
     sys = ConstraintSystem(dim=2,
                            constraints=(affine_constraint(1, [1.0, 0.0]),
                                         affine_constraint(2, [0.0, 1.0])))
-    return Scenario(name="wedge", dim=2, system=sys, force=ZERO_FORCE,
-                    q0=np.array([1.0, 1.0]), u0=np.array([-2.0, -3.0]), h=0.01, T=1.0,
+    return Scenario(name="wedge", system=sys, force=ForceField(f=np.zeros(2)),
+                    q0=np.array([1.0, 1.0]), u0=np.array([-2.0, -3.0]), T=1.0,
                     probe=(0.0, np.array([0.0, 0.0])),
                     analytic=_wall_reference([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]))
 
 
-def _make_piston(v_w: float = 1.0) -> Scenario:
-    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0], rate=-v_w),),
-                           lipschitz_c0=abs(v_w))
-    return Scenario(name="piston", dim=1, system=sys, force=ZERO_FORCE,
-                    q0=np.array([1.0]), u0=np.array([-0.5]), h=0.01, T=2.0,
+def _make_piston() -> Scenario:
+    # the wall q = t moves at speed 1, so c0 = 1
+    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0], rate=-1.0),),
+                           lipschitz_c0=1.0)
+    return Scenario(name="piston", system=sys, force=ForceField(f=np.zeros(1)),
+                    q0=np.array([1.0]), u0=np.array([-0.5]), T=2.0,
                     probe=(0.0, np.array([0.0])),
-                    analytic=_wall_reference([0.0], [0.0], [v_w]))
+                    analytic=_wall_reference([0.0], [0.0], [1.0]))
 
 
 def _make_pocket() -> Scenario:
@@ -126,17 +128,16 @@ def _make_pocket() -> Scenario:
     # form needs q0 on the symmetry axis (x0 = u0x = 0)
     drop = _wall_reference([0.0, GRAVITY], [-math.inf, 1.0], [0.0, 0.0])
     # drop height 1.25 above the pole: impact at t = 0.5 (see floor)
-    return Scenario(name="pocket", dim=2, system=sys,
-                    force=_gravity_force(GRAVITY, 2),
-                    q0=np.array([0.0, 2.25]), u0=np.array([0.0, 0.0]), h=0.01, T=1.0,
+    return Scenario(name="pocket", system=sys, force=_gravity_force(2),
+                    q0=np.array([0.0, 2.25]), u0=np.array([0.0, 0.0]), T=1.0,
                     probe=(0.0, np.array([0.0, 1.0])),
                     analytic=lambda q0, u0: drop(q0, u0) if q0[0] == 0.0 == u0[0] else None)
 
 
 def _make_free() -> Scenario:
     sys = ConstraintSystem(dim=1, constraints=())
-    return Scenario(name="free", dim=1, system=sys, force=ZERO_FORCE,
-                    q0=np.array([1.0]), u0=np.array([-1.0]), h=0.01, T=2.0,
+    return Scenario(name="free", system=sys, force=ForceField(f=np.zeros(1)),
+                    q0=np.array([1.0]), u0=np.array([-1.0]), T=2.0,
                     probe=(0.0, np.array([1.0])),
                     analytic=_wall_reference([0.0], [-math.inf], [0.0]))
 

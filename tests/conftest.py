@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxsweep import ConstraintFunction, ConstraintSystem, good_direction, registry
+from proxsweep import ConstraintFunction, ConstraintSystem, ForceField, good_direction, registry
 
 H_SWEEP = [0.04, 0.02, 0.01, 0.005]
 
@@ -25,6 +25,11 @@ def run_child(code: str, *args: str, timeout: float = 300) -> subprocess.Complet
 @pytest.fixture(scope="session")
 def scenarios():
     return registry()
+
+
+def zero_force(d: int) -> ForceField:
+    """No external force on a point of R^d."""
+    return ForceField(f=np.zeros(d))
 
 
 def half_space_1d() -> ConstraintSystem:

@@ -12,11 +12,11 @@ import pytest
 from proxsweep import (InfeasibleConeError, active_set, compute_constants,
                        convergence_study, good_direction, max_intergrid_gap,
                        momentum_residual, project_point, project_velocity, run,
-                       sup_velocity, total_variation, verify_impact_law, ZERO_FORCE)
+                       sup_velocity, total_variation, verify_impact_law)
 from proxsweep.scenarios import lookup, registry
 
 from conftest import (H_SWEEP, antipodal_pair, half_space_1d, reverse_triangle_constant,
-                      sample_boundary, sample_feasible, sample_normal)
+                      sample_boundary, sample_feasible, sample_normal, zero_force)
 from oracles import (OracleInfeasibleError, enumerate_qp, grid_project,
                      hypomonotonicity_residual)
 
@@ -206,13 +206,13 @@ def test_criterion_8_multiplier_contract(sweeps):
 
 def test_criterion_9_theoretical_constants(sweeps):
     scn = lookup("floor")
-    consts = compute_constants(scn.system, good_direction(scn.system, *scn.probe), scn.u0,
-                               scn.force)
+    consts = compute_constants(scn.system, good_direction(scn.system, *scn.probe), scn.q0,
+                               scn.u0, scn.force, 0.01, scn.T)
     kappa_ok = consts.kappa0 == 1.0
     nu_ok = consts.nu_min == 1.0 / 6.0  # min(inf, 1/(2*(0+1+2))) by hand
 
-    rec = compute_constants(lookup("free").system, None, np.array([1.0]),
-                            ZERO_FORCE, J=1.0)
+    rec = compute_constants(lookup("free").system, None, np.array([1.0]), np.array([1.0]),
+                            zero_force(1), 0.01, 1.0)
     t0_ok = rec.T0 == 0.125
 
     pocket, runs = sweeps["pocket"]

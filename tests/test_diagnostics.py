@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
-                       ContactMeasure, InvalidConstantsError, SimulationAbort,
+                       ContactMeasure, SimulationAbort,
                        Trajectory, affine_constraint, cli, compute_constants,
                        convergence_study, detect_impacts, diagnose, diagnostics, good_direction,
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
                        project_point, run, total_variation, velocity_bound_ok,
-                       verify_impact_law, ZERO_FORCE)
+                       verify_impact_law)
 from proxsweep.scenarios import lookup
 
-from conftest import H_SWEEP, half_space_1d
+from conftest import H_SWEEP, half_space_1d, zero_force
 
 
 def make_traj(times, positions, velocities):
@@ -117,7 +117,7 @@ class TestImpactLaw:
         sys, traj = self.empty_polyhedron_jump()
         contact = ContactMeasure(increments=np.array([[-2.5]]), multipliers=np.zeros((1, 2)),
                                  residuals=np.zeros(1), force_averages=np.zeros((1, 1)))
-        report = diagnose(traj, contact, sys, ZERO_FORCE)
+        report = diagnose(traj, contact, sys, zero_force(1))
         problems = cli._verify_run(report, 0.1, 0.0)
         assert "impact at t=0.1 not verifiable (empty velocity polyhedron)" in problems
         assert not any(p.startswith(("impact residual", "variational")) for p in problems)
@@ -126,7 +126,7 @@ class TestImpactLaw:
         # rows (0, 1) and (0, 2) are both active on the floor: no vertex to solve for
         sys = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [0.0, 1.0]),
                                                    affine_constraint(2, [0.0, 2.0])))
-        traj, _ = run(sys, ZERO_FORCE, np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)
+        traj, _ = run(sys, zero_force(2), np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)
         events = verify_impact_law(traj, sys)
         assert [ev.time for ev in events] == [pytest.approx(0.51)]
         assert not math.isnan(events[0].law_residual)
@@ -138,36 +138,43 @@ class TestConstants:
     def test_floor_exact_values(self):
         scn = lookup("floor")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
-        rec = compute_constants(scn.system, est, scn.u0, scn.force)
+        rec = compute_constants(scn.system, est, scn.q0, scn.u0, scn.force, 0.01, scn.T)
         assert rec.kappa0 == 1.0
         assert rec.nu_min == 1.0 / 6.0  # r/(2 (c0 + delta + 2 kappa0)) with r=1
 
     def test_horizon_eighth(self):
-        rec = compute_constants(lookup("free").system, None, np.array([1.0]),
-                                ZERO_FORCE, T=1.0, J=1.0)
+        rec = compute_constants(lookup("free").system, None, np.array([1.0]), np.array([1.0]),
+                                zero_force(1), 0.01, 1.0)
         assert rec.T0 == 0.125
 
     def test_unavailable_without_certificate(self):
-        rec = compute_constants(lookup("floor").system, None, np.array([0.0]),
-                                ZERO_FORCE, T=1.0)
+        rec = compute_constants(lookup("floor").system, None, np.array([1.0]), np.array([0.0]),
+                                zero_force(1), 0.01, 1.0)
         assert rec.kappa0 is None and rec.nu_min is None
 
     def test_velocity_bound_record(self):
         scn = lookup("floor")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
-        rec = compute_constants(scn.system, est, scn.u0, scn.force, T=2.0)
+        rec = compute_constants(scn.system, est, scn.q0, scn.u0, scn.force, 0.01, 2.0)
         # A(1) = |u0| + 2 kappa0 + integral F = 0 + 2 + 20
         assert rec.A_k == pytest.approx(22.0, rel=1e-12)
 
     def test_infinite_horizon_when_still(self):
-        rec = compute_constants(lookup("free").system, None, np.array([0.0]),
-                                ZERO_FORCE)
+        rec = compute_constants(lookup("free").system, None, np.array([1.0]), np.array([0.0]),
+                                zero_force(1), 0.01, 1.0)
         assert rec.T0 == math.inf
 
-    @pytest.mark.parametrize("J", [-2.0, -1.0, math.inf, math.nan])
-    def test_horizon_constant_out_of_range(self, J):
-        with pytest.raises(InvalidConstantsError, match="J must be finite and >= 0"):
-            compute_constants(lookup("free").system, None, np.array([1.0]), ZERO_FORCE, J=J)
+    def test_start_margin(self):
+        # min g / beta > h (|u0| + integral of F): the pocket's 4.0625 / 2
+        # against h (0 + 10); a start on the floor has no margin, and a set
+        # with no constraint needs none
+        def margin(name, q0, h):
+            scn = lookup(name)
+            return compute_constants(scn.system, None, np.array(q0), scn.u0, scn.force, h,
+                                     1.0).margin_ok
+
+        assert margin("pocket", [0.0, 2.25], 0.2) and not margin("pocket", [0.0, 2.25], 0.21)
+        assert not margin("floor", [0.0], 0.01) and margin("free", [0.0], 0.5)
 
 
 class TestConvergence:

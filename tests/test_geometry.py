@@ -62,15 +62,21 @@ class TestActiveSet:
             raise FloatingPointError("nope")
 
         q = np.array([0.0])
-        # a raise, a result of the wrong shape (3 gradient entries in d = 1), or a
-        # NaN value at a finite q, which least_distance would drop as satisfied
+        # a raise, a result of the wrong shape (3 gradient entries in d = 1), a
+        # NaN value at a finite q, which least_distance would drop as satisfied,
+        # or a non-finite gradient or dt there
         for what, field, bad, call in [
                 ("value", "value", boom, lambda sys: active_set(sys, 0.0, q)),
                 ("value", "value", lambda t, q: math.nan, lambda sys: sys.values(0.0, q)),
                 ("gradient", "gradient_q", boom, lambda sys: sys.gradients(0.0, q)),
                 ("gradient", "gradient_q", lambda t, q: np.ones(3),
                  lambda sys: sys.gradients(0.0, q)),
-                ("dt", "dt", boom, lambda sys: sys.dts(0.0, q))]:
+                ("gradient", "gradient_q", lambda t, q: np.array([math.nan]),
+                 lambda sys: sys.gradients(0.0, q)),
+                ("gradient", "gradient_q", lambda t, q: np.array([-math.inf]),
+                 lambda sys: sys.gradients(0.0, q)),
+                ("dt", "dt", boom, lambda sys: sys.dts(0.0, q)),
+                ("dt", "dt", lambda t, q: math.nan, lambda sys: sys.dts(0.0, q))]:
             callables = {"value": lambda t, q: float(q[0]),
                          "gradient_q": lambda t, q: np.array([1.0]),
                          "dt": lambda t, q: 0.0, field: bad}
@@ -287,9 +293,9 @@ class TestProxConstant:
                      r"sup_F >= \|f\|, got f = \[-10.\], sup_F = 0.0", id="constant-sup_F=0"),
         pytest.param(lambda: ForceField(f=np.array([6.0, -8.0]), sup_F=9.0),
                      r"got f = \[ 6. -8.\], sup_F = 9.0", id="constant-sup_F-below-norm"),
-        # a float is taken in every coordinate, so 10.0 in d = 2 would have norm 10 sqrt(2)
+        # a float has no length d: 10.0 taken in d = 2 would have norm 10 sqrt(2)
         pytest.param(lambda: ForceField(f=10.0, bound_F=lambda t: 10.0, sup_F=10.0),
-                     r"an array unless 0.0, .* got f = 10.0", id="constant-float-nonzero"),
+                     r"a 1-D array .* got f = 10.0", id="constant-float-nonzero"),
         pytest.param(lambda: ForceField(f=np.array([-10.0]), sup_F=10.0),
                      r"got f = \[-10.\], sup_F = 10.0, bound_F\(0\) = 0.0",
                      id="constant-bound_F-below-norm"),
@@ -429,7 +435,7 @@ class TestGoodDirection:
     def test_constants_formulas(self):
         scn = lookup("piston")
         est = good_direction(scn.system, 0.0, np.array([0.0]))
-        rec = compute_constants(scn.system, est, scn.u0, scn.force)
+        rec = compute_constants(scn.system, est, scn.q0, scn.u0, scn.force, 0.01, scn.T)
         c0, delta = scn.system.lipschitz_c0, est.delta
         assert rec.kappa0 == c0 / delta + 1.0
         expected = min(scn.system.eta * delta / (2 * rec.kappa0 + 2 * c0 + delta) ** 2,

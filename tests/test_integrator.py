@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from proxsweep import (ForceField, SimulationAbort, ZERO_FORCE, active_set,
-                       extract_multipliers, initialize, geometry, integrator, projection,
-                       run, step, verify_impact_law)
+from proxsweep import (ConstraintEvaluationError, ForceField, SimulationAbort, active_set,
+                       diagnose, extract_multipliers, initialize, geometry, integrator,
+                       max_feasibility_gap, projection, run, step, verify_impact_law)
 from proxsweep.geometry import (ConstraintFunction, ConstraintSystem, affine_constraint,
                                 least_distance)
 from proxsweep.integrator import SchemeState
 from proxsweep.scenarios import lookup
 
-from conftest import H_SWEEP, disc_complement, half_space_1d
+from conftest import H_SWEEP, disc_complement, half_space_1d, zero_force
 from oracles import analytic_reference
 
 GRAV = ForceField(f=lambda t, q: np.array([-10.0]), bound_F=lambda t: 10.0, sup_F=10.0)
@@ -34,15 +34,15 @@ class TestForceField:
             assert field.bound_F(t) <= field.sup_F + 1e-12
 
     def test_zero_force_on_list_input(self):
-        # float zeros of the input's shape, whatever its dtype
-        f = ZERO_FORCE(0.0, [1, 2])
+        # a constant given as an integer list comes back as float zeros
+        f = ForceField(f=[0, 0])(0.0, [1, 2])
         assert f.dtype == np.float64 and f.shape == (2,)
         np.testing.assert_array_equal(f, [0.0, 0.0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_force_average_follows_q(self, d):
-        # ZERO_FORCE is the constant 0.0: its stored average takes q's shape
-        avg = ZERO_FORCE.step_average(0.0, 0.1, np.ones(d))
+        # a zero constant averages to +0.0 in each of its d coordinates
+        avg = zero_force(d).step_average(0.0, 0.1, np.ones(d))
         assert avg.dtype == np.float64 and avg.shape == (d,)
         np.testing.assert_array_equal(avg, np.zeros(d))
         assert not np.signbit(avg).any()
@@ -56,12 +56,12 @@ class TestForceField:
 
 class TestInitialize:
     def test_rest_state(self):
-        st = initialize(half_space_1d(), ZERO_FORCE, np.array([1.0]), np.array([0.0]), 0.1)
+        st = initialize(half_space_1d(), zero_force(1), np.array([1.0]), np.array([0.0]), 0.1)
         np.testing.assert_allclose(st.q_curr, [1.0])
         np.testing.assert_allclose(st.u_curr, [0.0])
 
     def test_linear_motion(self):
-        st = initialize(half_space_1d(), ZERO_FORCE, np.array([1.0]), np.array([-1.0]), 0.1)
+        st = initialize(half_space_1d(), zero_force(1), np.array([1.0]), np.array([-1.0]), 0.1)
         np.testing.assert_allclose(st.q_curr, [0.9])
 
     def test_constant_force(self):
@@ -77,21 +77,33 @@ class TestInitialize:
     def test_first_step_leaving_set_projected(self):
         # the prediction 0.05 - 0.1 leaves q >= 0 and is projected onto the wall
         sys, q0, u0 = half_space_1d(), np.array([0.05]), np.array([-1.0])
-        st = initialize(sys, ZERO_FORCE, q0, u0, 0.1)
+        st = initialize(sys, zero_force(1), q0, u0, 0.1)
         np.testing.assert_array_equal(st.q_curr, [0.0])
         np.testing.assert_array_equal(st.u_curr, [-0.5])
-        traj, contact = run(sys, ZERO_FORCE, q0, u0, 0.1, 0.5)
+        traj, contact = run(sys, zero_force(1), q0, u0, 0.1, 0.5)
         assert contact.multipliers[0, 0] == 0.5 and contact.increments[0, 0] == -0.5
         (event,) = verify_impact_law(traj, sys)
         assert (event.u_minus[0], event.u_plus[0], event.law_residual) == (-1.0, 0.0, 0.0)
 
-    def test_boundary_start_rejected(self):
-        with pytest.raises(ValueError, match=r"initial position infeasible: g_1\(0, q0\) = 0"):
-            initialize(half_space_1d(), ZERO_FORCE, np.array([0.0]), np.array([1.0]), 0.1)
+    def test_boundary_start_accepted(self):
+        # a start on the wall leaving it flies; one at rest under gravity stays
+        # on it, each step projecting -h^2 g back to 0 with multiplier
+        # h g / |grad g| = 0.1
+        st = initialize(half_space_1d(), zero_force(1), np.array([0.0]), np.array([1.0]), 0.1)
+        np.testing.assert_array_equal(st.q_curr, [0.1])
+        scn = lookup("floor")
+        traj, contact = run(scn.system, scn.force, np.array([0.0]), np.array([0.0]), 0.01, 1.0)
+        assert max_feasibility_gap(traj, scn.system) == 0.0
+        assert not traj.positions.any() and not traj.velocities.any()
+        np.testing.assert_allclose(contact.multipliers[:, 0], 0.1, rtol=1e-12)
+
+    def test_start_below_boundary_rejected(self):
+        with pytest.raises(ValueError, match=r"infeasible: g_1\(0, q0\) = -0.5 < 0"):
+            initialize(half_space_1d(), zero_force(1), np.array([-0.5]), np.array([1.0]), 0.1)
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError, match="h must be > 0, got 0.0"):
-            initialize(half_space_1d(), ZERO_FORCE, np.array([1.0]), np.array([0.0]), 0.0)
+            initialize(half_space_1d(), zero_force(1), np.array([1.0]), np.array([0.0]), 0.0)
 
     def test_short_velocity_rejected(self):
         # a length-1 u0 used to broadcast to (-2, -2)
@@ -104,7 +116,7 @@ class TestStep:
     def test_free_flight_is_linear_extrapolation(self):
         sys = half_space_1d()
         st = SchemeState(n=1, t_n=0.1, q_curr=np.array([0.9]), u_curr=np.array([-1.0]))
-        out = step(st, sys, ZERO_FORCE, 0.1)
+        out = step(st, sys, zero_force(1), 0.1)
         np.testing.assert_allclose(out.state.q_curr, [0.8], atol=1e-15)
         np.testing.assert_allclose(out.increment, [0.0], atol=1e-13)
 
@@ -133,7 +145,7 @@ class TestStep:
         st = SchemeState(n=1, t_n=0.0, q_curr=np.array([0.0, 1.3]),
                          u_curr=np.array([0.0, -6.0]))
         with pytest.raises(SimulationAbort) as err:
-            step(st, sys, ZERO_FORCE, 0.1)
+            step(st, sys, zero_force(2), 0.1)
         assert "tube" in err.value.reason
         assert err.value.step_index == 1
 
@@ -144,7 +156,7 @@ class TestStep:
         st = SchemeState(n=4, t_n=0.0, q_curr=np.array([0.0, 1.0]),
                          u_curr=np.array([0.0, -15.0]))
         with pytest.raises(SimulationAbort) as err:
-            step(st, sys, ZERO_FORCE, 0.1)
+            step(st, sys, zero_force(2), 0.1)
         assert "did not converge" in err.value.reason
         assert err.value.step_index == 4
 
@@ -162,6 +174,17 @@ class TestStep:
             run(scn.system, field, scn.q0, scn.u0, 0.01, scn.T)
         assert err.value.step_index == 50 and err.value.state.t_n == pytest.approx(0.5)
         assert err.value.reason == f"prediction is not finite: {nans} (f^n = {nans})"
+
+    def test_nan_gradient_aborts_run(self):
+        # a gradient that is NaN below q = 0.45 used to let the particle fly
+        # through the wall g = q - 0.5 to q = 2.2e-16 with zero multipliers
+        wall = ConstraintFunction(
+            id=1, value=lambda t, q: float(q[0]) - 0.5, dt=lambda t, q: 0.0,
+            gradient_q=lambda t, q: np.array([math.nan if q[0] < 0.45 else 1.0]))
+        sys = ConstraintSystem(dim=1, constraints=(wall,))
+        with pytest.raises(ConstraintEvaluationError) as err:
+            run(sys, zero_force(1), np.array([1.0]), np.array([-1.0]), 0.1, 1.0)
+        assert (err.value.constraint_id, err.value.what) == (1, "gradient")
 
 
 class TestExtractMultipliers:
@@ -338,7 +361,7 @@ class TestRun:
         counted = dataclasses.replace(
             wall, gradient_q=lambda t, q: times.append(t) or wall.gradient_q(t, q))
         sys = dataclasses.replace(scn.system, constraints=(counted, floor))
-        traj, contact = run(sys, scn.force, scn.q0, scn.u0, scn.h, scn.T)
+        traj, contact = run(sys, scn.force, scn.q0, scn.u0, 0.01, scn.T)
         impact = int(np.flatnonzero(contact.multipliers.any(axis=1))[0])
         assert impact > 40 and min(times) == traj.times[impact + 1]
         free_fall = contact.increments[:impact]
@@ -415,11 +438,11 @@ class TestRun:
             run(scn.system, scn.force, np.array(q0), np.array(u0), 0.01, 1.0)
 
     def test_margin_flag(self):
+        # the start margin is read off the run: q0, u0, its first step and T
         scn = lookup("floor")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.04, 2.0)
-        assert traj.margin_ok  # 0.04 * (0 + 20) = 0.8 < 1.25
-        traj2, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.08, 2.0)
-        assert not traj2.margin_ok
+        margins = [diagnose(*run(scn.system, scn.force, scn.q0, scn.u0, h, 2.0), scn.system,
+                            scn.force).constants.margin_ok for h in (0.04, 0.08)]
+        assert margins == [True, False]  # h (0 + 20) = 0.8 < 1.25, then 1.6
 
     def test_trajectory_interpolation_rules(self):
         scn = lookup("free")
@@ -572,11 +595,15 @@ class TestRunLoop:
 
     # a run restarted at grid point k from (q^k, u^k) over T - t^k repeats the
     # original rows from k on, bit for bit, also one step before impact (floor
-    # and pocket k = 49, wedge k = 33); the piston's wall moves with t, so a
-    # restart at t = 0 is another problem
+    # and pocket k = 49, wedge k = 33) and from a row on the boundary (floor
+    # and pocket from k = 51, wedge from k = 50); the piston's wall moves with
+    # t, so a restart at t = 0 is another problem
     @pytest.mark.parametrize("name, k", [("floor", 10), ("floor", 40), ("floor", 49),
+                                         ("floor", 51), ("floor", 60), ("floor", 150),
                                          ("wedge", 10), ("wedge", 30), ("wedge", 33),
-                                         ("pocket", 10), ("pocket", 49), ("free", 7)])
+                                         ("wedge", 50), ("wedge", 70),
+                                         ("pocket", 10), ("pocket", 49), ("pocket", 51),
+                                         ("pocket", 80), ("free", 7)])
     def test_restart_reproduces_tail(self, name, k):
         scn, h = lookup(name), 0.01
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)

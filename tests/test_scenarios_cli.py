@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,13 +113,21 @@ class TestWallReference:
         np.testing.assert_allclose(got[:, 1], want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("scenario, q0", [
-        ("floor", [0.0]), ("floor", [-0.5]), ("piston", [0.0]), ("piston", [-1.0]),
-        ("wedge", [0.0, 1.0]), ("wedge", [1.0, -2.0]), ("pocket", [0.0, 1.0]),
-        ("pocket", [0.0, 0.5]), ("floor", [1.0, 1.0]),
-    ], ids=["floor-on", "floor-below", "piston-on", "piston-below", "wedge-on",
-            "wedge-below", "pocket-on", "pocket-below", "floor-wrong-length"])
+        ("floor", [-0.5]), ("piston", [-1.0]), ("wedge", [1.0, -2.0]), ("pocket", [0.0, 0.5]),
+        ("floor", [1.0, 1.0]),
+    ], ids=["floor-below", "piston-below", "wedge-below", "pocket-below", "floor-wrong-length"])
     def test_none_outside_validity(self, scenario, q0):
         assert lookup(scenario).reference(q0, np.zeros(len(q0))) is None
+
+    # a start at rest on a wall stays on it: the piston's wall carries it at
+    # speed 1, and the wedge's q2 = 1 is off its wall, so it stays put too
+    @pytest.mark.parametrize("scenario, q0, speed", [
+        ("floor", [0.0], [0.0]), ("piston", [0.0], [1.0]), ("wedge", [0.0, 1.0], [0.0, 0.0]),
+        ("pocket", [0.0, 1.0], [0.0, 0.0]),
+    ], ids=["floor-on", "piston-on", "wedge-on", "pocket-on"])
+    def test_start_on_wall(self, scenario, q0, speed):
+        got = lookup(scenario).reference(q0, np.zeros(len(q0)))(self.TIMES)
+        np.testing.assert_array_equal(got, q0 + np.outer(self.TIMES, speed))
 
 
 class TestConfigFile:
@@ -138,10 +148,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value, as_flag", [
         pytest.param("h", "abc", False, id="h"),
         pytest.param("T", "abc", False, id="T"),
-        pytest.param("J", "abc", False, id="J"),
         pytest.param("h", "abc", True, id="flag-h"),
         pytest.param("T", "x", True, id="flag-T"),
-        pytest.param("J", "y", True, id="flag-J"),
     ])
     def test_unparsable_float_is_config_error(self, tmp_path, capsys, key, value, as_flag):
         cfg = tmp_path / "bad.cfg"
@@ -173,16 +181,14 @@ class TestConfigFile:
         ("scenario=wedge\nu0=1", [], "u0 must have length 2, got 1"),
         ("q0=nan", [], "q0 must be finite"),
         ("scenario=banana", [], "unknown scenario 'banana'"),
-        ("J=-2", [], "J must be finite and >= 0, got -2.0"),
-        ("J=-1", [], "J must be finite and >= 0, got -1.0"),
-        ("J=inf", [], "J must be finite and >= 0, got inf"),
-        ("", ["--J=-2"], "J must be finite and >= 0, got -2.0"),
+        ("J=-2", [], "unknown config key 'J'"),  # the horizon constant J is no setting
+        ("", ["--J=-2"], "unrecognized arguments: --J=-2"),
         ("jump_tol=0.5", [], "unknown config key 'jump_tol'"),
         ("verify", [], "run.cfg:1: expected key=value, got 'verify\\n'"),
     ], ids=["unknown-key", "unknown-flag", "missing-flag-value", "bad-float-list",
             "bad-flag-vector", "h-zero", "sweep-h-negative", "T-below-h", "T-infinite",
-            "vector-length", "q0-nan", "unknown-scenario", "J-negative", "J-minus-one",
-            "J-infinite", "flag-J-negative", "jump_tol-unknown", "no-equals"])
+            "vector-length", "q0-nan", "unknown-scenario", "J-negative", "flag-J-negative",
+            "jump_tol-unknown", "no-equals"])
     def test_config_errors_exit_1(self, tmp_path, capsys, lines, flags, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines + "\n")
@@ -198,12 +204,12 @@ class TestConfigFile:
     def test_every_key_from_file_equals_flags(self, tmp_path):
         settings = {"scenario": "wedge", "h": "0.02", "T": "0.6", "q0": "1.5,1.25",
                     "u0": "-2,-3", "sweep": "0.04,0.02", "verify": "yes",
-                    "json_only": "TRUE", "J": "2"}
+                    "json_only": "TRUE"}
         from_file = tmp_path / "all.cfg"
         from_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items())
                              + f"out={tmp_path / 'file'}\n")
         flags = ["--out", str(tmp_path / "flag"), "--verify", "--json-only"]
-        for key in ("scenario", "h", "T", "q0", "u0", "sweep", "J"):
+        for key in ("scenario", "h", "T", "q0", "u0", "sweep"):
             flags.append(f"--{key}={settings[key]}")  # "=" lets a value start with "-"
         assert main(["--config", str(from_file)]) == 0
         assert main(flags) == 0
@@ -211,6 +217,13 @@ class TestConfigFile:
             assert ((tmp_path / f"file{suffix}").read_bytes()
                     == (tmp_path / f"flag{suffix}").read_bytes()), suffix
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_readme_flags_match_parser(self):
+        # a setting removed from the parser cannot stay documented, nor the reverse
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"Flags: `([^`]*)`", readme).group(1).split()
+        options = [s for a in cli.build_parser()._actions for s in a.option_strings]
+        assert listed == [s for s in options if s not in ("-h", "--help")]
 
 
 class TestCliExitCodes:
@@ -249,10 +262,20 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == (
             "simulation abort: constraint 1: failed to evaluate value\n")
 
-    def test_tube_exit_is_exit_2(self, tmp_path):
-        rc = main(["--scenario", "pocket", "--u0", "0,-30", "--h", "0.04",
+    def test_tube_exit_is_exit_2(self, tmp_path, capsys):
+        # the first prediction, (2, 0.5) + 0.04 (0, -60) + 0.04^2 (0, -10), lies
+        # below the floor, 1.916 from its projection: farther than eta = 1
+        rc = main(["--scenario", "pocket", "--q0=2,0.5", "--u0=0,-60", "--h", "0.04",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert capsys.readouterr().err == ("simulation abort at step 0: left prox-regular tube "
+                                           "(distance 1.916 >= eta 1)\n")
+
+    def test_boundary_start_verifies(self, tmp_path):
+        # the floor from rest on the floor stays there at every h
+        rc = main(["--scenario", "floor", "--q0", "0", "--sweep", "0.02,0.01,0.005", "--verify",
+                   "--json-only", "--out", str(tmp_path / "b")])
+        assert rc == 0
 
     def test_verify_sweep_green(self, tmp_path):
         out = tmp_path / "sweep"
