@@ -112,7 +112,7 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
 
     try:  # the library's own input rules, checked before any run or file
         for h in cfg["sweep"] or [cfg["h"]]:
-            _check_inputs(scn.system, cfg["q0"], cfg["u0"], h, cfg["T"])
+            _check_inputs(scn.system, scn.force, cfg["q0"], cfg["u0"], h, cfg["T"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return scn, argparse.Namespace(**cfg)

@@ -134,7 +134,10 @@ class ConstraintSystem:
     or at times t (m,) to (m, p); gradients (p, d) and dts (p,) take a point.
     Affine constraints are stacked once into rows of A, b, r and evaluated as
     q A^T + (b + r t); every other one is called point by point.  Derived:
-    affine (no callable constraint) and still (affine with every rate 0).
+    affine (no callable constraint), still (affine with every rate 0) and
+    axis_rows: None unless the set is affine with at most one nonzero
+    coefficient per row, else each row as (j, a_j, b, r), whose value
+    a_j q_j + (b + r t) in floats has numpy's bits up to the sign of a zero.
     """
 
     dim: int
@@ -182,6 +185,10 @@ class ConstraintSystem:
         object.__setattr__(self, "_pointwise", tuple(pointwise))
         object.__setattr__(self, "affine", not pointwise)
         object.__setattr__(self, "still", not pointwise and not r.any())
+        j = np.argmax(A != 0.0, axis=1)
+        axis = not pointwise and bool((np.count_nonzero(A, axis=1) <= 1).all())
+        rows = zip(j.tolist(), A[np.arange(self.p), j].tolist(), b.tolist(), r.tolist())
+        object.__setattr__(self, "axis_rows", tuple(rows) if axis else None)
         if self.eta is None:  # inf for a convex set, M = 0
             eta = math.inf if self.hess_bound == 0.0 else self.alpha / self.hess_bound
             object.__setattr__(self, "eta", eta)

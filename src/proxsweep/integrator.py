@@ -23,12 +23,25 @@ divided by h.  A step aborts unless its projection converges closer than
 eta, inside the prox-regular tube.  extract_multipliers, which run() does not
 call, cross-checks them by nonnegative least squares on the active gradients.
 
-A resting particle repeats its step.  On a still set (no callable
-constraint, every affine rate 0) under a constant force, step() does not
-depend on t at all, so run() decides once per run that steps repeat: once a
-computed step returns its input (q^n, u^n) bit for bit, its outcome is
-copied into each next step of the same h instead of calling step() again.
-The arrays are those of a chain of step() calls, bit for bit.
+run() writes three kinds of row, and only the last calls step():
+
+* flown: on a set with sys.axis_rows (affine, at most one nonzero
+  coefficient per row) under a constant force, run() keeps (q^n, u^n) as
+  Python floats and forms the prediction by step()'s own expressions.  When
+  it is finite and every row a_j x_j + (b + r t^{n+1}) is >= 0, the
+  projection would return it unchanged with zero multipliers, so the row is
+  step()'s outcome without the call: one nonzero coefficient leaves no
+  summation order to disagree with numpy on.  The residuals of flown rows
+  come from one np.vecdot after the loop, bit-equal to step()'s 1-D dot.
+* filled: on a still set (no callable constraint, every affine rate 0)
+  under a constant force, step() does not depend on t, so a step, flown or
+  computed, that returns its input (q^n, u^n) bit for bit returns it at
+  every later step of the same size; those rows are filled at once.
+* computed: every other step is one step() call, the one place that projects.
+
+The times are np.add.accumulate over the step sizes, which adds in sequence
+like step()'s t^n + h.  The arrays are those of a chain of step() calls, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -189,11 +202,12 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
                                 float(res), float(res) <= tol_kkt)
 
 
-def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
+def _check_inputs(sys: ConstraintSystem, field: ForceField, q0, u0, h: float,
                   T: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The rules on a run's inputs, each a ValueError: h > 0, h < T < inf when
-    a horizon T is given, q0 and u0 finite of length sys.dim, g_i(0, q0) >= 0
-    for every i.  Returns q0 and u0 as float arrays."""
+    a horizon T is given, q0 and u0 finite of length sys.dim, a constant force
+    of length sys.dim, g_i(0, q0) >= 0 for every i.  Returns q0 and u0 as
+    float arrays."""
     if not h > 0.0:
         raise ValueError(f"h must be > 0, got {h}")
     if T is not None and not h < T < math.inf:
@@ -205,6 +219,9 @@ def _check_inputs(sys: ConstraintSystem, q0, u0, h: float,
             raise ValueError(f"{name} must have length {sys.dim}, got {got}")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite, got {v}")
+    if field._average is not None and field._average.size != sys.dim:
+        raise ValueError(f"a constant force must have length {sys.dim}, "
+                         f"got {field._average.size}")
     if sys.p:
         g0 = sys.values(0.0, q0)
         worst = int(np.argmin(g0))
@@ -220,7 +237,7 @@ def initialize(sys: ConstraintSystem, field: ForceField, q0: np.ndarray,
 
     q0 may lie on the boundary of C(0) (_check_inputs); a failed projection
     raises SimulationAbort at step 0."""
-    q0, u0 = _check_inputs(sys, q0, u0, h)
+    q0, u0 = _check_inputs(sys, field, q0, u0, h)
     return step(SchemeState(n=0, t_n=0.0, q_curr=q0, u_curr=u0), sys, field, h).state
 
 
@@ -267,41 +284,56 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
-    Every step, step 0 from (q0, u0) included, is one step() call, except
-    a resting step of a run whose steps repeat: a still set (sys.still)
-    under a constant force.
-    There, once a computed step returns its input (q^n, u^n) bit for bit,
-    each next step of the same h_n copies its outcome and only t advances,
-    by t^n + h_n as in step().
+    Each row is flown, filled or computed (module docstring).  A step is
+    flown when sys.axis_rows is set, the force is a constant and the
+    prediction is finite and feasible.  Once a step returns its input on a
+    still set under a constant force, the rest of the steps of its size are
+    filled.  Every other step calls step().
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
     last valid state.
     """
-    q0, u0 = _check_inputs(sys, q0, u0, h, T)
+    q0, u0 = _check_inputs(sys, field, q0, u0, h, T)
     n_full, partial = _grid(h, T)
     N, d = n_full + partial, sys.dim
-    times, positions, velocities = np.empty(N + 1), np.empty((N + 1, d)), np.empty((N + 1, d))
-    increments, multipliers, residuals = np.empty((N, d)), np.empty((N, sys.p)), np.empty(N)
-    force_averages = np.empty((N, d))
-    times[0], positions[0], velocities[0] = 0.0, q0, u0
-    state = SchemeState(n=0, t_n=0.0, q_curr=q0, u_curr=u0)
-    # rest: (h_n, outcome) of the last computed step that returned its input,
-    # kept only when steps repeat
-    repeats, rest = sys.still and not callable(field.f), None
     # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
-    for n, h_n in enumerate([h] * n_full + ([T - n_full * h] if partial else [])):
-        if rest and rest[0] == h_n:
-            out, state = rest[1], SchemeState(state.n + 1, state.t_n + h_n, state.q_curr,
-                                              state.u_curr)
+    sizes = [h] * n_full + ([T - n_full * h] if partial else [])
+    times = np.add.accumulate([0.0] + sizes)  # in sequence, like step()'s t^n + h
+    positions, velocities = np.empty((N + 1, d)), np.empty((N + 1, d))
+    increments, multipliers, residuals = np.empty((N, d)), np.zeros((N, sys.p)), np.empty(N)
+    force_averages, flown = np.empty((N, d)), np.zeros(N, dtype=bool)
+    positions[0], velocities[0] = q0, u0
+    constant = not callable(field.f)
+    rows, f = (sys.axis_rows, field._average.tolist()) if constant else (None, None)
+    repeats = sys.still and constant
+    ts, q, u, n = times.tolist(), q0.tolist(), u0.tolist(), 0
+    while n < N:
+        h_n = sizes[n]
+        if rows is not None:
+            x = [qj + h_n * uj + h_n * h_n * fj for qj, uj, fj in zip(q, u, f)]
+            flown[n] = all(map(math.isfinite, x)) and all(
+                a * x[j] + (b + r * ts[n + 1]) >= 0.0 for j, a, b, r in rows)
+        if flown[n]:  # step()'s outcome on a feasible prediction, residual aside
+            v = [(xj - qj) / h_n for xj, qj in zip(x, q)]
+            increments[n] = [uj + h_n * fj - vj for uj, fj, vj in zip(u, f, v)]
+            force_averages[n], q, u = f, x, v
         else:
-            out = step(state, sys, field, h_n)
-            returned = repeats and (out.state.q_curr.tobytes(), out.state.u_curr.tobytes()) == (
-                state.q_curr.tobytes(), state.u_curr.tobytes())
-            rest, state = (h_n, out) if returned else None, out.state
-        times[n + 1], positions[n + 1], velocities[n + 1] = state.t_n, state.q_curr, state.u_curr
-        increments[n], multipliers[n], residuals[n], force_averages[n] = (
-            out.increment, out.multipliers, out.multiplier_residual, out.force_average)
+            out = step(SchemeState(n, ts[n], positions[n], velocities[n]), sys, field, h_n)
+            increments[n], multipliers[n], residuals[n], force_averages[n] = (
+                out.increment, out.multipliers, out.multiplier_residual, out.force_average)
+            q, u = out.state.q_curr.tolist(), out.state.u_curr.tolist()
+        positions[n + 1], velocities[n + 1] = q, u
+        n += 1
+        if (repeats and n < n_full
+                and positions[n].tobytes() == positions[n - 1].tobytes()
+                and velocities[n].tobytes() == velocities[n - 1].tobytes()):
+            # step n - 1 returned its input: so does every later step of size h
+            positions[n + 1:n_full + 1], velocities[n + 1:n_full + 1] = positions[n], velocities[n]
+            for array in (increments, multipliers, residuals, force_averages, flown):
+                array[n:n_full] = array[n - 1]
+            n = n_full
+    residuals[flown] = np.sqrt(np.vecdot(increments[flown], increments[flown]))
 
     return (Trajectory(times, positions, velocities, partial),
             ContactMeasure(increments, multipliers, residuals, force_averages))

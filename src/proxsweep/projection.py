@@ -48,16 +48,16 @@ class ProjectionResult:
 def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionResult:
     """Nearest point of C(t) to x, with Kuhn-Tucker certificate.
 
-    Feasible x is returned unchanged, and affine constraints alone take one
-    solve.  Otherwise the iteration stops once it moves less than 1e-12
-    (1 + |x|); an infeasible linearisation or MAX_ITER projections without
-    that leave converged False.
+    Feasible x is returned unchanged, converged only when finite, and affine
+    constraints alone take one solve.  Otherwise the iteration stops once it
+    moves less than 1e-12 (1 + |x|); an infeasible linearisation or MAX_ITER
+    projections without that leave converged False.
     """
     x = np.asarray(x, dtype=float)
     g = sys.values(t, x)
-    if (g >= 0.0).all():  # with no constraint a non-finite x is "feasible": not converged
+    if (g >= 0.0).all():  # a non-finite x may read as feasible: not converged
         return ProjectionResult(point=x.copy(), multipliers=np.zeros(sys.p), distance=0.0,
-                                converged=sys.p > 0 or bool(np.isfinite(x).all()), iterations=0)
+                                converged=bool(np.isfinite(x).all()), iterations=0)
 
     tol = 1e-12 * (1.0 + math.sqrt(x @ x))
     y, mu = x, np.zeros(sys.p)

@@ -194,6 +194,16 @@ class TestBatchedEvaluation:
         with pytest.raises(InvalidConstantsError, match="constraint 1: normal has length 1"):
             ConstraintSystem(dim=2, constraints=(affine_constraint(1, [1.0]),))
 
+    def test_axis_rows(self):
+        # (j, a_j, b, r) per row when no row has two nonzero coefficients; a
+        # zero row reads a_0 = 0; None with an oblique row or a callable
+        sys = ConstraintSystem(2, (affine_constraint(1, [0.0, -2.0], offset=0.5, rate=1.5),
+                                   affine_constraint(2, [0.0, 0.0], offset=1.0)))
+        assert sys.axis_rows == ((1, -2.0, 0.5, 1.5), (0, 0.0, 1.0, 0.0))
+        assert lookup("free").system.axis_rows == ()
+        assert lookup("pocket").system.axis_rows is None
+        assert ConstraintSystem(2, (affine_constraint(1, [1.0, 1.0]),)).axis_rows is None
+
     def test_activity_tolerance_rows_are_one_dimensional_norms(self):
         rng = np.random.default_rng(13)
         points = rng.uniform(-3.0, 3.0, (2000, 3))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxsweep import (ConstraintEvaluationError, ForceField, SimulationAbort, active_set,
                        diagnose, extract_multipliers, initialize, geometry, integrator,
@@ -174,6 +176,18 @@ class TestStep:
             run(scn.system, field, scn.q0, scn.u0, 0.01, scn.T)
         assert err.value.step_index == 50 and err.value.state.t_n == pytest.approx(0.5)
         assert err.value.reason == f"prediction is not finite: {nans} (f^n = {nans})"
+
+    # h u0 = 2e308 overflows; the floor's and the piston's rows read the
+    # prediction inf as feasible, and both runs used to return positions
+    # [1, inf, inf] with no error
+    @pytest.mark.parametrize("name", ["floor", "piston"])
+    def test_overflowing_prediction_aborts(self, name):
+        scn = lookup(name)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(SimulationAbort) as err:
+            run(scn.system, scn.force, np.array([1.0]), np.array([1e308]), 2.0, 4.0)
+        assert err.value.step_index == 0
+        assert err.value.reason.startswith("prediction is not finite: [inf]")
 
     def test_nan_gradient_aborts_run(self):
         # a gradient that is NaN below q = 0.45 used to let the particle fly
@@ -437,6 +451,18 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             run(scn.system, scn.force, np.array(q0), np.array(u0), 0.01, 1.0)
 
+    # a length-1 constant used to pull both coordinates of the wedge, to
+    # (0, 0), and a length-3 one failed inside numpy's broadcasting
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_force_length_rejected(self, length):
+        scn = lookup("wedge")
+        force = ForceField(f=np.full(length, -10.0), bound_F=lambda t: 20.0, sup_F=20.0)
+        message = f"a constant force must have length 2, got {length}"
+        with pytest.raises(ValueError, match=message):
+            run(scn.system, force, scn.q0, scn.u0, 0.01, 1.0)
+        with pytest.raises(ValueError, match=message):
+            initialize(scn.system, force, scn.q0, scn.u0, 0.01)
+
     def test_margin_flag(self):
         # the start margin is read off the run: q0, u0, its first step and T
         scn = lookup("floor")
@@ -490,9 +516,9 @@ class TestRunLoop:
                 contact.multipliers, contact.residuals, contact.force_averages)
 
     def assert_matches_by_hand(self, traj, contact, scn, h, T):
+        # bytes, not values: -0.0 equals 0.0, and run()'s rest rule compares bytes
         for array, expected in zip(self.arrays(traj, contact), self.by_hand(scn, h, T)):
-            assert array.shape == expected.shape
-            np.testing.assert_array_equal(array, expected)
+            assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name, h, T", CASES)
     def test_run_matches_chained_steps(self, name, h, T):
@@ -571,27 +597,94 @@ class TestRunLoop:
                                             ("free", 0.01, 0.205), ("lift-off", 0.01, 2.0)])
     def test_one_step_call_per_step(self, name, h, T, monkeypatch):
         # run() calls step() through the module name once per step, the first
-        # included, when the set moves (piston), has a callable constraint
-        # (pocket), the state never rests (free) or the force is a callable
-        # (lift-off rests on the still floor until t = 1)
+        # included, when the set has a callable constraint (pocket) or the
+        # force is a callable (lift-off rests on the still floor until t = 1);
+        # an axis-aligned affine set under a constant force flies every
+        # feasible prediction: the piston computes only its impact at t = 0.66
+        # and the step after, and free flight computes no step
         forces = []
         scn = self.lift_off(forces) if name == "lift-off" else lookup(name)
         steps = self.count_calls(monkeypatch, integrator, "step")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T if T is None else T)
-        assert len(steps) == traj.nsteps
+        assert len(steps) == {"piston": 2, "free": 0}.get(name, traj.nsteps)
         assert len(forces) == (3 * traj.nsteps if name == "lift-off" else 0)
 
-    @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 502), ("wedge", 0.00025, 2003)])
+    @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 3), ("wedge", 0.00025, 4)])
     def test_resting_steps_reused(self, name, h, calls, monkeypatch):
         # under a constant force on a still set, the steps after the first
-        # that returned its input copy its outcome and average no force, so
-        # f^n is averaged once per step() call; the floor rests from t = 0.5
-        # of 2, the wedge's corner from t = 0.5 of 1
+        # that returned its input are filled and average no force, and
+        # feasible predictions are flown, so f^n is averaged once per step()
+        # call: the floor computes its impact at t = 0.499 and the two steps
+        # after, then rests to t = 2; the wedge computes two steps at each
+        # wall (t = 0.33325 and 0.5), then rests in its corner to t = 1
         steps = self.count_calls(monkeypatch, integrator, "step")
         averages = self.count_calls(monkeypatch, ForceField, "step_average")
         scn = lookup(name)
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
         assert (traj.nsteps, len(steps), len(averages)) == (round(scn.T / h), calls, calls)
+
+    # random axis-aligned affine sets: every row a_j q_j + b + r t with one
+    # nonzero coefficient (or none), a start inside or on some rows, a
+    # constant force, and a horizon that may end in a partial step; rows are
+    # flown, filled or computed, and all of them equal chained step() calls
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_axis_aligned_runs_match_chained_steps(self, data):
+        # no subnormals: the kernel's own handling of them is not under test
+        def floats(lo, hi, size=None):
+            one = st.floats(lo, hi, allow_subnormal=False)
+            return one if size is None else np.array(
+                data.draw(st.lists(one, min_size=size, max_size=size)))
+
+        d = data.draw(st.integers(1, 3))
+        # u0 or f times 0 starts at rest or feels no force, with some -0.0
+        q0 = floats(-1.0, 1.0, d)
+        u0 = floats(-3.0, 3.0, d) * data.draw(st.sampled_from([0, 1]))
+        f = floats(-10.0, 10.0, d) * data.draw(st.sampled_from([0, 1]))
+        still, rows = data.draw(st.booleans()), []
+        for cid in range(1, data.draw(st.integers(1, 4)) + 1):
+            # a = 0 or |a| >= 0.25: a tiny a squares to 0 in the projection
+            j = data.draw(st.integers(0, d - 1))
+            a = data.draw(st.sampled_from([0.0, 1.0, -1.0])) * data.draw(floats(0.25, 3.0))
+            normal = np.zeros(d)
+            normal[j] = a
+            if cid == 1:  # the force pushes into the first row
+                f[j] = math.copysign(f[j], -a)
+            slack = data.draw(st.sampled_from([0.0, 0.02, 0.3]))  # 0: a start on the row
+            rate = 0.0 if still else data.draw(st.sampled_from([0.0, 1.0]) | floats(-1.0, 1.0))
+            rows.append(affine_constraint(cid, normal, offset=slack - a * q0[j], rate=rate))
+        norm = float(np.linalg.norm(f))
+        scn = dataclasses.replace(lookup("free"), system=ConstraintSystem(d, tuple(rows)),
+                                  force=ForceField(f=f, bound_F=lambda t: norm, sup_F=norm),
+                                  q0=q0, u0=u0)
+        h = data.draw(st.sampled_from([0.01, 0.003, 0.02]))
+        T = h * (data.draw(st.integers(2, 80)) + data.draw(st.sampled_from([0.0, 0.25, 0.5])))
+        n_full = int(T / h)  # by_hand's grid, which T / h a hair below an integer splits
+        assume((n_full, T - n_full * h > 1e-9 * T) == integrator._grid(h, T))
+        assert scn.system.axis_rows is not None
+        try:
+            expected = self.by_hand(scn, h, T)
+        except SimulationAbort as exc:  # rows that close in on each other
+            with pytest.raises(SimulationAbort) as err:
+                run(scn.system, scn.force, q0, u0, h, T)
+            assert (err.value.step_index, err.value.reason) == (exc.step_index, exc.reason)
+            return
+        traj, contact = run(scn.system, scn.force, q0, u0, h, T)
+        for array, want in zip(self.arrays(traj, contact), expected):
+            assert array.shape == want.shape and array.tobytes() == want.tobytes()
+
+    def test_oblique_row_computes_every_step(self, monkeypatch):
+        # the row q1 + q2 >= 0 has two nonzero coefficients, so no prediction
+        # is flown: the particle meets it at t = 1 and slides along it at (-1, 1)
+        sys = ConstraintSystem(2, (affine_constraint(1, [1.0, 1.0]),
+                                   affine_constraint(2, [0.0, 1.0])))
+        scn = dataclasses.replace(lookup("wedge"), system=sys, q0=np.array([1.0, 1.0]),
+                                  u0=np.array([-2.0, 0.0]))
+        steps = self.count_calls(monkeypatch, integrator, "step")
+        traj, contact = run(sys, scn.force, scn.q0, scn.u0, 0.01, 2.0)
+        assert sys.axis_rows is None and len(steps) == traj.nsteps == 200
+        assert traj.positions[-1] == pytest.approx([-2.0, 2.0], abs=0.05)
+        self.assert_matches_by_hand(traj, contact, scn, 0.01, 2.0)
 
     # a run restarted at grid point k from (q^k, u^k) over T - t^k repeats the
     # original rows from k on, bit for bit, also one step before impact (floor
