@@ -98,14 +98,14 @@ def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
 
 
 def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
-                   sup_force: float = 0.0) -> list[tuple[int, int]]:
+                   sup_force: float) -> list[tuple[int, int]]:
     """Index windows [a, b] of steps forming one contact-induced jump.
 
     A window is a maximal run of steps that end in contact with a jump
     |u^{n+1} - u^n| above the smooth-forcing level, and that holds at least
     one jump above the seed threshold: an off-grid impact resolves over two
     consecutive steps and must count as one event.  Both thresholds are
-    derived from the largest step h and sup_force, each floored at 1e-7.
+    derived from the largest step h and the run's sup_F, each floored at 1e-7.
     """
     h = float(np.max(np.diff(traj.times))) if traj.nsteps else 0.0
     seed_tol = max(5.0 * h * sup_force, 1e-7)
@@ -142,8 +142,8 @@ def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray) -> list[np.
 
 
 def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
-                      sup_force: float = 0.0) -> list[ImpactEvent]:
-    """Check u+ = P_V(u-) at every detected jump, plus its variational form.
+                      sup_force: float) -> list[ImpactEvent]:
+    """Check u+ = P_V(u-) at every detect_impacts jump, plus its variational form.
 
     The variational form <u- - u+, w - u+> <= 0 is sampled at the polyhedron
     vertices and at random admissible velocities.  Events whose polyhedron is

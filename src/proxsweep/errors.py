@@ -8,12 +8,11 @@ class ProxsweepError(Exception):
 
 
 class ConstraintEvaluationError(ProxsweepError):
-    """A constraint function (value, gradient or time derivative) failed to evaluate."""
+    """A constraint's value, gradient or dt failed to evaluate; __cause__ holds why."""
 
     def __init__(self, constraint_id: int, what: str, cause: Exception | None = None):
         self.constraint_id = constraint_id
         self.what = what
-        self.cause = cause
         super().__init__(f"constraint {constraint_id}: failed to evaluate {what}" +
                          (f" ({cause!r})" if cause is not None else ""))
 

@@ -245,10 +245,6 @@ class VelocityPolyhedron:
     normals: np.ndarray  # shape (m, d)
     offsets: np.ndarray  # shape (m,)
 
-    @property
-    def nrows(self) -> int:
-        return self.normals.shape[0]
-
     def residuals(self, u: np.ndarray) -> np.ndarray:
         return self.offsets + self.normals @ np.asarray(u, dtype=float)
 

@@ -145,7 +145,6 @@ class Trajectory:
     times: np.ndarray       # shape (N+1,)
     positions: np.ndarray   # shape (N+1, d)
     velocities: np.ndarray  # shape (N+1, d)
-    partial_final_step: bool = False
 
     @property
     def nsteps(self) -> int:
@@ -246,7 +245,8 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
     """Advance one step of size h: predict by free dynamics, correct by projection."""
     t_next = state.t_n + h
     f_avg = field.step_average(state.t_n, t_next, state.q_curr)
-    predicted = state.q_curr + h * state.u_curr + h * h * f_avg
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction aborts below
+        predicted = state.q_curr + h * state.u_curr + h * h * f_avg
     proj = project_point(sys, t_next, predicted)
     if not (proj.converged and proj.distance < sys.eta):
         if not np.all(np.isfinite(predicted)):
@@ -271,7 +271,8 @@ def step(state: SchemeState, sys: ConstraintSystem, field: ForceField,
 
 
 def _grid(h: float, T: float) -> tuple[int, bool]:
-    """Number of full steps and whether a shrunk final step is needed."""
+    """Full steps of size h in [0, T] and whether a shrunk last step follows: none
+    when T / h is within 1e-9 of an integer, so a partial step exceeds 1e-9 T."""
     ratio = T / h
     n_round = round(ratio)
     if n_round >= 1 and abs(ratio - n_round) <= 1e-9 * max(1.0, ratio):
@@ -297,7 +298,6 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     q0, u0 = _check_inputs(sys, field, q0, u0, h, T)
     n_full, partial = _grid(h, T)
     N, d = n_full + partial, sys.dim
-    # a partial final step is longer than 1e-9 T, by _grid's rounding tolerance
     sizes = [h] * n_full + ([T - n_full * h] if partial else [])
     times = np.add.accumulate([0.0] + sizes)  # in sequence, like step()'s t^n + h
     positions, velocities = np.empty((N + 1, d)), np.empty((N + 1, d))
@@ -335,5 +335,5 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
             n = n_full
     residuals[flown] = np.sqrt(np.vecdot(increments[flown], increments[flown]))
 
-    return (Trajectory(times, positions, velocities, partial),
+    return (Trajectory(times, positions, velocities),
             ContactMeasure(increments, multipliers, residuals, force_averages))

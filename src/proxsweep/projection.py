@@ -82,18 +82,15 @@ def project_point(sys: ConstraintSystem, t: float, x: np.ndarray) -> ProjectionR
 
 
 def project_velocity(poly: VelocityPolyhedron, u: np.ndarray) -> ProjectionResult:
-    """Euclidean projection of u onto the velocity polyhedron (one kernel call).
+    """Euclidean projection of u onto the velocity polyhedron: one kernel call.
 
-    Feasible u is returned unchanged; multipliers come back one per row with
-    u_projected = u + sum_i lam_i n_i, lam_i >= 0.  An empty polyhedron
-    raises InfeasibleConeError.
+    The kernel decides whether u is in V, where it moves u by 0 with zero
+    multipliers; otherwise u_projected = u + sum_i lam_i n_i, lam_i >= 0,
+    one multiplier per row.
+    iterations is 1, the kernel call.  An empty polyhedron raises
+    InfeasibleConeError.
     """
     u = np.asarray(u, dtype=float)
-    m = poly.nrows
-    scale = 1.0 + float(np.linalg.norm(u)) + (float(np.max(np.abs(poly.offsets))) if m else 0.0)
-    if poly.membership(u, tol=1e-12 * scale):
-        return ProjectionResult(point=u.copy(), multipliers=np.zeros(m),
-                                distance=0.0, converged=True, iterations=0)
     move, mu = least_distance(poly.normals, -poly.residuals(u))
     return ProjectionResult(point=u + move, multipliers=mu,
                             distance=float(np.linalg.norm(move)), converged=True,

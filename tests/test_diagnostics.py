@@ -63,7 +63,7 @@ class TestImpactLaw:
     def test_no_jump_no_event(self):
         scn = lookup("free")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
-        assert verify_impact_law(traj, scn.system) == []
+        assert verify_impact_law(traj, scn.system, sup_force=0.0) == []
 
     def test_adversarial_injected_velocity_detected(self):
         # a floor impact rewritten to exit at u+ = 1 violates the law: the
@@ -127,7 +127,7 @@ class TestImpactLaw:
         sys = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [0.0, 1.0]),
                                                    affine_constraint(2, [0.0, 2.0])))
         traj, _ = run(sys, zero_force(2), np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)
-        events = verify_impact_law(traj, sys)
+        events = verify_impact_law(traj, sys, sup_force=0.0)
         assert [ev.time for ev in events] == [pytest.approx(0.51)]
         assert not math.isnan(events[0].law_residual)
         assert events[0].law_residual <= 1e-12
@@ -309,7 +309,7 @@ class TestGaps:
         assert report.momentum_residual <= 1e-8
         assert len(report.impacts) == 1
         assert report.constants.kappa0 is not None
-        assert not traj.partial_final_step
+        assert traj.nsteps == 100
 
 
 class TestDetectImpacts:
@@ -320,6 +320,18 @@ class TestDetectImpacts:
         assert len(windows) == 1
         a, b = windows[0]
         assert b - a <= 2
+
+    def test_forced_slide_is_not_an_impact(self):
+        # the pocket from (0.3, 2.25) hits the disc at t = 0.509, slides along
+        # it under gravity to t = 0.741, then lands on the floor at t = 0.976;
+        # the slide's jumps, about h g each, stay below the run's thresholds,
+        # while sup_force = 0 merges them into one impact with residual 0.885
+        scn = lookup("pocket")
+        traj, _ = run(scn.system, scn.force, np.array([0.3, 2.25]), np.zeros(2), 0.001, 1.5)
+        sup_f = scn.force.sup_F
+        assert detect_impacts(traj, scn.system, sup_force=sup_f) == [(508, 509), (975, 976)]
+        assert max(ev.law_residual for ev in verify_impact_law(traj, scn.system, sup_f)) < 0.005
+        assert detect_impacts(traj, scn.system, sup_force=0.0)[0] == (508, 740)
 
     def test_wedge_two_separate_events(self):
         scn = lookup("wedge")

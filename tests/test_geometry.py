@@ -106,7 +106,7 @@ class TestActiveSet:
 class TestVelocityPolyhedron:
     def test_floor_row(self):
         poly = velocity_polyhedron(half_space_1d(), 0.0, np.array([0.0]))
-        assert poly.nrows == 1
+        assert len(poly.offsets) == 1
         np.testing.assert_allclose(poly.normals, [[1.0]])
         np.testing.assert_allclose(poly.offsets, [0.0])
         assert poly.membership(np.array([0.5]))
@@ -122,7 +122,7 @@ class TestVelocityPolyhedron:
 
     def test_interior_point_whole_space(self):
         poly = velocity_polyhedron(half_space_1d(), 0.0, np.array([0.7]))
-        assert poly.nrows == 0
+        assert len(poly.offsets) == 0
         assert poly.membership(np.array([-100.0]))
 
     @given(u=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
@@ -511,7 +511,7 @@ class TestConePolarity:
             t, x = sample_boundary(name, rng)
             poly = velocity_polyhedron(sys, t, x)
             gens = -poly.normals  # generators of the proximal normal cone
-            if poly.nrows == 0:
+            if len(poly.offsets) == 0:
                 continue
             u = rng.normal(size=sys.dim)
             static_res = poly.normals @ u  # zero-offset rows

@@ -420,6 +420,15 @@ class TestProjectVelocity:
         res = project_velocity(poly, np.array([0.0]))
         assert res.point[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_input_a_hair_outside_is_projected(self):
+        # the kernel alone decides membership: u = 1 - 1e-13 is outside
+        # {u >= 1} and lands on it, with the multiplier that closes the gap
+        poly = make_poly([[1.0]], [-1.0])
+        u = 1.0 - 1e-13
+        res = project_velocity(poly, np.array([u]))
+        assert (res.point[0], res.multipliers[0], res.distance) == (1.0, 1.0 - u, 1.0 - u)
+        assert res.iterations == 1
+
     def test_infeasible_polyhedron(self):
         poly = make_poly([[1.0], [-1.0]], [-1.0, -1.0])  # u >= 1 and u <= -1
         with pytest.raises(InfeasibleConeError):

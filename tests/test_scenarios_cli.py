@@ -225,6 +225,13 @@ class TestConfigFile:
         options = [s for a in cli.build_parser()._actions for s in a.option_strings]
         assert listed == [s for s in options if s not in ("-h", "--help")]
 
+    def test_readme_scenarios_match_registry(self):
+        # the scenario table lists exactly the built-in scenarios, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Scenarios", 1)[1].split("\n\n", 2)[1]
+        listed = [line.split("|")[1].strip() for line in table.splitlines()[2:]]
+        assert listed == list(registry())
+
 
 class TestCliExitCodes:
     def test_happy_path(self, tmp_path):
