@@ -35,7 +35,7 @@ from .diagnostics import DiagnosticsReport, diagnose, error_table, finest_run_re
 from .errors import ConfigError, ProxsweepError, SimulationAbort
 from .geometry import _active_mask, good_direction
 from .integrator import _check_inputs, run
-from .scenarios import Scenario, lookup, registry
+from .scenarios import BUILDERS, Scenario, lookup
 
 CSV_DIGITS = 17
 
@@ -61,7 +61,7 @@ _FROM_SCENARIO = object()
 # file keys and flags share these names (--json-only for json_only), and
 # _FROM_SCENARIO takes the scenario's value.
 SETTINGS = {
-    "scenario": (str, "floor", f"scenario name ({', '.join(registry())})"),
+    "scenario": (str, "floor", f"scenario name ({', '.join(BUILDERS)})"),
     "h": (float, 0.01, "time step (default: 0.01)"),
     "T": (float, _FROM_SCENARIO, "final time"),
     "q0": (_vector, _FROM_SCENARIO, "initial position, comma separated"),

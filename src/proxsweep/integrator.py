@@ -23,25 +23,33 @@ divided by h.  A step aborts unless its projection converges closer than
 eta, inside the prox-regular tube.  extract_multipliers, which run() does not
 call, cross-checks them by nonnegative least squares on the active gradients.
 
-run() writes three kinds of row, and only the last calls step():
+run() carries only (q^n, u^n), as Python floats, through its loop and
+appends each new row to flat lists.  A step is of one of three kinds, and
+only the last calls step():
 
 * flown: on a set with sys.axis_rows (affine, at most one nonzero
-  coefficient per row) under a constant force, run() keeps (q^n, u^n) as
-  Python floats and forms the prediction by step()'s own expressions.  When
-  it is finite and every row a_j x_j + (b + r t^{n+1}) is >= 0, the
+  coefficient per row) under a constant force, each step size's loop forms
+  the prediction by step()'s own expressions, h^2 f^n hoisted per size.
+  When it is finite and every row a_j x_j + (b + r t^{n+1}) is >= 0, the
   projection would return it unchanged with zero multipliers, so the row is
   step()'s outcome without the call: one nonzero coefficient leaves no
-  summation order to disagree with numpy on.  The residuals of flown rows
-  come from one np.vecdot after the loop, bit-equal to step()'s 1-D dot.
+  summation order to disagree with numpy on.
 * filled: on a still set (no callable constraint, every affine rate 0)
-  under a constant force, step() does not depend on t, so a step, flown or
-  computed, that returns its input (q^n, u^n) bit for bit returns it at
-  every later step of the same size; those rows are filled at once.
-* computed: every other step is one step() call, the one place that projects.
+  under a constant force, step() does not depend on t, so a step that
+  returns its input (q^n, u^n) returns it at every later step of the same
+  size; those rows are filled at once.  One rest rule follows a flown and a
+  computed step alike: a Python == pre-check, then the bytes decide, so
+  -0.0 and 0.0 stay distinct.
+* computed: every other step is one step() call, the one place that
+  projects; its multipliers and residual are kept.
 
-The times are np.add.accumulate over the step sizes, which adds in sequence
-like step()'s t^n + h.  The arrays are those of a chain of step() calls, bit
-for bit.
+After the loop the lists are reshaped once, and every increment is derived
+in one pass as u^n + h_n f^n - u^{n+1}, elementwise as step() forms it,
+where f^n is the constant's stored average or step()'s value.  The residuals
+of flown rows, and of rows filled after one, come from one np.vecdot,
+bit-equal to step()'s 1-D dot.  The times are np.add.accumulate over the
+step sizes, which adds in sequence like step()'s t^n + h.  The arrays are
+those of a chain of step() calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -285,11 +293,13 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
-    Each row is flown, filled or computed (module docstring).  A step is
-    flown when sys.axis_rows is set, the force is a constant and the
-    prediction is finite and feasible.  Once a step returns its input on a
-    still set under a constant force, the rest of the steps of its size are
-    filled.  Every other step calls step().
+    Each step is flown, filled or computed (module docstring).  One loop per
+    step size flies while sys.axis_rows is set, the force is a constant and
+    the prediction is finite and feasible; any other step calls step().
+    Once a step returns its input on a still set under a constant force, the
+    rest of the steps of its size are filled.  The loop keeps (q^n, u^n) in
+    flat lists; positions and velocities are reshaped from them, and the
+    increments derived from them, after it.
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
@@ -300,40 +310,42 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     N, d = n_full + partial, sys.dim
     sizes = [h] * n_full + ([T - n_full * h] if partial else [])
     times = np.add.accumulate([0.0] + sizes)  # in sequence, like step()'s t^n + h
-    positions, velocities = np.empty((N + 1, d)), np.empty((N + 1, d))
-    increments, multipliers, residuals = np.empty((N, d)), np.zeros((N, sys.p)), np.empty(N)
-    force_averages, flown = np.empty((N, d)), np.zeros(N, dtype=bool)
-    positions[0], velocities[0] = q0, u0
     constant = not callable(field.f)
     rows, f = (sys.axis_rows, field._average.tolist()) if constant else (None, None)
     repeats = sys.still and constant
     ts, q, u, n = times.tolist(), q0.tolist(), u0.tolist(), 0
-    while n < N:
-        h_n = sizes[n]
-        if rows is not None:
-            x = [qj + h_n * uj + h_n * h_n * fj for qj, uj, fj in zip(q, u, f)]
-            flown[n] = all(map(math.isfinite, x)) and all(
-                a * x[j] + (b + r * ts[n + 1]) >= 0.0 for j, a, b, r in rows)
-        if flown[n]:  # step()'s outcome on a feasible prediction, residual aside
-            v = [(xj - qj) / h_n for xj, qj in zip(x, q)]
-            increments[n] = [uj + h_n * fj - vj for uj, fj, vj in zip(u, f, v)]
-            force_averages[n], q, u = f, x, v
-        else:
-            out = step(SchemeState(n, ts[n], positions[n], velocities[n]), sys, field, h_n)
-            increments[n], multipliers[n], residuals[n], force_averages[n] = (
-                out.increment, out.multipliers, out.multiplier_residual, out.force_average)
-            q, u = out.state.q_curr.tolist(), out.state.u_curr.tolist()
-        positions[n + 1], velocities[n + 1] = q, u
-        n += 1
-        if (repeats and n < n_full
-                and positions[n].tobytes() == positions[n - 1].tobytes()
-                and velocities[n].tobytes() == velocities[n - 1].tobytes()):
-            # step n - 1 returned its input: so does every later step of size h
-            positions[n + 1:n_full + 1], velocities[n + 1:n_full + 1] = positions[n], velocities[n]
-            for array in (increments, multipliers, residuals, force_averages, flown):
-                array[n:n_full] = array[n - 1]
-            n = n_full
-    residuals[flown] = np.sqrt(np.vecdot(increments[flown], increments[flown]))
+    Q, U, spans = q[:], u[:], []  # rows 0..n flattened; [first, stop, outcome] per computed row
+    for h_n, stop in [(h, n_full), (sizes[-1], N)][:1 + partial]:
+        c = None if rows is None else [h_n * h_n * fj for fj in f]  # step()'s h * h * f^n
+        while n < stop:
+            x = c and [qj + h_n * uj + cj for qj, uj, cj in zip(q, u, c)]  # None: no flight
+            if x and all(map(math.isfinite, x)) and all(
+                    a * x[j] + (b + r * ts[n + 1]) >= 0.0 for j, a, b, r in rows):
+                v = [(xj - qj) / h_n for xj, qj in zip(x, q)]  # flown: step()'s outcome
+            else:
+                out = step(SchemeState(n, ts[n], np.array(q), np.array(u)), sys, field, h_n)
+                x, v = out.state.q_curr.tolist(), out.state.u_curr.tolist()
+                spans.append([n, n + 1, out])
+            Q += x
+            U += v
+            n += 1
+            if (repeats and n < stop and x == q and v == u
+                    and np.array(x + v).tobytes() == np.array(q + u).tobytes()):
+                # step n - 1 returned its input: so does every later step of size h_n
+                Q += x * (stop - n)
+                U += v * (stop - n)
+                if spans and spans[-1][1] == n:
+                    spans[-1][1] = stop
+                n = stop
+            q, u = x, v
+    positions, velocities = np.reshape(Q, (N + 1, d)), np.reshape(U, (N + 1, d))
+    force_averages = (np.broadcast_to(field._average, (N, d)).copy() if constant
+                      else np.array([out.force_average for *_, out in spans]))
+    # step()'s u^n + h f^n - u^{n+1}, elementwise, on every row
+    increments = velocities[:-1] + np.array(sizes)[:, None] * force_averages - velocities[1:]
+    multipliers, residuals = np.zeros((N, sys.p)), np.sqrt(np.vecdot(increments, increments))
+    for first, stop, out in spans:
+        multipliers[first:stop], residuals[first:stop] = out.multipliers, out.multiplier_residual
 
     return (Trajectory(times, positions, velocities),
             ContactMeasure(increments, multipliers, residuals, force_averages))

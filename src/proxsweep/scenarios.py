@@ -142,15 +142,18 @@ def _make_free() -> Scenario:
                     analytic=_wall_reference([0.0], [-math.inf], [0.0]))
 
 
+# name -> builder, in the CLI's help order; each call builds a fresh Scenario
+BUILDERS = {"floor": _make_floor, "wedge": _make_wedge, "piston": _make_piston,
+            "pocket": _make_pocket, "free": _make_free}
+
+
 def registry() -> dict[str, Scenario]:
     """All built-in scenarios keyed by name."""
-    scenarios = [_make_floor(), _make_wedge(), _make_piston(), _make_pocket(),
-                 _make_free()]
-    return {s.name: s for s in scenarios}
+    return {name: build() for name, build in BUILDERS.items()}
 
 
 def lookup(name: str) -> Scenario:
-    reg = registry()
-    if name not in reg:
-        raise ConfigError(f"unknown scenario {name!r}; available: {sorted(reg)}")
-    return reg[name]
+    """The named built-in scenario, built alone."""
+    if name not in BUILDERS:
+        raise ConfigError(f"unknown scenario {name!r}; available: {sorted(BUILDERS)}")
+    return BUILDERS[name]()

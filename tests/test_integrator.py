@@ -483,9 +483,14 @@ class TestRunLoop:
 
     # (scenario, h, T): a uniform grid on three contact scenarios, a free
     # flight whose T / h = 20.5 ends in a half step, and one whose
-    # T / h = 2.9999999999999996 takes three full steps
+    # T / h = 2.9999999999999996 takes three full steps; the piston flies,
+    # computes its impact and flies on with its moving wall; the wedge at
+    # h = 0.00025 flies a long stretch and comes to rest on a flown step; the
+    # floor to T = 0.525 first rests on its last full step (51), then
+    # computes a half step
     CASES = [("floor", 0.01, None), ("wedge", 0.01, None), ("pocket", 0.01, None),
-             ("free", 0.01, 0.205), ("free", 0.1, 0.3)]
+             ("free", 0.01, 0.205), ("free", 0.1, 0.3), ("piston", 0.01, None),
+             ("wedge", 0.00025, None), ("floor", 0.01, 0.525)]
 
     @staticmethod
     def by_hand(scn, h, T):
@@ -530,7 +535,7 @@ class TestRunLoop:
     # the stored average of a constant is the bits a callable returning it
     # gives at every step; golden_runs.json pins neither force_averages nor
     # residuals
-    @pytest.mark.parametrize("name, h, T", CASES + [("piston", 0.01, None)])
+    @pytest.mark.parametrize("name, h, T", CASES)
     def test_constant_force_matches_callable(self, name, h, T):
         scn = lookup(name)
         T = scn.T if T is None else T
@@ -578,6 +583,23 @@ class TestRunLoop:
         push = ForceField(f=lambda t, q: calls.append(t) or np.array([-10.0 if t < 1.0 else 10.0]),
                           bound_F=lambda t: 10.0, sup_F=10.0)
         return dataclasses.replace(lookup("floor"), force=push)
+
+    # dk^n = u^n + h_n f^n - u^{n+1} elementwise, as step() forms it, on every
+    # row: flown, filled or computed, under a constant or a callable force;
+    # h_n is the grid's step size, the partial last one included, not
+    # np.diff(times), whose bits differ
+    @pytest.mark.parametrize("name, h, T", [("floor", 0.01, 2.005), ("wedge", 0.00025, None),
+                                            ("piston", 0.01, None), ("pocket", 0.01, 0.995),
+                                            ("free", 0.01, 0.205), ("lift-off", 0.01, 2.0)])
+    def test_increments_from_velocities_and_force(self, name, h, T):
+        scn = self.lift_off([]) if name == "lift-off" else lookup(name)
+        T = scn.T if T is None else T
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
+        n_full, partial = integrator._grid(h, T)
+        sizes = np.array([h] * n_full + ([T - n_full * h] if partial else []))
+        expected = (traj.velocities[:-1] + sizes[:, None] * contact.force_averages
+                    - traj.velocities[1:])
+        assert contact.increments.tobytes() == expected.tobytes()
 
     @staticmethod
     def count_calls(monkeypatch, owner, name):

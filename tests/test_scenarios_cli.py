@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from proxsweep import (ConfigError, ConstraintEvaluationError, active_set, cli, diagnose,
-                       diagnostics, run)
+                       diagnostics, run, scenarios)
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
@@ -19,8 +19,20 @@ from oracles import analytic_reference
 
 class TestRegistry:
     def test_contains_required_scenarios(self):
-        names = set(registry())
-        assert {"floor", "wedge", "piston", "pocket", "free"} <= names
+        reg = registry()
+        assert {"floor", "wedge", "piston", "pocket", "free"} <= set(reg)
+        assert all(scn.name == name for name, scn in reg.items())
+
+    def test_lookup_builds_only_the_named_scenario(self, monkeypatch):
+        # every other builder raises, the pocket's by its module name too
+        def boom():
+            raise AssertionError("built a scenario that was not asked for")
+
+        monkeypatch.setattr(scenarios, "_make_pocket", boom)
+        for name in set(scenarios.BUILDERS) - {"floor"}:
+            monkeypatch.setitem(scenarios.BUILDERS, name, boom)
+        scn = lookup("floor")
+        assert scn.name == "floor" and lookup("floor") is not scn
 
     def test_floor_constants(self):
         scn = lookup("floor")
