@@ -31,7 +31,8 @@ import sys as _sys
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, diagnose, error_table, finest_run_reference
+from .diagnostics import (DiagnosticsReport, diagnose, error_table, finest_run_reference,
+                          law_bound)
 from .errors import ConfigError, ProxsweepError, SimulationAbort
 from .geometry import _active_mask, good_direction
 from .integrator import _check_inputs, run
@@ -179,13 +180,13 @@ def _verify_run(report: DiagnosticsReport, h: float, sup_force: float) -> list[s
         problems.append("per-step velocity bound violated")
     if report.momentum_residual > 1e-8:
         problems.append(f"momentum balance residual {report.momentum_residual:.3g} > 1e-8")
-    bound = 5.0 * h * (1.0 + sup_force)
+    bound = law_bound(h, sup_force)
     for ev in report.impacts:  # NaN residuals (V empty) fail both comparisons below
         if math.isnan(ev.law_residual):
             problems.append(f"impact at t={ev.time:.4g} not verifiable (empty velocity polyhedron)")
         if ev.law_residual > bound:
             problems.append(f"impact residual {ev.law_residual:.3g} > {bound:.3g} at t={ev.time:.4g}")
-        if ev.variational_max > 1e-7 + bound:
+        if ev.variational_max > bound:
             problems.append(f"variational inequality violated at t={ev.time:.4g}")
     return problems
 

@@ -1,29 +1,28 @@
 """Post-hoc verification of trajectory properties and theoretical constants.
 
 Everything here reads a finished trajectory: feasibility gaps on and between
-grid points, total variation and sup norm of the velocity, impact events and
-their residuals against the inelastic law u+ = P_V(u-), the a-priori velocity
+grid points, total variation and sup norm of the velocity, impact events
+checked exactly against the inelastic law u+ = P_V(u-), the a-priori velocity
 bound A(1), the local horizon T0 and the start margin.  compute_constants is
 the one place these constants are derived, kappa0 and nu_min from a
-good-direction certificate's delta.
+good-direction certificate's delta, and law_bound the one place of the
+tolerance on an impact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InfeasibleConeError
-from .geometry import (AdmissibilityEstimate, ConstraintSystem, VelocityPolyhedron,
-                       _active_mask, velocity_polyhedron)
+from .geometry import (AdmissibilityEstimate, ConstraintSystem, _active_mask,
+                       least_distance, velocity_polyhedron)
 from .integrator import ContactMeasure, ForceField, Trajectory, run
 from .projection import project_point, project_velocity
 
 SAMPLES_PER_STEP = 4        # interpolant samples per step (quarter intervals)
-VARIATIONAL_SAMPLES = 32    # random admissible velocities per impact
 COVERING_RADIUS = 1.0       # covering radius r asserted for every scenario, in nu_min
 
 
@@ -32,16 +31,16 @@ class ImpactEvent:
     """A velocity jump at a contact point.
 
     u_minus / u_plus are the discrete one-sided velocities around the jump
-    window, law_residual = |u_plus - P_V(u_minus)| and variational_max the
-    worst value of <u- - u+, w - u+> over the sampled admissible w; both are
-    NaN when V is empty and the event cannot be verified.
+    window, law_residual = |u_plus - P_V(u_minus)| and variational_max how far
+    (u+, u- - u+) is from the law's exact criterion (verify_impact_law); both
+    are NaN when V is empty and the event cannot be verified.
     """
 
     time: float
     u_minus: np.ndarray
     u_plus: np.ndarray
     law_residual: float
-    variational_max: float = -math.inf
+    variational_max: float
 
 
 @dataclass
@@ -79,22 +78,47 @@ def max_feasibility_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     return max(0.0, -float(np.min(sys.values(traj.times, traj.positions), initial=np.inf)))
 
 
-def _interpolant(traj: Trajectory, fractions) -> tuple[np.ndarray, np.ndarray]:
+def _interpolant(traj: Trajectory, fractions,
+                 steps=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(t, q_h(t)) at t = (1-w) t^n + w t^{n+1} for each w in fractions and every
-    step n, ordered step by step; q_h is linear in t on each step."""
+    step n in steps, ordered step by step; q_h is linear in t on each step."""
     w = np.asarray(fractions, dtype=float)[:, None]
     grid = np.column_stack([traj.times, traj.positions])
-    samples = ((1.0 - w) * grid[:-1, None] + w * grid[1:, None]).reshape(-1, grid.shape[1])
+    starts, ends = grid[:-1][steps, None], grid[1:][steps, None]
+    samples = ((1.0 - w) * starts + w * ends).reshape(-1, grid.shape[1])
     return samples[:, 0], samples[:, 1:]
 
 
 def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     """max over sampled intermediate times of dist(q_h(t), C(t)); a sample
-    whose projection does not converge counts as inf."""
-    times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1])
+    whose projection does not converge counts as inf.
+
+    On an affine set g is affine in (t, q), so along a step's chord each g_i
+    is affine in w and a step with both ends in C stays in C: only steps with
+    an infeasible end are sampled, and a sample that roundoff would put a
+    hair outside on any other step reads 0.  Other sets sample every step.
+    """
+    steps = slice(None)
+    if sys.affine:
+        out = np.any(sys.values(traj.times, traj.positions) < 0.0, axis=1)
+        steps = np.flatnonzero(out[:-1] | out[1:])
+        if not len(steps):
+            return 0.0
+    times, points = _interpolant(traj, np.linspace(0.0, 1.0, SAMPLES_PER_STEP + 1)[1:-1], steps)
     outside = np.flatnonzero(np.any(sys.values(times, points) < 0.0, axis=1))
     projections = (project_point(sys, times[i], points[i]) for i in outside)
     return max((p.distance if p.converged else math.inf for p in projections), default=0.0)
+
+
+def _largest_step(traj: Trajectory) -> float:
+    return float(np.max(np.diff(traj.times), initial=0.0))
+
+
+def law_bound(h: float, sup_force: float) -> float:
+    """5 h (1 + sup_F): the --verify bound on an impact's law_residual and
+    variational_max, and the distance within which verify_impact_law counts a
+    row of V as active at u+."""
+    return 5.0 * h * (1.0 + sup_force)
 
 
 def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
@@ -107,7 +131,7 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
     consecutive steps and must count as one event.  Both thresholds are
     derived from the largest step h and the run's sup_F, each floored at 1e-7.
     """
-    h = float(np.max(np.diff(traj.times))) if traj.nsteps else 0.0
+    h = _largest_step(traj)
     seed_tol = max(5.0 * h * sup_force, 1e-7)
     extend_tol = max(1.5 * h * sup_force, 1e-7)
     jumps = np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
@@ -119,36 +143,20 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
     return [(int(a), int(b) - 1) for a, b in edges if np.any(jumps[a:b] > seed_tol)]
 
 
-def _sample_admissible(poly: VelocityPolyhedron, around: np.ndarray) -> list[np.ndarray]:
-    """Polyhedron vertices plus random admissible points near `around`."""
-    m, d = poly.normals.shape
-    samples: list[np.ndarray] = []
-    # vertices: solutions of d active rows, kept when admissible
-    if m >= d > 0:
-        for rows in combinations(range(m), d):
-            a = poly.normals[list(rows)]
-            try:
-                v = np.linalg.solve(a, -poly.offsets[list(rows)])
-            except np.linalg.LinAlgError:
-                continue
-            if poly.membership(v, tol=1e-9 * (1.0 + np.linalg.norm(v))):
-                samples.append(v)
-    rng = np.random.default_rng(2024)
-    scale = 1.0 + float(np.linalg.norm(around))
-    for _ in range(VARIATIONAL_SAMPLES):
-        cand = around + scale * rng.standard_normal(d)
-        samples.append(project_velocity(poly, cand).point)
-    return samples
-
-
 def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
                       sup_force: float) -> list[ImpactEvent]:
-    """Check u+ = P_V(u-) at every detect_impacts jump, plus its variational form.
+    """Check u+ = P_V(u-) at every detect_impacts jump, by its residual and exactly.
 
-    The variational form <u- - u+, w - u+> <= 0 is sampled at the polyhedron
-    vertices and at random admissible velocities.  Events whose polyhedron is
-    empty (infeasible) carry NaN in both.
+    law_residual is |u+ - P_V(u-)|.  variational_max tests the law's exact
+    criterion: u+ = P_V(u-) iff u+ is in V and u- - u+ lies in the normal cone
+    -cone{n_i} of V at u+, over the rows n_i active there, here those with
+    residual_i(u+) <= law_bound |n_i| (the largest step's bound).  It is the
+    larger of u+'s distance-scaled violation of V, max_i (-residual_i /
+    |n_i|)_+, and the distance of u- - u+ from that cone, which by Moreau's
+    decomposition is |P_K(u- - u+)| with K = {w : n_i . w >= 0}: one kernel
+    call.  Events whose polyhedron is empty (infeasible) carry NaN in both.
     """
+    bound = law_bound(_largest_step(traj), sup_force)
     events: list[ImpactEvent] = []
     for a, b in detect_impacts(traj, sys, sup_force):
         t_ev = float(traj.times[b + 1])
@@ -162,12 +170,16 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
             events.append(ImpactEvent(t_ev, u_minus, u_plus, law_residual=math.nan,
                                       variational_max=math.nan))
             continue
-        residual = float(np.linalg.norm(u_plus - u_star))
-        worst = -math.inf
-        for w in _sample_admissible(poly, u_plus):
-            worst = max(worst, float((u_minus - u_plus) @ (w - u_plus)))
-        events.append(ImpactEvent(t_ev, u_minus, u_plus, law_residual=residual,
-                                  variational_max=worst))
+        slack = poly.residuals(u_plus)
+        norms = np.linalg.norm(poly.normals, axis=1)
+        # a zero row with slack < 0 would make V empty, which project_velocity refused
+        violation = float(np.max(-slack[slack < 0.0] / norms[slack < 0.0], initial=0.0))
+        rows, jump = poly.normals[slack <= bound * norms], u_minus - u_plus
+        move, _ = least_distance(rows, -rows @ jump)  # P_K(jump) = jump + move
+        events.append(ImpactEvent(t_ev, u_minus, u_plus,
+                                  law_residual=float(np.linalg.norm(u_plus - u_star)),
+                                  variational_max=max(violation,
+                                                      float(np.linalg.norm(jump + move)))))
     return events
 
 

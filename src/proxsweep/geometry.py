@@ -248,9 +248,6 @@ class VelocityPolyhedron:
     def residuals(self, u: np.ndarray) -> np.ndarray:
         return self.offsets + self.normals @ np.asarray(u, dtype=float)
 
-    def membership(self, u: np.ndarray, tol: float = 1e-12) -> bool:
-        return bool(np.min(self.residuals(u), initial=math.inf) >= -tol)
-
 
 @dataclass(frozen=True)
 class AdmissibilityEstimate:

@@ -3,7 +3,9 @@
 Deliberately naive: exhaustive grids, exhaustive active-set enumeration,
 closed-form kinematics and the hypomonotonicity inequality of a proximal
 normal.  They exist to catch solver bugs, so they must not
-share code paths with the library solvers.
+share code paths with the library solvers.  intergrid_gap_scan is the one
+exception: it checks which samples max_intergrid_gap projects, and projects
+them with the library's project_point.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
+from proxsweep import project_point
 
 
 class OracleEmptyError(Exception):
@@ -154,6 +157,27 @@ def enumerate_qp(poly, u) -> OracleResult:
     if best is None:
         raise OracleInfeasibleError("no KKT-consistent subset")
     return OracleResult(best, "active-set-enumeration", 0.0)
+
+
+def membership(poly, u, tol: float = 1e-12) -> bool:
+    """u in the velocity polyhedron {b + N w >= 0}, each row up to tol."""
+    return bool(np.min(poly.offsets + poly.normals @ np.asarray(u, dtype=float),
+                       initial=math.inf) >= -tol)
+
+
+def intergrid_gap_scan(traj, sys) -> float:
+    """max of dist(q_h(t), C(t)) over the quarter points of every step, inf
+    where the projection does not converge: the inter-grid gap with no step
+    skipped, on any set."""
+    w = np.array([0.25, 0.5, 0.75])[:, None]
+    grid = np.column_stack([traj.times, traj.positions])
+    samples = ((1.0 - w) * grid[:-1, None] + w * grid[1:, None]).reshape(-1, grid.shape[1])
+    gap = 0.0
+    for t, q in zip(samples[:, 0], samples[:, 1:]):
+        if (sys.values(t, q) < 0.0).any():
+            p = project_point(sys, t, q)
+            gap = max(gap, p.distance if p.converged else math.inf)
+    return gap
 
 
 def hypomonotonicity_residual(sys, t, x, y, v) -> float:

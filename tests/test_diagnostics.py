@@ -10,9 +10,11 @@ from proxsweep import (ConstraintEvaluationError, ConstraintFunction, Constraint
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
                        project_point, run, total_variation, velocity_bound_ok,
                        verify_impact_law)
+from proxsweep.diagnostics import law_bound
 from proxsweep.scenarios import lookup
 
-from conftest import H_SWEEP, half_space_1d, zero_force
+from conftest import H_SWEEP, floor_2d, half_space_1d, zero_force
+from oracles import intergrid_gap_scan
 
 
 def make_traj(times, positions, velocities):
@@ -46,8 +48,8 @@ class TestImpactLaw:
             events = verify_impact_law(traj, scn.system, sup_force=scn.force.sup_F)
             assert len(events) == 1
             ev = events[0]
-            assert ev.law_residual <= 5 * h * (1 + scn.force.sup_F)
-            assert ev.variational_max <= 1e-7 + 5 * h * (1 + scn.force.sup_F)
+            assert ev.law_residual <= law_bound(h, scn.force.sup_F)
+            assert ev.variational_max <= law_bound(h, scn.force.sup_F)
             assert abs(ev.time - 0.5) <= 2 * h + 1e-12
 
     def test_piston_merged_event(self):
@@ -67,7 +69,8 @@ class TestImpactLaw:
 
     def test_adversarial_injected_velocity_detected(self):
         # a floor impact rewritten to exit at u+ = 1 violates the law: the
-        # residual is 1 and the variational form fails at w = 0
+        # residual is 1, and no row is active at u+, so the cone is {0} and
+        # u- - u+ = -3 lies 3 from it
         traj = make_traj([0.0, 0.1, 0.2],
                          [[0.2], [0.0], [0.0]],
                          [[-2.0], [-2.0], [1.0]])
@@ -75,7 +78,24 @@ class TestImpactLaw:
         assert len(events) == 1
         ev = events[0]
         assert ev.law_residual == pytest.approx(1.0, abs=1e-9)
-        assert ev.variational_max >= 3.0 - 1e-9  # <u- - u+, 0 - u+> = 3
+        assert ev.variational_max == pytest.approx(3.0, abs=1e-12)
+        assert ev.variational_max > law_bound(0.1, 0.0)
+
+    @pytest.mark.parametrize("sys, times, positions, velocities", [
+        # u+ = -1 leaves V = {u >= 0} by 1, while u- - u+ = -1 is in its cone
+        (half_space_1d(), [0.0, 0.1, 0.2], [[0.2], [0.0], [0.0]], [[-2.0], [-2.0], [-1.0]]),
+        # u- = (1, -5) onto the floor keeps its tangential part: P_V(u-) = (1, 0),
+        # and u- - u+ = (1, -5) lies 1 from the cone {(0, -s) : s >= 0}
+        (floor_2d(), [0.0, 0.01], [[0.0, 0.05], [0.01, 0.0]], [[1.0, -5.0], [0.0, 0.0]]),
+    ], ids=["outside-V", "tangential"])
+    def test_planted_wrong_exit_exceeds_bound(self, sys, times, positions, velocities):
+        traj = make_traj(times, positions, velocities)
+        events = verify_impact_law(traj, sys, sup_force=0.0)
+        assert len(events) == 1
+        ev = events[0]
+        assert ev.law_residual == pytest.approx(1.0, abs=1e-12)
+        assert ev.variational_max == pytest.approx(1.0, abs=1e-12)
+        assert ev.variational_max > law_bound(times[1] - times[0], 0.0)
 
     @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket", "free"])
     def test_residual_bound_all_scenarios(self, name):
@@ -123,7 +143,8 @@ class TestImpactLaw:
         assert not any(p.startswith(("impact residual", "variational")) for p in problems)
 
     def test_parallel_rows_skip_singular_vertex(self):
-        # rows (0, 1) and (0, 2) are both active on the floor: no vertex to solve for
+        # rows (0, 1) and (0, 2) are both active on the floor: the cone's face
+        # Gram matrix is singular and the kernel falls back to NNLS
         sys = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [0.0, 1.0]),
                                                    affine_constraint(2, [0.0, 2.0])))
         traj, _ = run(sys, zero_force(2), np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)
@@ -264,19 +285,46 @@ class TestGaps:
         assert len(outside) == 15
         np.testing.assert_array_equal(calls, outside)
         assert gap == pytest.approx(max(outside) - 0.5, abs=1e-12)
+        assert gap == intergrid_gap_scan(traj, sys)
 
-    @pytest.mark.parametrize("check, samples_per_step", [(max_feasibility_gap, None),
-                                                         (max_intergrid_gap, 3)])
-    def test_one_values_call_per_trajectory(self, monkeypatch, check, samples_per_step):
-        # no wedge sample leaves the set, so nothing is projected either
+    @pytest.mark.parametrize("check", [max_feasibility_gap, max_intergrid_gap])
+    def test_one_values_call_per_trajectory(self, monkeypatch, check):
+        # every wedge grid point is feasible, and a chord of an affine set stays
+        # in it between feasible ends: max_intergrid_gap builds no sample
         scn = lookup("wedge")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
         shapes, values = [], ConstraintSystem.values
         monkeypatch.setattr(ConstraintSystem, "values",
                             lambda self, t, q: shapes.append(np.shape(q)) or values(self, t, q))
         assert check(traj, scn.system) == 0.0
-        rows = len(traj.times) if samples_per_step is None else samples_per_step * traj.nsteps
-        assert shapes == [(rows, 2)]
+        assert shapes == [(len(traj.times), 2)]
+
+    @pytest.mark.parametrize("name, h", [("floor", 0.01), ("floor", 0.00025), ("wedge", 0.01),
+                                         ("wedge", 0.00025), ("piston", 0.01),
+                                         ("piston", 0.00025)])
+    def test_matches_full_scan_on_runs(self, name, h):
+        scn = lookup(name)
+        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
+        assert max_intergrid_gap(traj, scn.system) == intergrid_gap_scan(traj, scn.system)
+
+    def test_matches_full_scan_with_infeasible_end(self, monkeypatch):
+        # one grid point of a wedge path pokes out through q1 >= 0 at q1 = -0.4:
+        # only the two steps at it are sampled, and 3 of their 6 samples leave
+        # the set, the farthest at q1 = -0.225 (w = 3/4, then w = 1/4)
+        sys = lookup("wedge").system
+        traj = make_traj([0.0, 0.1, 0.2, 0.3, 0.4], [[1.0, 1.0], [0.5, 0.8], [-0.4, 0.6],
+                                                     [0.3, 0.4], [0.6, 0.2]], np.zeros((5, 2)))
+        calls = []
+
+        def counting(sys, t, x):
+            calls.append(t)
+            return project_point(sys, t, x)
+
+        monkeypatch.setattr(diagnostics, "project_point", counting)
+        gap = max_intergrid_gap(traj, sys)
+        np.testing.assert_allclose(calls, [0.175, 0.225, 0.25], atol=1e-12)
+        assert gap == pytest.approx(0.225, abs=1e-12)
+        assert gap == intergrid_gap_scan(traj, sys)
 
     @pytest.mark.parametrize("check", [max_feasibility_gap, max_intergrid_gap])
     def test_failing_constraint_raises_with_its_id(self, check):

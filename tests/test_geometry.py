@@ -15,7 +15,7 @@ from proxsweep.scenarios import lookup
 from conftest import (antipodal_pair, disc_complement, floor_2d, half_space_1d,
                       reverse_triangle_constant, sample_boundary, sample_feasible,
                       sample_normal)
-from oracles import hypomonotonicity_residual
+from oracles import hypomonotonicity_residual, membership
 
 
 class TestActiveSet:
@@ -109,21 +109,21 @@ class TestVelocityPolyhedron:
         assert len(poly.offsets) == 1
         np.testing.assert_allclose(poly.normals, [[1.0]])
         np.testing.assert_allclose(poly.offsets, [0.0])
-        assert poly.membership(np.array([0.5]))
-        assert not poly.membership(np.array([-0.5]))
+        assert membership(poly, np.array([0.5]))
+        assert not membership(poly, np.array([-0.5]))
 
     def test_moving_wall_offset(self):
         scn = lookup("piston")
         poly = velocity_polyhedron(scn.system, 0.3, np.array([0.3]))
         np.testing.assert_allclose(poly.normals, [[1.0]])
         np.testing.assert_allclose(poly.offsets, [-1.0])
-        assert poly.membership(np.array([1.0]))      # wall speed admissible
-        assert not poly.membership(np.array([0.5]))  # slower than the wall
+        assert membership(poly, np.array([1.0]))      # wall speed admissible
+        assert not membership(poly, np.array([0.5]))  # slower than the wall
 
     def test_interior_point_whole_space(self):
         poly = velocity_polyhedron(half_space_1d(), 0.0, np.array([0.7]))
         assert len(poly.offsets) == 0
-        assert poly.membership(np.array([-100.0]))
+        assert membership(poly, np.array([-100.0]))
 
     @given(u=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
            w=st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
@@ -132,8 +132,8 @@ class TestVelocityPolyhedron:
         sys = lookup("wedge").system
         poly = velocity_polyhedron(sys, 0.0, np.array([0.0, 0.0]))
         u, w = np.array(u), np.array(w)
-        if poly.membership(u) and poly.membership(w):
-            assert poly.membership(0.5 * (u + w), tol=1e-9)
+        if membership(poly, u) and membership(poly, w):
+            assert membership(poly, 0.5 * (u + w), tol=1e-9)
 
 
 def moving_disc_and_floor(nonlinear_first: bool) -> ConstraintSystem:

@@ -15,7 +15,7 @@ from proxsweep.projection import MAX_ITER
 from proxsweep.scenarios import lookup
 
 from conftest import disc_complement, half_space_1d, run_child, sample_boundary
-from oracles import enumerate_qp, grid_project, hypomonotonicity_residual
+from oracles import enumerate_qp, grid_project, hypomonotonicity_residual, membership
 
 
 def kkt_ok(sys, t, x, res, tol=1e-9):
@@ -487,4 +487,4 @@ class TestSchemeProjectionStep:
             poly = velocity_polyhedron(sys, t, x)
             u = rng.normal(size=2) * 3
             res = project_velocity(poly, u)
-            assert poly.membership(res.point, tol=1e-9)
+            assert membership(poly, res.point, tol=1e-9)

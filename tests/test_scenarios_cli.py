@@ -317,6 +317,14 @@ class TestVerifyGate:
         assert main(["--scenario", "floor", "--h", "0.01", "--verify", "--json-only",
                      "--out", str(tmp_path / "v")]) == 0
 
+    def test_pocket_chord_exit_is_green(self, tmp_path, capsys):
+        # the impact at t = 0.448 leaves along the disc's chord, 3.6e-3 off its
+        # face: its law residual 9.98e-3 and criterion 9.29e-3 are both within
+        # the bound 0.055, and the exit velocity is no false violation
+        assert main(["--scenario", "pocket", "--q0=0.6,1.8", "--h", "0.001", "--T", "1.5",
+                     "--verify", "--json-only", "--out", str(tmp_path / "p")]) == 0
+        assert "verify:" not in capsys.readouterr().out
+
     def test_single_run_problems_are_exit_3(self, tmp_path, monkeypatch, capsys):
         def broken_diagnose(*args, **kwargs):
             report = diagnose(*args, **kwargs)
@@ -541,3 +549,25 @@ def test_cold_start_loads_scipy_only_for_nnls(tmp_path):
     assert not result["scipy_after_sweeps"]
     np.testing.assert_allclose(result["x"], [1.0, 2 / 3e-6], rtol=1e-9)
     assert result["optimize_after_fallback"]
+
+
+# python -m proxsweep.cli in a fresh interpreter, then the modules it loaded
+MAIN_IMPORTS = """
+import json, runpy, sys
+out = sys.argv[1]
+sys.argv = ["proxsweep", "--scenario", "wedge", "--sweep", "0.0005,0.00025", "--verify",
+            "--out", out + "/wedge"]
+try:
+    runpy.run_module("proxsweep.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_verified_sweep_does_not_import_numpy_random(tmp_path):
+    # the impact law is checked without sampling, so no module draws a random number
+    done = run_child(MAIN_IMPORTS, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"code": 0, "random": False}
