@@ -23,33 +23,40 @@ divided by h.  A step aborts unless its projection converges closer than
 eta, inside the prox-regular tube.  extract_multipliers, which run() does not
 call, cross-checks them by nonnegative least squares on the active gradients.
 
-run() carries only (q^n, u^n), as Python floats, through its loop and
-appends each new row to flat lists.  A step is of one of three kinds, and
-only the last calls step():
+run() appends the rows it makes to a list of (m, d) blocks of positions and
+velocities and concatenates them once at the end.  A step is of one of three
+kinds, and only the last calls step():
 
 * flown: on a set with sys.axis_rows (affine, at most one nonzero
-  coefficient per row) under a constant force, each step size's loop forms
-  the prediction by step()'s own expressions, h^2 f^n hoisted per size.
-  When it is finite and every row a_j x_j + (b + r t^{n+1}) is >= 0, the
-  projection would return it unchanged with zero multipliers, so the row is
-  step()'s outcome without the call: one nonzero coefficient leaves no
-  summation order to disagree with numpy on.
+  coefficient per row) under a constant force, run() flies a block of at
+  most _BLOCK rows.  Each row reads one coordinate, and the prediction
+  q_j + h u_j + h^2 f_j and the velocity (x_j - q_j) / h are per
+  coordinate, so each coordinate flies alone in a scalar loop of Python
+  floats, by step()'s own expressions with h^2 f^n hoisted per size.  While
+  its prediction is finite and every row a_j x_j + (b + r t^{n+1}) on it is
+  >= 0, the projection would return it unchanged with zero multipliers, so
+  the row is step()'s outcome without the call: one nonzero coefficient
+  leaves no summation order to disagree with numpy on.  The block's flight
+  ends at the first row where any coordinate's does.  _BLOCK is a fixed
+  size, not a setting: it bounds the rows one coordinate flies past the end
+  of another's flight, and how long flown rows stay Python floats.
 * filled: on a still set (no callable constraint, every affine rate 0)
   under a constant force, step() does not depend on t, so a step that
   returns its input (q^n, u^n) returns it at every later step of the same
-  size; those rows are filled at once.  One rest rule follows a flown and a
-  computed step alike: a Python == pre-check, then the bytes decide, so
-  -0.0 and 0.0 stay distinct.
+  size; those rows are filled at once.  The rest rule is checked at the end
+  of each block and after each computed step, on the last two rows, by
+  their bytes, so -0.0 and 0.0 stay distinct; a rest that begins inside a
+  flown block flies the same rows to its end, bit for bit.
 * computed: every other step is one step() call, the one place that
   projects; its multipliers and residual are kept.
 
-After the loop the lists are reshaped once, and every increment is derived
-in one pass as u^n + h_n f^n - u^{n+1}, elementwise as step() forms it,
-where f^n is the constant's stored average or step()'s value.  The residuals
-of flown rows, and of rows filled after one, come from one np.vecdot,
-bit-equal to step()'s 1-D dot.  The times are np.add.accumulate over the
-step sizes, which adds in sequence like step()'s t^n + h.  The arrays are
-those of a chain of step() calls, bit for bit.
+After the loop every increment is derived in one pass as
+u^n + h_n f^n - u^{n+1}, elementwise as step() forms it, where f^n is the
+constant's stored average or step()'s value.  The residuals of flown rows,
+and of rows filled after one, come from one np.vecdot, bit-equal to step()'s
+1-D dot.  The times are np.add.accumulate over the step sizes, which adds in
+sequence like step()'s t^n + h, as a flight does.  The arrays are those of a
+chain of step() calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +73,9 @@ from .projection import project_point
 
 (_N0, _N1, _N2), (_W0, _W1, _W2) = (a.tolist() for a in np.polynomial.legendre.leggauss(3))
 _BOUND_NODES, _BOUND_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# rows flown per block: it bounds the rows flown in vain when one coordinate's
+# flight ends before another's, and how long flown rows stay Python floats
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -289,17 +299,48 @@ def _grid(h: float, T: float) -> tuple[int, bool]:
     return n_full, True
 
 
+def _fly(q: list, u: list, c: list, axes: list, t: float, k: int, h: float,
+         lead: int) -> tuple[np.ndarray, int]:
+    """Fly up to k steps of size h from (q, u) at time t.
+
+    Returns the positions (m + 1, d), row 0 being q, of the longest run of
+    m <= k predictions that are finite and meet every axis row, and the
+    coordinate whose flight ended it (lead when none did).  Each coordinate
+    flies alone, by step()'s expressions with t^{n+1} = t^n + h, no farther
+    than the shortest flight so far; lead, the coordinate that ended the last
+    flight, flies first, so a flight that ends at once costs one row.
+    """
+    m, cols = k, [[qj] for qj in q]
+    for j in sorted(range(len(q)), key=lambda j: j != lead):
+        qj, uj, cj, xs, tj = q[j], u[j], c[j], cols[j], t
+        for _ in range(m):
+            x, tj = qj + h * uj + cj, tj + h
+            if math.isfinite(x):
+                for a, b, r in axes[j]:
+                    if not a * x + (b + r * tj) >= 0.0:
+                        break
+                else:
+                    qj, uj = x, (x - qj) / h
+                    xs.append(x)
+                    continue
+            break
+        if len(xs) <= m:
+            m, lead = len(xs) - 1, j
+    return np.array([xs[:m + 1] for xs in cols]).T, lead
+
+
 def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray,
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
     Each step is flown, filled or computed (module docstring).  One loop per
-    step size flies while sys.axis_rows is set, the force is a constant and
-    the prediction is finite and feasible; any other step calls step().
-    Once a step returns its input on a still set under a constant force, the
-    rest of the steps of its size are filled.  The loop keeps (q^n, u^n) in
-    flat lists; positions and velocities are reshaped from them, and the
-    increments derived from them, after it.
+    step size flies blocks of at most _BLOCK rows, one coordinate at a time,
+    while sys.axis_rows is set, the force is a constant and the prediction
+    is finite and feasible; the step that ends a flight calls step().  Once
+    a step returns its input on a still set under a constant force, the rest
+    of the steps of its size are filled.  Flown, computed and filled rows
+    are (m, d) blocks, concatenated into positions and velocities after the
+    loop, and the increments are derived from them.
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
@@ -313,32 +354,32 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     constant = not callable(field.f)
     rows, f = (sys.axis_rows, field._average.tolist()) if constant else (None, None)
     repeats = sys.still and constant
-    ts, q, u, n = times.tolist(), q0.tolist(), u0.tolist(), 0
-    Q, U, spans = q[:], u[:], []  # rows 0..n flattened; [first, stop, outcome] per computed row
+    axes = None if rows is None else [[r[1:] for r in rows if r[0] == j] for j in range(d)]
+    x, v, n, lead = q0, u0, 0, 0  # row n
+    # (positions, velocities) blocks of rows 0..n; [first, stop, outcome] per computed row
+    blocks, spans = [(q0[None], u0[None])], []
     for h_n, stop in [(h, n_full), (sizes[-1], N)][:1 + partial]:
         c = None if rows is None else [h_n * h_n * fj for fj in f]  # step()'s h * h * f^n
         while n < stop:
-            x = c and [qj + h_n * uj + cj for qj, uj, cj in zip(q, u, c)]  # None: no flight
-            if x and all(map(math.isfinite, x)) and all(
-                    a * x[j] + (b + r * ts[n + 1]) >= 0.0 for j, a, b, r in rows):
-                v = [(xj - qj) / h_n for xj, qj in zip(x, q)]  # flown: step()'s outcome
-            else:
-                out = step(SchemeState(n, ts[n], np.array(q), np.array(u)), sys, field, h_n)
-                x, v = out.state.q_curr.tolist(), out.state.u_curr.tolist()
+            k = min(_BLOCK, stop - n)
+            if c:
+                X, lead = _fly(x.tolist(), v.tolist(), c, axes, times[n].item(), k, h_n, lead)
+                if len(X) > 1:  # rows n + 1 .. n + m flown
+                    V = np.concatenate(([v], (X[1:] - X[:-1]) / h_n))  # step()'s (x - q) / h
+                    blocks.append((X[1:], V[1:]))
+                    n, (p, x), (w, v) = n + len(X) - 1, X[-2:], V[-2:]
+            if not c or len(X) <= k:  # the next prediction needs a projection
+                out = step(SchemeState(n, times[n].item(), x, v), sys, field, h_n)
+                blocks.append((out.state.q_curr[None], out.state.u_curr[None]))
                 spans.append([n, n + 1, out])
-            Q += x
-            U += v
-            n += 1
-            if (repeats and n < stop and x == q and v == u
-                    and np.array(x + v).tobytes() == np.array(q + u).tobytes()):
+                p, w, x, v, n = x, v, out.state.q_curr, out.state.u_curr, n + 1
+            if repeats and n < stop and p.tobytes() + w.tobytes() == x.tobytes() + v.tobytes():
                 # step n - 1 returned its input: so does every later step of size h_n
-                Q += x * (stop - n)
-                U += v * (stop - n)
+                blocks.append([np.broadcast_to(row, (stop - n, d)) for row in (x, v)])
                 if spans and spans[-1][1] == n:
                     spans[-1][1] = stop
                 n = stop
-            q, u = x, v
-    positions, velocities = np.reshape(Q, (N + 1, d)), np.reshape(U, (N + 1, d))
+    positions, velocities = (np.concatenate(part) for part in zip(*blocks))
     force_averages = (np.broadcast_to(field._average, (N, d)).copy() if constant
                       else np.array([out.force_average for *_, out in spans]))
     # step()'s u^n + h f^n - u^{n+1}, elementwise, on every row

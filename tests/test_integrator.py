@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,10 +488,27 @@ class TestRunLoop:
     # computes its impact and flies on with its moving wall; the wedge at
     # h = 0.00025 flies a long stretch and comes to rest on a flown step; the
     # floor to T = 0.525 first rests on its last full step (51), then
-    # computes a half step
+    # computes a half step.  At run()'s block edges (integrator._BLOCK = 512
+    # rows, test_block_edge_cases): the floor to T = 0.6 flies 512, 511 and
+    # 513 rows before its impact; the wedge at h = 0.00025 ends q2's flight on
+    # row 1333 of a block that q1 flies through; the piston at h = 0.001 flies
+    # its moving row across the edge at row 512; the floor from 2^53, where
+    # h u0 and h^2 g round away, rests in flight from row 1 and is filled
+    # from its block's end; free flight to T = 0.6005 takes its half step
+    # after 600 flown rows
     CASES = [("floor", 0.01, None), ("wedge", 0.01, None), ("pocket", 0.01, None),
              ("free", 0.01, 0.205), ("free", 0.1, 0.3), ("piston", 0.01, None),
-             ("wedge", 0.00025, None), ("floor", 0.01, 0.525)]
+             ("wedge", 0.00025, None), ("floor", 0.01, 0.525),
+             ("floor", 0.000975, 0.6), ("floor", 0.000977, 0.6), ("floor", 0.000973, 0.6),
+             ("piston", 0.001, None), ("floor-far", 0.001, None), ("free", 0.001, 0.6005)]
+
+    @staticmethod
+    def scenario(name):
+        """lookup(name), or "floor-far": the floor from q0 = 2^53 at u0 = -0.5."""
+        if name == "floor-far":
+            return dataclasses.replace(lookup("floor"), q0=np.array([2.0 ** 53]),
+                                       u0=np.array([-0.5]))
+        return lookup(name)
 
     @staticmethod
     def by_hand(scn, h, T):
@@ -527,7 +545,7 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("name, h, T", CASES)
     def test_run_matches_chained_steps(self, name, h, T):
-        scn = lookup(name)
+        scn = self.scenario(name)
         T = scn.T if T is None else T
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
         self.assert_matches_by_hand(traj, contact, scn, h, T)
@@ -537,7 +555,7 @@ class TestRunLoop:
     # residuals
     @pytest.mark.parametrize("name, h, T", CASES)
     def test_constant_force_matches_callable(self, name, h, T):
-        scn = lookup(name)
+        scn = self.scenario(name)
         T = scn.T if T is None else T
         c = scn.force(0.0, scn.q0)
         callable_force = ForceField(f=lambda t, q: c.copy(), bound_F=scn.force.bound_F,
@@ -629,6 +647,29 @@ class TestRunLoop:
         assert len(steps) == {"piston": 2, "free": 0}.get(name, traj.nsteps)
         assert len(forces) == (3 * traj.nsteps if name == "lift-off" else 0)
 
+    # the floor's block-edge CASES: its first step() call follows 512, 511
+    # and 513 flown rows
+    @pytest.mark.parametrize("h, flown", [(0.000975, 512), (0.000977, 511), (0.000973, 513)])
+    def test_block_edge_cases(self, h, flown, monkeypatch):
+        steps = self.count_calls(monkeypatch, integrator, "step")
+        scn = lookup("floor")
+        run(scn.system, scn.force, scn.q0, scn.u0, h, 0.6)
+        assert integrator._BLOCK == 512 and steps[0][0].n == flown
+
+    # run() holds flown rows as Python floats for one block at most, so a long
+    # flight's transient memory stays near the bytes of the arrays it returns:
+    # free flight over 200000 steps peaks at 1.7 times them, and at 3.3 when
+    # every flown row stayed a Python float until the end of the run
+    def test_flight_memory_bounded(self):
+        scn = lookup("free")
+        tracemalloc.start()
+        try:
+            traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 1e-5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * sum(a.nbytes for a in self.arrays(traj, contact))
+
     @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 3), ("wedge", 0.00025, 4)])
     def test_resting_steps_reused(self, name, h, calls, monkeypatch):
         # under a constant force on a still set, the steps after the first
@@ -678,7 +719,11 @@ class TestRunLoop:
                                   force=ForceField(f=f, bound_F=lambda t: norm, sup_F=norm),
                                   q0=q0, u0=u0)
         h = data.draw(st.sampled_from([0.01, 0.003, 0.02]))
-        T = h * (data.draw(st.integers(2, 80)) + data.draw(st.sampled_from([0.0, 0.25, 0.5])))
+        # about one horizon in ten is at run()'s block edges: 511, 512, 513 or 1027 steps
+        block = integrator._BLOCK
+        steps = data.draw(st.integers(2, 80) if data.draw(st.integers(0, 9))
+                          else st.sampled_from([block - 1, block, block + 1, 2 * block + 3]))
+        T = h * (steps + data.draw(st.sampled_from([0.0, 0.25, 0.5])))
         assert scn.system.axis_rows is not None
         try:
             expected = self.by_hand(scn, h, T)
@@ -708,15 +753,19 @@ class TestRunLoop:
     # original rows from k on, bit for bit, also one step before impact (floor
     # and pocket k = 49, wedge k = 33) and from a row on the boundary (floor
     # and pocket from k = 51, wedge from k = 50); the piston's wall moves with
-    # t, so a restart at t = 0 is another problem
-    @pytest.mark.parametrize("name, k", [("floor", 10), ("floor", 40), ("floor", 49),
-                                         ("floor", 51), ("floor", 60), ("floor", 150),
-                                         ("wedge", 10), ("wedge", 30), ("wedge", 33),
-                                         ("wedge", 50), ("wedge", 70),
-                                         ("pocket", 10), ("pocket", 49), ("pocket", 51),
-                                         ("pocket", 80), ("free", 7)])
-    def test_restart_reproduces_tail(self, name, k):
-        scn, h = lookup(name), 0.01
+    # t, so a restart at t = 0 is another problem.  At h = 0.00025 the wedge
+    # restarts one row before, on and one row after the original's block edge
+    # at row 512, so the tail's blocks start mid-block of the original's
+    RESTARTS = [(name, k, 0.01) for name, k in [
+        ("floor", 10), ("floor", 40), ("floor", 49), ("floor", 51), ("floor", 60), ("floor", 150),
+        ("wedge", 10), ("wedge", 30), ("wedge", 33), ("wedge", 50), ("wedge", 70),
+        ("pocket", 10), ("pocket", 49), ("pocket", 51), ("pocket", 80), ("free", 7)]]
+    RESTARTS += [("wedge", k, 0.00025) for k in (511, 512, 513)]
+
+    @pytest.mark.parametrize("name, k, h", RESTARTS, ids=[
+        f"{name}-{k}" if h == 0.01 else f"{name}-{h}-{k}" for name, k, h in RESTARTS])
+    def test_restart_reproduces_tail(self, name, k, h):
+        scn = lookup(name)
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
         tail = run(scn.system, scn.force, traj.positions[k], traj.velocities[k], h,
                    scn.T - traj.times[k])
