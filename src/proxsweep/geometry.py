@@ -17,8 +17,9 @@ the objects attached to C(t) that the time stepper and the diagnostics need:
 Every polyhedral optimum in the package goes through one least-distance
 kernel, least_distance: min |x| s.t. G x >= h, x = 0 when no row is
 violated, else one certified solve on the face of the violated rows (in
-closed form when that face is one nonzero row; a zero row is left to NNLS),
-else one NNLS problem.  The good direction is read off its solution for the
+closed form when that face is one nonzero row), else a dual active-set loop
+after Goldfarb & Idnani, started from that face when it holds its own rows
+and from x = 0 otherwise.  The good direction is read off its solution for the
 unit active normals, and projection.py builds the point and velocity
 projections on it.
 
@@ -40,10 +41,6 @@ from .errors import ConstraintEvaluationError, InfeasibleConeError, InvalidConst
 
 # a good direction with delta at or below this counts as none
 TOL_SINGULAR = 1.0e-6
-
-# least-distance programs count as infeasible once the optimum would lie
-# farther than about 3e6 times the largest right-hand side
-_INFEASIBLE = 1.0e-13
 
 
 def activity_tolerance(q: np.ndarray):
@@ -280,12 +277,6 @@ def velocity_polyhedron(sys: ConstraintSystem, t: float, q: np.ndarray) -> Veloc
     return VelocityPolyhedron(normals, sys.dts(t, q)[mask])
 
 
-def nnls(A, b):
-    """scipy.optimize.nnls, imported on first call: most runs never fall back to it."""
-    from scipy.optimize import nnls as _nnls
-    return _nnls(A, b)
-
-
 def least_distance(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-norm x with rows @ x >= rhs, and its multipliers mu >= 0.
 
@@ -293,51 +284,78 @@ def least_distance(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     Otherwise the violated rows F = {i : rhs_i > 0} are tried as the optimal
     face: (R R^T) y = rhs_F with R = rows[F] gives x = R^T y, and mu = y on
     F, 0 off it.  A face of one row r is solved in closed form, y = rhs_F /
-    (r . r); a zero row (r . r = 0) is a singular Gram matrix and falls
-    through to NNLS without a division.  The face solution is kept only
-    under its KKT certificate, which makes x the unique optimum of the
-    strictly convex QP: y > 0, rows x >= rhs off F, and
-    |R x - rhs_F| <= 1e-12 rhs_F row by row.  The last guard is
-    needed since R R^T squares the condition number: on nearly opposed rows
-    y > 0 can come with an x far off the face.
+    (r . r); a zero row (r . r = 0) is a singular Gram matrix and is left to
+    the loop without a division.  The face solution is kept only under its
+    KKT certificate, which makes x the unique optimum of the strictly convex
+    QP: y > 0, |R x - rhs_F| <= 1e-12 rhs_F row by row, and rows x >= rhs
+    off F.  The middle guard is needed since R R^T squares the condition
+    number: on nearly opposed rows y > 0 can come with an x far off the face.
 
-    Otherwise one NNLS solve of [rows^T; rhs^T] u ~ e_{d+1} (Lawson & Hanson
-    1974, ch. 23) decides: its residual r gives x = -r[:d] / r[d] and
-    mu = -u / r[d], so x = rows^T mu with mu_i > 0 only on rows that hold
-    with equality.  At a feasible optimum -r[d] = 1 / (1 + |x|^2) in units of
-    max|rhs|; when it vanishes the rows admit no x and InfeasibleConeError
-    is raised.  x is finally re-solved on the rows with mu_i > 0 as
-    equalities, so points on affine faces come out exact rather than within
-    roundoff.  This step imports SciPy on its first
-    use, so a process whose solves all stay on the face never loads it.
+    Otherwise _dual_active_set decides, warm-started from the face when only
+    the last condition failed, else from x = 0.
     """
     face = rhs > 0.0
-    d = rows.shape[1]
-    if not face.any():  # x = 0 is feasible; NNLS aborts the process on zero rows
-        return np.zeros(d), np.zeros(len(rhs))
-    R = rows[face]
-    with contextlib.suppress(np.linalg.LinAlgError):  # a singular Gram matrix
+    if not face.any():  # x = 0 is feasible
+        return np.zeros(rows.shape[1]), np.zeros(len(rhs))
+    R, start = rows[face], ()
+    # a singular Gram matrix, or one whose entries overflow, is left to the loop
+    with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore", invalid="ignore"):
         # one row r: y = rhs / (r . r); solve() finds a zero row singular
         rr = R[0] @ R[0] if len(R) == 1 else 0.0
         y = rhs[face] / rr if rr > 0.0 else np.linalg.solve(R @ R.T, rhs[face])
         x = y @ R
         r = rows @ x - rhs
-        if (y > 0.0).all() and np.where(face, abs(r) <= 1e-12 * rhs, r >= 0.0).all():
-            mu = np.zeros(len(rhs))
-            mu[face] = y
-            return x, mu
-    scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
-    lhs = np.vstack([rows.T, rhs / scale])
-    target = np.zeros(d + 1)
-    target[-1] = 1.0
-    u, _ = nnls(lhs, target)
-    r = lhs @ u - target
-    if -r[-1] <= _INFEASIBLE:
-        raise InfeasibleConeError("the least-distance rows admit no point")
-    mu = -(scale / r[-1]) * u
-    face = mu > 0.0
-    x, *_ = np.linalg.lstsq(rows[face], rhs[face], rcond=None)
-    return x, mu
+        if (y > 0.0).all() and (abs(r[face]) <= 1e-12 * rhs[face]).all():
+            if (r[~face] >= 0.0).all():
+                mu = np.zeros(len(rhs))
+                mu[face] = y
+                return x, mu
+            start = np.flatnonzero(face), y, x
+    return _dual_active_set(rows, rhs, *start)
+
+
+def _dual_active_set(rows, rhs, face=(), y=0.0, x=0.0):
+    """least_distance by the dual active-set method of Goldfarb & Idnani
+    (1983, Math. Programming 27), from x = 0, this problem's unconstrained
+    optimum, or from a face solution x = y @ rows[face] that holds its rows.
+
+    Each row is scaled by its largest entry, so no |row|^2 underflows; a
+    zero row is never violated when its rhs is <= 0, and cannot be added
+    otherwise.  While a row off the active set A is violated by more than
+    rounding, 1e-12 (max |rhs| + sum mu) in scaled units, the most violated
+    one, n, is added: the step z = n - N^T r, with N^T r the part of n
+    spanned by the rows N of A, moves x to n's plane unless an active
+    multiplier first falls to 0 along -r, in which case that row is dropped
+    and n tried again.  A row with z = 0 (|z| <= 1e-10 |(n, r)|) and no
+    r_j > 0 can be neither added nor dropped, and the rows admit no x.  At
+    the KKT point x is re-solved on A: built up step by step, it drifts off
+    nearly opposed rows, by 2e-5 on the unit normals of (1, 0) and (-1, 3e-6).
+    """
+    scale = np.where(rows.any(axis=1), np.max(abs(rows), axis=1, initial=0.0), 1.0)
+    G, b = rows / scale[:, None], rhs / scale
+    A, x, mu = list(face), x + np.zeros(rows.shape[1]), np.zeros(len(rhs))
+    mu[A] = y * scale[A]
+    while True:
+        s = np.minimum(G @ x - b + 1e-12 * (abs(b).max() + mu.sum()), 0.0)
+        s[A] = 0.0
+        if not s.any():
+            return np.linalg.lstsq(G[A], b[A], rcond=None)[0], mu / scale
+        p = int(np.argmin(s))
+        n = G[p]
+        while p not in A:  # add row p, dropping each row whose multiplier falls to 0 first
+            r = np.linalg.lstsq(G[A].T, n, rcond=None)[0]
+            z = n - r @ G[A]
+            ratio = np.divide(mu[A], r, out=np.full(len(A), np.inf), where=r > 0.0)
+            t = drop = ratio.min(initial=np.inf)
+            if z @ z > 1e-20 * (n @ n + r @ r):  # n is not spanned by the active rows
+                t = min(drop, (b[p] - n @ x) / (z @ z))
+            elif drop == np.inf:
+                raise InfeasibleConeError("the least-distance rows admit no point")
+            x, mu[A], mu[p] = x + t * z, np.maximum(mu[A] - t * r, 0.0), mu[p] + t
+            if t < drop:
+                A.append(p)
+            else:
+                mu[A.pop(int(np.argmin(ratio)))] = 0.0
 
 
 def good_direction(sys: ConstraintSystem, t: float, q: np.ndarray,

@@ -21,7 +21,7 @@ is an exact proximal normal at q^{n+1}: h dk^n is the displacement the
 projection removed, so its Kuhn-Tucker multipliers are the projection's own
 divided by h.  A step aborts unless its projection converges closer than
 eta, inside the prox-regular tube.  extract_multipliers, which run() does not
-call, cross-checks them by nonnegative least squares on the active gradients.
+call, cross-checks them with one least-distance solve on the active gradients.
 
 run() appends the rows it makes to a list of (m, d) blocks of positions and
 velocities and concatenates them once at the end.  A step is of one of three
@@ -68,7 +68,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidConstantsError, SimulationAbort
-from .geometry import ConstraintSystem, _active_mask, nnls
+from .geometry import ConstraintSystem, _active_mask, least_distance
 from .projection import project_point
 
 (_N0, _N1, _N2), (_W0, _W1, _W2) = (a.tolist() for a in np.polynomial.legendre.leggauss(3))
@@ -204,19 +204,22 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
                         q: np.ndarray) -> MultiplierExtraction:
     """Nonnegative lambda minimizing |sum lambda_i grad g_i + increment|.
 
-    The residual exceeding 1e-8 (1 + |increment|) flags an increment outside
-    the generated normal cone; that is diagnostic, not fatal.
+    One kernel call by Moreau's decomposition: with G the active gradients
+    and K = {w : G w >= 0}, min |x| s.t. G x >= -G increment has x =
+    P_K(increment) - increment = G^T lambda, so lambda is the kernel's mu and
+    the residual is |increment + x| = |P_K(increment)|; no active row gives
+    lambda = () and |increment|.  The residual exceeding 1e-8 (1 + |increment|)
+    flags an increment outside the generated normal cone; that is diagnostic,
+    not fatal.
     """
     increment = np.asarray(increment, dtype=float)
     q = np.asarray(q, dtype=float)
-    tol_kkt = 1e-8 * (1.0 + float(np.linalg.norm(increment)))
     mask = _active_mask(sys.values(t, q), q)
-    if not mask.any():
-        res = float(np.linalg.norm(increment))
-        return MultiplierExtraction(np.zeros(0), (), res, res <= tol_kkt)
-    lam, res = nnls(sys.gradients(t, q)[mask].T, -increment)
+    rows = sys.gradients(t, q)[mask]
+    move, lam = least_distance(rows, -rows @ increment)
+    res = float(np.linalg.norm(increment + move))
     return MultiplierExtraction(lam, tuple(c.id for c, on in zip(sys.constraints, mask) if on),
-                                float(res), float(res) <= tol_kkt)
+                                res, res <= 1e-8 * (1.0 + float(np.linalg.norm(increment))))
 
 
 def _check_inputs(sys: ConstraintSystem, field: ForceField, q0, u0, h: float,

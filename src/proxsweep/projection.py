@@ -1,7 +1,8 @@
 """Euclidean projections onto the admissible set and onto velocity polyhedra.
 
 Both reduce to the least-distance kernel of geometry.least_distance, which
-projects onto {z : b + N z >= 0} by a certified face solve, else by NNLS.
+projects onto {z : b + N z >= 0} by a certified face solve, else by a dual
+active-set loop.
 
 Velocity projection is one kernel call.  Point projection handles the
 possibly nonconvex set C(t) by linearise-and-project: starting from y = x,

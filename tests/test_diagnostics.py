@@ -144,7 +144,7 @@ class TestImpactLaw:
 
     def test_parallel_rows_skip_singular_vertex(self):
         # rows (0, 1) and (0, 2) are both active on the floor: the cone's face
-        # Gram matrix is singular and the kernel falls back to NNLS
+        # Gram matrix is singular and the kernel's active-set loop decides
         sys = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [0.0, 1.0]),
                                                    affine_constraint(2, [0.0, 2.0])))
         traj, _ = run(sys, zero_force(2), np.array([0.0, 1.0]), np.array([0.5, -2.0]), 0.01, 1.0)

@@ -315,12 +315,14 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["wedge", "pocket", "floor"])
     def test_step_multipliers_need_no_nnls(self, name, monkeypatch):
-        # step() reads the multipliers off the projection's certificate; the
-        # least-squares recovery is never needed on the way
-        def no_nnls(*args, **kwargs):
-            raise AssertionError("step() solved an NNLS problem")
+        # step() reads the multipliers off the projection's certificate: no
+        # recovery by extract_multipliers on the way, and every projection of
+        # these runs is a certified face solve, so the kernel's loop never runs
+        def refused(*args, **kwargs):
+            raise AssertionError("step() recovered multipliers by another solve")
 
-        monkeypatch.setattr(integrator, "nnls", no_nnls)
+        monkeypatch.setattr(integrator, "extract_multipliers", refused)
+        monkeypatch.setattr(geometry, "_dual_active_set", refused)
         scn = lookup(name)
         sys = scn.system
         traj, contact = run(sys, scn.force, scn.q0, scn.u0, 0.01, scn.T)
@@ -339,13 +341,26 @@ class TestRun:
     def test_affine_runs_take_the_face_solve(self, name, monkeypatch):
         # on these affine sets the violated rows are always the optimal face,
         # so the kernel's certified face solve answers every projection
-        def no_nnls(*args, **kwargs):
-            raise AssertionError("least_distance fell back to NNLS")
+        def no_loop(*args, **kwargs):
+            raise AssertionError("least_distance fell back to its active-set loop")
 
-        monkeypatch.setattr(geometry, "nnls", no_nnls)
+        monkeypatch.setattr(geometry, "_dual_active_set", no_loop)
         scn = lookup(name)
         _, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
         assert np.max(contact.multipliers) > 0.0
+
+    def test_tiny_row_projects(self):
+        # q <= 0 written as -1e-200 q >= 0: the face Gram matrix 1e-400
+        # underflows to 0, and the kernel's loop, scaling the row by its
+        # largest entry, still projects each prediction 1e-3 back to 0 with
+        # mu = 1e-3 / 1e-200 and lambda = mu / h; warnings are errors here
+        sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [-1e-200]),))
+        field = ForceField(f=np.array([10.0]), bound_F=lambda t: 10.0, sup_F=10.0)
+        traj, contact = run(sys, field, np.zeros(1), np.zeros(1), 0.01, 0.05)
+        np.testing.assert_array_equal(traj.positions, np.zeros((6, 1)))
+        np.testing.assert_array_equal(traj.velocities, np.zeros((6, 1)))
+        np.testing.assert_allclose(contact.multipliers, np.full((5, 1), 1e199), rtol=1e-12)
+        assert np.all(contact.residuals <= 1e-12)
 
     def test_force_averaged_once_per_step(self):
         # step 0 averages f^0 like every other step

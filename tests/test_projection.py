@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -14,7 +13,7 @@ from proxsweep.geometry import least_distance
 from proxsweep.projection import MAX_ITER
 from proxsweep.scenarios import lookup
 
-from conftest import disc_complement, half_space_1d, run_child, sample_boundary
+from conftest import disc_complement, half_space_1d, sample_boundary
 from oracles import enumerate_qp, grid_project, hypomonotonicity_residual, membership
 
 
@@ -238,29 +237,20 @@ class TestLeastDistance:
 
     @pytest.mark.parametrize("rhs", [-1.0, 0.0])
     def test_origin_already_feasible(self, rhs, monkeypatch):
-        calls = self.counted_nnls(monkeypatch)
+        calls = self.counted_loop(monkeypatch)
         x, mu = least_distance(np.array([[1.0, 1.0]]), np.array([rhs]))
         np.testing.assert_array_equal(x, [0.0, 0.0])
         np.testing.assert_array_equal(mu, [0.0])
         assert calls == []
 
-    # in a child interpreter, since SciPy's NNLS on the (3, 0) matrix of no
-    # rows used to abort the process with a double free
-    NO_VIOLATED_ROW = """
-import json, sys
-import numpy as np
-from proxsweep.geometry import least_distance
-print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (-1, 2)),
-                                                           np.array(rhs, dtype=float))]
-                          for rows, rhs in (([], []), ([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0]))],
-                  "optimize_loaded": "scipy.optimize" in sys.modules}))
-"""
-
-    def test_no_violated_row_needs_no_nnls(self):
-        done = run_child(self.NO_VIOLATED_ROW, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == {"out": [[[0.0, 0.0], []], [[0.0, 0.0], [0.0, 0.0]]],
-                                           "optimize_loaded": False}
+    def test_no_violated_row_needs_no_nnls(self, monkeypatch):
+        # no rows at all, and rows that x = 0 already meets: neither reaches the loop
+        calls = self.counted_loop(monkeypatch)
+        for rows, rhs in (([], []), ([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0])):
+            x, mu = least_distance(np.reshape(rows, (-1, 2)), np.array(rhs, dtype=float))
+            np.testing.assert_array_equal(x, [0.0, 0.0])
+            np.testing.assert_array_equal(mu, np.zeros(len(rhs)))
+        assert calls == []
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleConeError, match="^the least-distance rows admit no point$"):
@@ -274,9 +264,9 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
         np.testing.assert_allclose(mu2, 1e9 * mu1, rtol=1e-12)
 
     def test_zero_row_falls_through_to_nnls(self, monkeypatch):
-        # rr = 0 is a singular 1 x 1 Gram matrix: no division, one NNLS solve,
+        # rr = 0 is a singular 1 x 1 Gram matrix: no division, one loop call,
         # and 0 . x >= 1 has no solution
-        calls = self.counted_nnls(monkeypatch)
+        calls = self.counted_loop(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleConeError):
@@ -285,17 +275,38 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
 
     def test_one_row_face_in_closed_form(self, monkeypatch):
         # x = 5 (3, 4) / 25 on the line 3 x1 + 4 x2 = 5, mu = 5 / 25
-        calls = self.counted_nnls(monkeypatch)
+        calls = self.counted_loop(monkeypatch)
         x, mu = least_distance(np.array([[3.0, 4.0]]), np.array([5.0]))
         np.testing.assert_allclose(x, [0.6, 0.8], rtol=1e-15)
         np.testing.assert_allclose(mu, [0.2], rtol=1e-15)
         assert calls == []
 
+    @pytest.mark.parametrize("rows, rhs, x_ref, mu_ref", [
+        # |row|^2 = 1e-400 underflows to 0, a singular Gram matrix: q <= 0
+        # from 1e-3 with mu = 1e-3 / 1e-200
+        ([[-1e-200]], [1e-203], [-1e-3], [1e197]),
+        # the Gram matrix of rows of size 1e160 overflows
+        ([[1e160, 0.0], [0.0, 1e160]], [1e160, 1e160], [1.0, 1.0], [1e-160, 1e-160]),
+    ])
+    def test_rows_are_scaled(self, rows, rhs, x_ref, mu_ref, monkeypatch):
+        # the face solve leaves both to the loop without a warning, and the
+        # loop, which scales each row by its largest entry, solves them
+        calls = self.counted_loop(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, mu = least_distance(np.array(rows), np.array(rhs))
+        np.testing.assert_allclose(x, x_ref, rtol=1e-15)
+        np.testing.assert_allclose(mu, mu_ref, rtol=1e-15)
+        assert len(calls) == 1
+
     @staticmethod
-    def counted_nnls(monkeypatch):
-        """Calls of geometry.nnls from here on, one entry per call."""
-        calls, nnls = [], geometry.nnls
-        monkeypatch.setattr(geometry, "nnls", lambda *a, **k: calls.append(a) or nnls(*a, **k))
+    def counted_loop(monkeypatch):
+        """Calls of geometry._dual_active_set from here on, one entry of its
+        arguments per call: (rows, rhs) from x = 0, (rows, rhs, face, y, x)
+        from the face solve."""
+        calls, loop = [], geometry._dual_active_set
+        monkeypatch.setattr(geometry, "_dual_active_set",
+                            lambda *a: calls.append(a) or loop(*a))
         return calls
 
     @staticmethod
@@ -332,13 +343,16 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
             y = np.linalg.solve(rows @ rows.T, rhs)
             assert np.all(y > 0.0)
             assert np.max(np.abs(rows @ (y @ rows) - rhs) / rhs) > 1e-12
-        calls = self.counted_nnls(monkeypatch)
+        calls = self.counted_loop(monkeypatch)
         x, mu = least_distance(rows, rhs)
         assert len(calls) == 1
+        # only a face that holds its own rows with y > 0 is a warm start
+        assert (len(calls[0]) > 2) == (case == "off-face-row-broken")
         if case == "residual-guard":
-            # too ill-conditioned for the oracle's 1e-9 tolerances: x = (1, 2/e) and
-            # rows^T mu = x give mu = (1 + 2/e^2, 2/e^2), which NNLS gets to 9e-5
-            x_ref, mu_ref, mu_rtol = np.array([1.0, 2 / 3e-6]), 2 / 9e-12 + np.array([1.0, 0.0]), 1e-4
+            # too ill-conditioned for the oracle's 1e-9 tolerances: x = (1, 2/e)
+            # and rows^T mu = x give mu = (1 + 2/e^2, 2/e^2)
+            x_ref, mu_ref = np.array([1.0, 2 / 3e-6]), 2 / 9e-12 + np.array([1.0, 0.0])
+            mu_rtol = 1e-12
         else:
             (x_ref, mu_ref), mu_rtol = self.oracle(rows, rhs), 1e-9
         atol = 1e-12 * (1.0 + np.linalg.norm(x_ref))
@@ -350,13 +364,77 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
         else:
             np.testing.assert_allclose(mu, mu_ref, rtol=mu_rtol, atol=atol)
 
+    # one instance per branch of _dual_active_set, each reaching it by the
+    # property checked in test_loop_branch
+    BRANCHES = {
+        # y > 0 and the face {0} holds, but x = (1, 0) breaks -x1 + x2 >= 0
+        "warm-start": ([[1.0, 0.0], [-1.0, 1.0]], [1.0, 0.0]),
+        # y = (1.5, -0.5) on the violated rows: the loop starts from x = 0
+        "cold-start": ([[1.0, 0.0], [1.0, 1.0]], [1.0, 0.5]),
+        # a singular Gram matrix, and two rows end with mu > 0, each added
+        "add": ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0]),
+        # the face {1, 2} gives x = (1.5, 0.75), breaking -2 x2 >= -1; once
+        # row 0 is added, row 1's multiplier falls to 0 and it leaves the face
+        "drop": ([[0.0, -2.0], [2.0, 0.0], [1.0, 2.0]], [-1.0, 3.0, 3.0]),
+        # the face {0, 1} gives x = (1, 2), breaking x1 - x2 >= -0.5; that row is
+        # spanned by the face, so row 0 is dropped before x moves to (1.5, 2)
+        "dependent-drop": ([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]], [1.0, 2.0, -0.5]),
+        # after x1 >= 1, the row -x1 >= 1 is spanned by it with r = -1 < 0
+        "infeasible-add": ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+        # -x2 >= 2/3 is -(row 0 + row 2) / 4, whose z is 0 only up to rounding
+        "infeasible-add-rounded": ([[1.0, 2.0, 2.0], [0.0, -1.0, 0.0], [-1.0, 2.0, -2.0]],
+                                   [1 / 3, 2 / 3, 1 / 3]),
+        # 0 . x >= 1 beside a feasible row: its z is 0, and x1 >= 1 has r = 0
+        "infeasible-zero-row": ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+        # a multiplier that the step takes to 0 only up to rounding is held at 0
+        "clamp": ([[0.0, -1.0, -1.0], [1.0, 0.0, 1.0], [0.0, -1.0, 0.0]], [1 / 3, 0.0, 1 / 3]),
+        # x2 >= 1/3 twice and x2 <= 1/3, each 1/3 rounded its own way: a row
+        # that only rounding leaves violated is not added
+        "rounding": ([[0.0, 3.0], [0.0, 0.7], [0.0, -0.1]], [1.0, 0.7 / 3, -0.1 / 3]),
+        # 0 . x >= 0 holds everywhere and is never added
+        "zero-row-absent": ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [0.0, 1.0, 1.0]),
+    }
+
+    # the instances whose face solve holds its own rows with y > 0
+    WARM = ("warm-start", "drop", "dependent-drop", "rounding")
+
+    @pytest.mark.parametrize("case", sorted(BRANCHES))
+    def test_loop_branch(self, case, monkeypatch):
+        rows, rhs = (np.array(a) for a in self.BRANCHES[case])
+        calls = self.counted_loop(monkeypatch)
+        if case.startswith("infeasible"):
+            with pytest.raises(InfeasibleConeError):
+                least_distance(rows, rhs)
+            assert len(calls) == 1
+            return
+        x, mu = least_distance(rows, rhs)
+        assert len(calls) == 1
+        start = calls[0][2:]
+        assert bool(start) == (case in self.WARM)
+        x_ref, mu_ref = self.oracle(rows, rhs)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(rows.T @ mu, x, rtol=1e-14, atol=1e-15)
+        assert np.all(mu >= 0.0)
+        if case == "add":  # a cold start adds every row that ends with mu > 0
+            assert not start and np.count_nonzero(mu) == 2
+        if case == "drop":  # a start row, y > 0, that ends with mu = 0 was dropped
+            np.testing.assert_array_equal(start[0], [1, 2])
+            assert mu[1] == 0.0 and np.all(start[1] > 0.0)
+            np.testing.assert_allclose(mu, [1.75, 0.0, 2.0], rtol=1e-14)
+        if case == "dependent-drop":  # the same, with x fixed while row 0 leaves
+            np.testing.assert_array_equal(start[0], [0, 1])
+            assert mu[0] == 0.0
+            np.testing.assert_allclose(mu, [0.0, 3.5, 1.5], rtol=1e-14)
+        if case == "zero-row-absent":
+            assert mu[0] == 0.0
+
     def test_face_solve_matches_oracle(self, monkeypatch):
-        # well-posed instances (independent rows, condition number <= 10) whose
-        # violated rows are the optimal face: no NNLS solve, and the oracle's
-        # optimum to 1e-12 relative
+        # well-posed instances (independent rows, condition number <= 10):
+        # both the face solve and the loop give the oracle's optimum to 1e-12
+        # relative, and each answers many of them
         rng = np.random.default_rng(7)
-        calls = self.counted_nnls(monkeypatch)
-        checked = 0
+        calls = self.counted_loop(monkeypatch)
+        checked = {False: 0, True: 0}  # by whether the loop answered
         for _ in range(400):
             d = int(rng.integers(1, 7))
             rows = rng.normal(size=(int(rng.integers(1, d + 1)), d))
@@ -365,14 +443,13 @@ print(json.dumps({"out": [[a.tolist() for a in least_distance(np.reshape(rows, (
                 continue
             before = len(calls)
             x, mu = least_distance(rows, rhs)
-            if len(calls) > before:
-                continue
             x_ref, mu_ref = self.oracle(rows, rhs)
             np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12 * np.linalg.norm(x_ref))
             np.testing.assert_allclose(mu, mu_ref, rtol=1e-12, atol=1e-12 * np.max(mu_ref))
-            assert np.all(mu[rhs <= 0.0] == 0.0)
-            checked += 1
-        assert checked >= 100
+            if len(calls) == before:
+                assert np.all(mu[rhs <= 0.0] == 0.0)
+            checked[len(calls) > before] += 1
+        assert checked[False] >= 100 and checked[True] >= 30
 
 
 def make_poly(normals, offsets):

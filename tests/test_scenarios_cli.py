@@ -519,36 +519,40 @@ class TestSweepExecution:
         assert payload["h"] == 0.02  # flag wins over file
 
 
-# run in a fresh interpreter: the built-in sweeps, then one least-distance
-# problem whose face solve fails the residual guard and falls back to NNLS
+# run in a fresh interpreter: the built-in sweeps, a run whose parallel
+# active rows make every face Gram matrix at the floor singular, so its
+# projections and impact checks go to the kernel's active-set loop, and one
+# least-distance problem whose face solve fails the residual guard
 COLD_START = """
 import json, sys
 import numpy as np
-import proxsweep
-from proxsweep import cli
+from proxsweep import ConstraintSystem, ForceField, affine_constraint, cli, run, verify_impact_law
 from proxsweep.geometry import least_distance
 
 codes = [cli.main(["--scenario", name, "--sweep", sweep, "--T", "1", "--verify",
                    "--out", f"{sys.argv[1]}/{name}"])
          for name, sweep in (("floor", "0.02,0.01"), ("wedge", "0.01,0.005"),
                              ("piston", "0.02,0.01"), ("pocket", "0.02,0.01"))]
-scipy_after_sweeps = "scipy" in sys.modules
+floor = ConstraintSystem(dim=2, constraints=(affine_constraint(1, [0.0, 1.0]),
+                                             affine_constraint(2, [0.0, 2.0])))
+traj, _ = run(floor, ForceField(f=np.zeros(2)), np.array([0.0, 1.0]), np.array([0.5, -2.0]),
+              0.01, 1.0)
+events = verify_impact_law(traj, floor, sup_force=0.0)
 x, _ = least_distance(np.array([[1.0, 0.0], [-1.0, 3e-6]]), np.array([1.0, 1.0]))
-print(json.dumps({"codes": codes, "scipy_after_sweeps": scipy_after_sweeps,
-                  "x": x.tolist(), "optimize_after_fallback": "scipy.optimize" in sys.modules}))
+print(json.dumps({"codes": codes, "events": len(events), "x": x.tolist(),
+                  "scipy": "scipy" in sys.modules}))
 """
 
 
-def test_cold_start_loads_scipy_only_for_nnls(tmp_path):
-    # every projection of the built-in sweeps is a certified face solve, so
-    # SciPy is imported by the first NNLS fallback and not before
+def test_cold_start_never_loads_scipy(tmp_path):
+    # no module of the package imports SciPy, on any path of the kernel
     done = run_child(COLD_START, str(tmp_path))
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
-    assert not result["scipy_after_sweeps"]
+    assert result["events"] == 1
     np.testing.assert_allclose(result["x"], [1.0, 2 / 3e-6], rtol=1e-9)
-    assert result["optimize_after_fallback"]
+    assert not result["scipy"]
 
 
 # python -m proxsweep.cli in a fresh interpreter, then the modules it loaded
