@@ -119,18 +119,34 @@ def resolve_settings(file_values: dict, flag_values: dict) -> tuple[Scenario, ar
     return scn, argparse.Namespace(**cfg)
 
 
+def _runs(differs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that start a run of equal rows, and the run of every row,
+    where differs[k] tells row k + 1 from row k."""
+    starts = np.concatenate(([True], differs))
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
+
+
 def write_csv(path: str, scn: Scenario, traj, contact) -> None:
+    """One row per grid point; each run of equal values in a column, and of
+    equal active rows, is formatted once."""
     d = scn.dim
     header = (["t"] + [f"q{i + 1}" for i in range(d)] + [f"u{i + 1}" for i in range(d)]
               + ["knorm", "active"])
     inc_norm = np.concatenate([[0.0], np.linalg.norm(contact.increments, axis=1)])
-    active = _active_mask(scn.system.values(traj.times, traj.positions), traj.positions)
+    columns = []
+    for column in (traj.times, *traj.positions.T, *traj.velocities.T, inc_norm):
+        key = column.view(np.int64)  # equal bits, so -0.0 and 0.0 stay apart
+        heads, runs = _runs(key[1:] != key[:-1])
+        text = [f"%.{CSV_DIGITS}g" % x for x in column[heads].tolist()]
+        columns.append(np.array(text, dtype=object)[runs].tolist())
+    active = np.ascontiguousarray(
+        _active_mask(scn.system.values(traj.times, traj.positions), traj.positions).T)
+    heads, runs = _runs(np.any(active[:, 1:] != active[:, :-1], axis=0))
     # Python-int bits keep the mask exact for any constraint id
     bits = np.array([1 << (c.id - 1) for c in scn.system.constraints], dtype=object)
-    masks = (active * bits).sum(axis=1, initial=0).tolist()
-    row_fmt = ",".join([f"%.{CSV_DIGITS}g"] * (2 * d + 2) + ["%d"])
-    table = np.column_stack((traj.times, traj.positions, traj.velocities, inc_norm)).tolist()
-    lines = [",".join(header)] + [row_fmt % (*row, mask) for row, mask in zip(table, masks)]
+    masks = (active[:, heads].T * bits).sum(axis=1, initial=0).tolist()
+    columns.append(np.array(["%d" % mask for mask in masks], dtype=object)[runs].tolist())
+    lines = [",".join(header)] + list(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -64,9 +64,29 @@ class DiagnosticsReport:
     momentum_residual: float = 0.0        # |u(T) - u0 - sum h f + sum dk|
 
 
+def _jumps(traj: Trajectory) -> np.ndarray:
+    """|u^{n+1} - u^n| for every step n."""
+    return np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
+
+
+def _grid_values(traj: Trajectory, sys: ConstraintSystem) -> np.ndarray:
+    """g at every grid point as (p, N+1), so that a reduction over the
+    constraints runs along the grid: across a row numpy pays per row."""
+    return np.ascontiguousarray(sys.values(traj.times, traj.positions).T)
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) bit for bit, for x (N, d): numpy sums one column pairwise
+    and several row by row in grid order, and that order costs half as much
+    run down each column."""
+    if x.shape[1] == 1 or not len(x):
+        return x.sum(axis=0)
+    return np.add.accumulate(x.T, axis=1)[:, -1]
+
+
 def total_variation(traj: Trajectory) -> float:
     """Sum of |u^{n+1} - u^n| over the grid, starting from u^0 = u0."""
-    return float(np.sum(np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)))
+    return float(np.sum(_jumps(traj)))
 
 
 def sup_velocity(traj: Trajectory) -> float:
@@ -75,7 +95,11 @@ def sup_velocity(traj: Trajectory) -> float:
 
 def max_feasibility_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     """max over grid times of max_i (-g_i(t^n, q^n))_+."""
-    return max(0.0, -float(np.min(sys.values(traj.times, traj.positions), initial=np.inf)))
+    return _feasibility_gap(sys.values(traj.times, traj.positions))
+
+
+def _feasibility_gap(g: np.ndarray) -> float:
+    return max(0.0, -float(np.min(g, initial=np.inf)))
 
 
 def _interpolant(traj: Trajectory, fractions,
@@ -98,9 +122,14 @@ def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     an infeasible end are sampled, and a sample that roundoff would put a
     hair outside on any other step reads 0.  Other sets sample every step.
     """
+    return _intergrid_gap(traj, sys, _grid_values(traj, sys) if sys.affine else None)
+
+
+def _intergrid_gap(traj, sys, g) -> float:
+    """max_intergrid_gap given g = _grid_values(traj, sys) on an affine set."""
     steps = slice(None)
     if sys.affine:
-        out = np.any(sys.values(traj.times, traj.positions) < 0.0, axis=1)
+        out = np.any(g < 0.0, axis=0)
         steps = np.flatnonzero(out[:-1] | out[1:])
         if not len(steps):
             return 0.0
@@ -131,12 +160,16 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
     consecutive steps and must count as one event.  Both thresholds are
     derived from the largest step h and the run's sup_F, each floored at 1e-7.
     """
-    h = _largest_step(traj)
+    return _impact_windows(traj, _grid_values(traj, sys), _jumps(traj), _largest_step(traj),
+                           sup_force)
+
+
+def _impact_windows(traj, g, jumps, h: float, sup_force: float) -> list[tuple[int, int]]:
+    """detect_impacts given g = _grid_values(traj, sys), jumps = _jumps(traj)
+    and the largest step h."""
     seed_tol = max(5.0 * h * sup_force, 1e-7)
     extend_tol = max(1.5 * h * sup_force, 1e-7)
-    jumps = np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
-    ends = traj.positions[1:]
-    in_contact = _active_mask(sys.values(traj.times[1:], ends), ends).any(axis=1)
+    in_contact = _active_mask(g[:, 1:].T, traj.positions[1:]).any(axis=1)
     # run edges of the extension mask; seed_tol >= extend_tol puts every seed in a run
     edges = np.flatnonzero(np.diff(np.concatenate(([False], (jumps > extend_tol) & in_contact,
                                                    [False])))).reshape(-1, 2)
@@ -156,13 +189,16 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
     decomposition is |P_K(u- - u+)| with K = {w : n_i . w >= 0}: one kernel
     call.  Events whose polyhedron is empty (infeasible) carry NaN in both.
     """
-    bound = law_bound(_largest_step(traj), sup_force)
+    return _impact_events(traj, sys, detect_impacts(traj, sys, sup_force),
+                          law_bound(_largest_step(traj), sup_force))
+
+
+def _impact_events(traj, sys, windows, bound: float) -> list[ImpactEvent]:
+    """verify_impact_law on the detect_impacts windows, with bound its law_bound."""
     events: list[ImpactEvent] = []
-    for a, b in detect_impacts(traj, sys, sup_force):
-        t_ev = float(traj.times[b + 1])
-        q_ev = traj.positions[b + 1]
-        u_minus = traj.velocities[a]
-        u_plus = traj.velocities[b + 1]
+    for a, b in windows:
+        t_ev, q_ev = float(traj.times[b + 1]), traj.positions[b + 1]
+        u_minus, u_plus = traj.velocities[a], traj.velocities[b + 1]
         poly = velocity_polyhedron(sys, t_ev, q_ev)
         try:
             u_star = project_velocity(poly, u_minus).point
@@ -220,17 +256,31 @@ def compute_constants(sys: ConstraintSystem, admiss: AdmissibilityEstimate | Non
 def velocity_bound_ok(traj: Trajectory, contact: ContactMeasure,
                       sys: ConstraintSystem) -> bool:
     """|u^{n+1}| <= 2 |u^n + h f^n| + c0 at every step, up to 1e-9."""
-    steps = np.diff(traj.times)[:, None]
-    lhs = np.linalg.norm(traj.velocities[1:], axis=1)
-    rhs = 2.0 * np.linalg.norm(traj.velocities[:-1] + steps * contact.force_averages, axis=1)
-    return not np.any(lhs > rhs + sys.lipschitz_c0 + 1e-9)
+    return _velocity_bound_ok(traj, sys, np.linalg.norm(traj.velocities, axis=1),
+                              _impulses(traj, contact))
+
+
+def _impulses(traj: Trajectory, contact: ContactMeasure) -> np.ndarray:
+    """h f^n for every step n, as (N, d) stored column by column: the sum with
+    the grid's velocities, and its row norms, then run along the grid when the
+    velocities are stored so too."""
+    return np.diff(traj.times)[:, None] * np.asfortranarray(contact.force_averages)
+
+
+def _velocity_bound_ok(traj, sys, speeds, impulses) -> bool:
+    """velocity_bound_ok given speeds |u^n| and impulses = _impulses(traj, contact)."""
+    rhs = 2.0 * np.linalg.norm(traj.velocities[:-1] + impulses, axis=1)
+    return not np.any(speeds[1:] > rhs + sys.lipschitz_c0 + 1e-9)
 
 
 def momentum_residual(traj: Trajectory, contact: ContactMeasure) -> float:
     """|u(T) - u0 - sum_n h f^n + sum_n dk^n|, a discrete momentum balance."""
-    steps = np.diff(traj.times)
-    forcing = (steps[:, None] * contact.force_averages).sum(axis=0)
-    lhs = traj.velocities[-1] - traj.velocities[0] - forcing + contact.increments.sum(axis=0)
+    return _momentum_residual(traj, contact, _impulses(traj, contact))
+
+
+def _momentum_residual(traj, contact, impulses) -> float:
+    lhs = (traj.velocities[-1] - traj.velocities[0] - _column_sums(impulses)
+           + _column_sums(contact.increments))
     return float(np.linalg.norm(lhs))
 
 
@@ -280,17 +330,23 @@ def convergence_study(sys: ConstraintSystem, force: ForceField, q0, u0, T: float
 def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
              force: ForceField, admiss: AdmissibilityEstimate | None = None
              ) -> DiagnosticsReport:
-    """Assemble the full report for one finished run."""
-    events = verify_impact_law(traj, sys, sup_force=force.sup_F)
-    constants = compute_constants(sys, admiss, traj.positions[0], traj.velocities[0], force,
-                                  float(traj.times[1]), float(traj.times[-1]))
+    """Assemble the full report for one finished run.
+
+    Each grid array that several checks read (g, |u^{n+1} - u^n|, |u^n|,
+    h f^n) is built once and handed to the checks' private forms; the report
+    equals the one the public functions give.
+    """
+    g, jumps, h = _grid_values(traj, sys), _jumps(traj), _largest_step(traj)
+    speeds, impulses = np.linalg.norm(traj.velocities, axis=1), _impulses(traj, contact)
+    windows = _impact_windows(traj, g, jumps, h, force.sup_F)
     return DiagnosticsReport(
-        max_feasibility_gap=max_feasibility_gap(traj, sys),
-        max_intergrid_gap=max_intergrid_gap(traj, sys),
-        total_variation=total_variation(traj),
-        sup_velocity=sup_velocity(traj),
-        impacts=events,
-        constants=constants,
-        velocity_bound_ok=velocity_bound_ok(traj, contact, sys),
-        momentum_residual=momentum_residual(traj, contact),
+        max_feasibility_gap=_feasibility_gap(g),
+        max_intergrid_gap=_intergrid_gap(traj, sys, g),
+        total_variation=float(np.sum(jumps)),
+        sup_velocity=float(np.max(speeds)),
+        impacts=_impact_events(traj, sys, windows, law_bound(h, force.sup_F)),
+        constants=compute_constants(sys, admiss, traj.positions[0], traj.velocities[0], force,
+                                    float(traj.times[1]), float(traj.times[-1])),
+        velocity_bound_ok=_velocity_bound_ok(traj, sys, speeds, impulses),
+        momentum_residual=_momentum_residual(traj, contact, impulses),
     )

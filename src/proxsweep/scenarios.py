@@ -61,11 +61,13 @@ def _wall_reference(g, c, v):
     wall.  build(q0, u0) returns times (m,) -> positions (m, d), or None
     unless q0 has length d and lies on or above every wall.
     """
-    g, c, v = (np.array(x, dtype=float) for x in (g, c, v))
+    # columns (d, 1), met by the times as a row (1, m): numpy then runs along the times
+    g, c, v = (np.array(x, dtype=float)[:, None] for x in (g, c, v))
 
     def build(q0, u0):
-        if q0.shape != c.shape or np.any(q0 < c):
+        if q0.shape != (len(c),) or np.any(q0[:, None] < c):
             return None
+        q0, u0 = q0[:, None], u0[:, None]
         rel, gap = u0 - v, q0 - c
         # t*: the positive root of g t^2 / 2 - rel t - gap = 0; for g = 0 the
         # linear root when the particle closes on the wall, else never
@@ -74,8 +76,8 @@ def _wall_reference(g, c, v):
                            np.where(rel < 0.0, gap / (v - u0), math.inf))
 
         def ref(t):
-            t = np.asarray(t, dtype=float)[:, None]
-            return np.where(t < hit, q0 + u0 * t - 0.5 * g * t * t, c + v * t)
+            t = np.asarray(t, dtype=float)[None, :]
+            return np.where(t < hit, q0 + u0 * t - 0.5 * g * t * t, c + v * t).T
 
         return ref
 

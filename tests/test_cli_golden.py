@@ -34,6 +34,9 @@ CASES = {
     "pocket-verify": ["--scenario", "pocket", "--verify"],
     "wedge-sweep-noverify": ["--scenario", "wedge", "--sweep", "0.02,0.01,0.005"],
     "piston-sweep-json-only": ["--scenario", "piston"] + SWEEP + ["--json-only"],
+    # the benchmark's sizes: 1000-4000 rows, rest runs and the 512-row block edge
+    "floor-bench": ["--scenario", "floor", "--sweep", "0.002,0.001", "--T", "2", "--verify"],
+    "wedge-bench": ["--scenario", "wedge", "--sweep", "0.0005,0.00025", "--T", "1", "--verify"],
 }
 
 

@@ -1,20 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
-                       ContactMeasure, SimulationAbort,
+                       ContactMeasure, DiagnosticsReport, SimulationAbort,
                        Trajectory, affine_constraint, cli, compute_constants,
                        convergence_study, detect_impacts, diagnose, diagnostics, good_direction,
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
-                       project_point, run, total_variation, velocity_bound_ok,
-                       verify_impact_law)
+                       momentum_residual, project_point, registry, run, sup_velocity,
+                       total_variation, velocity_bound_ok, verify_impact_law)
 from proxsweep.diagnostics import law_bound
 from proxsweep.scenarios import lookup
 
 from conftest import H_SWEEP, floor_2d, half_space_1d, zero_force
 from oracles import intergrid_gap_scan
+from test_run_golden import CASES as RUN_CASES
 
 
 def make_traj(times, positions, velocities):
@@ -287,17 +289,23 @@ class TestGaps:
         assert gap == pytest.approx(max(outside) - 0.5, abs=1e-12)
         assert gap == intergrid_gap_scan(traj, sys)
 
-    @pytest.mark.parametrize("check", [max_feasibility_gap, max_intergrid_gap])
+    @pytest.mark.parametrize("check", [max_feasibility_gap, max_intergrid_gap, diagnose])
     def test_one_values_call_per_trajectory(self, monkeypatch, check):
         # every wedge grid point is feasible, and a chord of an affine set stays
-        # in it between feasible ends: max_intergrid_gap builds no sample
+        # in it between feasible ends: max_intergrid_gap builds no sample, and
+        # diagnose evaluates the grid once for all of its checks
         scn = lookup("wedge")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
         shapes, values = [], ConstraintSystem.values
         monkeypatch.setattr(ConstraintSystem, "values",
                             lambda self, t, q: shapes.append(np.shape(q)) or values(self, t, q))
-        assert check(traj, scn.system) == 0.0
-        assert shapes == [(len(traj.times), 2)]
+        if check is diagnose:
+            report = diagnose(traj, contact, scn.system, scn.force)
+            assert report.max_feasibility_gap == report.max_intergrid_gap == 0.0
+        else:
+            assert check(traj, scn.system) == 0.0
+        # single points (q0's start margin, an impact's velocity polyhedron) aside
+        assert [s for s in shapes if len(s) == 2] == [(len(traj.times), 2)]
 
     @pytest.mark.parametrize("name, h", [("floor", 0.01), ("floor", 0.00025), ("wedge", 0.01),
                                          ("wedge", 0.00025), ("piston", 0.01),
@@ -358,6 +366,69 @@ class TestGaps:
         assert len(report.impacts) == 1
         assert report.constants.kappa0 is not None
         assert traj.nsteps == 100
+
+
+def plain(x):
+    """x with each array as (dtype, shape, list) and each dataclass as a dict:
+    its repr then shows every float bit for bit."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tolist()
+    if dataclasses.is_dataclass(x):
+        return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return [plain(y) for y in x] if isinstance(x, list) else x
+
+
+def report_from_public_functions(traj, contact, sys, force, admiss):
+    return DiagnosticsReport(
+        max_feasibility_gap=max_feasibility_gap(traj, sys),
+        max_intergrid_gap=max_intergrid_gap(traj, sys),
+        total_variation=total_variation(traj),
+        sup_velocity=sup_velocity(traj),
+        impacts=verify_impact_law(traj, sys, force.sup_F),
+        constants=compute_constants(sys, admiss, traj.positions[0], traj.velocities[0], force,
+                                    float(traj.times[1]), float(traj.times[-1])),
+        velocity_bound_ok=velocity_bound_ok(traj, contact, sys),
+        momentum_residual=momentum_residual(traj, contact),
+    )
+
+
+class TestDiagnoseSharesGridArrays:
+    """diagnose builds each grid array once; its report is the public functions', bit for bit."""
+
+    def assert_same_report(self, traj, contact, sys, force, admiss=None):
+        report = diagnose(traj, contact, sys, force, admiss=admiss)
+        expected = report_from_public_functions(traj, contact, sys, force, admiss)
+        for field in dataclasses.fields(DiagnosticsReport):
+            got, want = getattr(report, field.name), getattr(expected, field.name)
+            assert repr(plain(got)) == repr(plain(want)), field.name
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_golden_runs(self, case):
+        sys, force, *_ = args = RUN_CASES[case]()
+        traj, contact = run(*args)
+        scn = registry().get(case.split("-")[0])  # None for the discs
+        self.assert_same_report(traj, contact, sys, force,
+                                scn and good_direction(sys, *scn.probe))
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_momentum_sums_in_numpy_order(self, case):
+        # the sums over the grid keep sum(axis=0)'s order: pairwise down one
+        # column, row by row across several
+        traj, contact = run(*RUN_CASES[case]())
+        forcing = (np.diff(traj.times)[:, None] * contact.force_averages).sum(axis=0)
+        lhs = (traj.velocities[-1] - traj.velocities[0] - forcing
+               + contact.increments.sum(axis=0))
+        assert repr(momentum_residual(traj, contact)) == repr(float(np.linalg.norm(lhs)))
+
+    def test_infeasible_end(self):
+        sys = lookup("wedge").system
+        traj = make_traj([0.0, 0.1, 0.2, 0.3, 0.4], [[1.0, 1.0], [0.5, 0.8], [-0.4, 0.6],
+                                                     [0.3, 0.4], [0.6, 0.2]], np.zeros((5, 2)))
+        zeros = np.zeros((4, 2))
+        contact = ContactMeasure(increments=zeros, multipliers=zeros, residuals=np.zeros(4),
+                                 force_averages=zeros)
+        assert diagnose(traj, contact, sys, zero_force(2)).max_intergrid_gap > 0.0
+        self.assert_same_report(traj, contact, sys, zero_force(2))
 
 
 class TestDetectImpacts:
