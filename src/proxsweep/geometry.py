@@ -200,7 +200,7 @@ class ConstraintSystem:
         if q.ndim == 1:
             g = A.dot(q) + (b + r * t) if shifted else A.dot(q)
             return self._fill(g, "value", t, q)
-        g = q.dot(A.T) + (b + np.multiply.outer(t, r))
+        g = q.dot(A.T) + (b + np.multiply.outer(t, r)) if shifted else q.dot(A.T)
         if self._pointwise:
             for s, x, row in zip(np.broadcast_to(t, len(q)), q, g):
                 self._fill(row, "value", s, x)

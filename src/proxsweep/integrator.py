@@ -23,9 +23,10 @@ divided by h.  A step aborts unless its projection converges closer than
 eta, inside the prox-regular tube.  extract_multipliers, which run() does not
 call, cross-checks them with one least-distance solve on the active gradients.
 
-run() appends the rows it makes to a list of (m, d) blocks of positions and
-velocities and concatenates them once at the end.  A step is of one of three
-kinds, and only the last calls step():
+run() allocates positions and velocities, (N + 1, d) and stored column by
+column, and the per-step force averages, multipliers and residuals before
+its loop, and writes every row it makes into them in place.  A step is of
+one of three kinds, and only the last calls step():
 
 * flown: on a set with sys.axis_rows (affine, at most one nonzero
   coefficient per row) under a constant force, run() flies a block of at
@@ -43,20 +44,23 @@ kinds, and only the last calls step():
 * filled: on a still set (no callable constraint, every affine rate 0)
   under a constant force, step() does not depend on t, so a step that
   returns its input (q^n, u^n) returns it at every later step of the same
-  size; those rows are filled at once.  The rest rule is checked at the end
-  of each block and after each computed step, on the last two rows, by
-  their bytes, so -0.0 and 0.0 stay distinct; a rest that begins inside a
-  flown block flies the same rows to its end, bit for bit.
+  size; those rows are filled at once, by slice assignment, with the
+  multipliers and residual of the step that began the rest when step()
+  computed it.  The rest rule is checked at the end of each block and after
+  each computed step, on the last two rows, by their bytes, so -0.0 and 0.0
+  stay distinct; a rest that begins inside a flown block flies the same
+  rows to its end, bit for bit.
 * computed: every other step is one step() call, the one place that
-  projects; its multipliers and residual are kept.
+  projects; its multipliers and residual are written.
 
 After the loop every increment is derived in one pass as
 u^n + h_n f^n - u^{n+1}, elementwise as step() forms it, where f^n is the
-constant's stored average or step()'s value.  The residuals of flown rows,
-and of rows filled after one, come from one np.vecdot, bit-equal to step()'s
-1-D dot.  The times are np.add.accumulate over the step sizes, which adds in
-sequence like step()'s t^n + h, as a flight does.  The arrays are those of a
-chain of step() calls, bit for bit.
+constant's stored average or step()'s value.  A row no step() call made,
+flown or filled after a flown row, takes its residual from one np.vecdot,
+bit-equal to step()'s 1-D dot, selected by np.where.  The times are
+np.add.accumulate over the step sizes, which adds in sequence like step()'s
+t^n + h, as a flight does.  The arrays are those of a chain of step()
+calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -302,20 +306,21 @@ def _grid(h: float, T: float) -> tuple[int, bool]:
     return n_full, True
 
 
-def _fly(q: list, u: list, c: list, axes: list, t: float, k: int, h: float,
-         lead: int) -> tuple[np.ndarray, int]:
-    """Fly up to k steps of size h from (q, u) at time t.
+def _fly(X: np.ndarray, u: list, c: list, axes: list, t: float, h: float,
+         lead: int) -> tuple[int, int]:
+    """Fly up to len(X) - 1 steps of size h from (X[0], u) at time t.
 
-    Returns the positions (m + 1, d), row 0 being q, of the longest run of
-    m <= k predictions that are finite and meet every axis row, and the
-    coordinate whose flight ended it (lead when none did).  Each coordinate
-    flies alone, by step()'s expressions with t^{n+1} = t^n + h, no farther
-    than the shortest flight so far; lead, the coordinate that ended the last
-    flight, flies first, so a flight that ends at once costs one row.
+    Writes into X[1:m + 1] the positions of the longest run of m predictions
+    that are finite and meet every axis row, and returns m and the coordinate
+    whose flight ended it (lead when none did); rows past m may be written
+    too.  Each coordinate flies alone, by step()'s expressions with t^{n+1} =
+    t^n + h, no farther than the shortest flight so far; lead, the coordinate
+    that ended the last flight, flies first, so a flight that ends at once
+    costs one row.
     """
-    m, cols = k, [[qj] for qj in q]
-    for j in sorted(range(len(q)), key=lambda j: j != lead):
-        qj, uj, cj, xs, tj = q[j], u[j], c[j], cols[j], t
+    m = len(X) - 1
+    for j in sorted(range(len(u)), key=lambda j: j != lead):
+        qj, uj, cj, xs, tj = X[0, j].item(), u[j], c[j], [], t
         for _ in range(m):
             x, tj = qj + h * uj + cj, tj + h
             if math.isfinite(x):
@@ -327,9 +332,10 @@ def _fly(q: list, u: list, c: list, axes: list, t: float, k: int, h: float,
                     xs.append(x)
                     continue
             break
-        if len(xs) <= m:
-            m, lead = len(xs) - 1, j
-    return np.array([xs[:m + 1] for xs in cols]).T, lead
+        X[1:len(xs) + 1, j] = xs
+        if len(xs) < m:
+            m, lead = len(xs), j
+    return m, lead
 
 
 def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray,
@@ -341,9 +347,9 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     while sys.axis_rows is set, the force is a constant and the prediction
     is finite and feasible; the step that ends a flight calls step().  Once
     a step returns its input on a still set under a constant force, the rest
-    of the steps of its size are filled.  Flown, computed and filled rows
-    are (m, d) blocks, concatenated into positions and velocities after the
-    loop, and the increments are derived from them.
+    of the steps of its size are filled.  Every row is written in place into
+    the arrays returned, positions and velocities stored column by column,
+    and the increments are derived from them after the loop.
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
@@ -358,38 +364,37 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     rows, f = (sys.axis_rows, field._average.tolist()) if constant else (None, None)
     repeats = sys.still and constant
     axes = None if rows is None else [[r[1:] for r in rows if r[0] == j] for j in range(d)]
-    x, v, n, lead = q0, u0, 0, 0  # row n
-    # (positions, velocities) blocks of rows 0..n; [first, stop, outcome] per computed row
-    blocks, spans = [(q0[None], u0[None])], []
+    # step n writes row n + 1 of positions and velocities, row n of the rest
+    positions, velocities = (np.full((N + 1, d), row, order="F") for row in (q0, u0))
+    force_averages = np.full((N, d), field._average) if constant else np.empty((N, d))
+    multipliers, residuals, computed = np.zeros((N, sys.p)), np.zeros(N), np.zeros(N, dtype=bool)
+    n, lead = 0, 0
     for h_n, stop in [(h, n_full), (sizes[-1], N)][:1 + partial]:
         c = None if rows is None else [h_n * h_n * fj for fj in f]  # step()'s h * h * f^n
         while n < stop:
-            k = min(_BLOCK, stop - n)
-            if c:
-                X, lead = _fly(x.tolist(), v.tolist(), c, axes, times[n].item(), k, h_n, lead)
-                if len(X) > 1:  # rows n + 1 .. n + m flown
-                    V = np.concatenate(([v], (X[1:] - X[:-1]) / h_n))  # step()'s (x - q) / h
-                    blocks.append((X[1:], V[1:]))
-                    n, (p, x), (w, v) = n + len(X) - 1, X[-2:], V[-2:]
-            if not c or len(X) <= k:  # the next prediction needs a projection
-                out = step(SchemeState(n, times[n].item(), x, v), sys, field, h_n)
-                blocks.append((out.state.q_curr[None], out.state.u_curr[None]))
-                spans.append([n, n + 1, out])
-                p, w, x, v, n = x, v, out.state.q_curr, out.state.u_curr, n + 1
-            if repeats and n < stop and p.tobytes() + w.tobytes() == x.tobytes() + v.tobytes():
-                # step n - 1 returned its input: so does every later step of size h_n
-                blocks.append([np.broadcast_to(row, (stop - n, d)) for row in (x, v)])
-                if spans and spans[-1][1] == n:
-                    spans[-1][1] = stop
+            k, m = min(_BLOCK, stop - n), 0
+            if c:  # rows n + 1 .. n + m flown, with step()'s (x - q) / h
+                m, lead = _fly(positions[n:n + k + 1], velocities[n].tolist(), c, axes,
+                               times[n].item(), h_n, lead)
+                velocities[n + 1:n + m + 1] = (positions[n + 1:n + m + 1] - positions[n:n + m]) / h_n
+                n += m
+            if m < k:  # the next prediction needs a projection
+                out = step(SchemeState(n, times[n].item(), positions[n], velocities[n]),
+                           sys, field, h_n)
+                positions[n + 1], velocities[n + 1] = out.state.q_curr, out.state.u_curr
+                force_averages[n], multipliers[n] = out.force_average, out.multipliers
+                residuals[n], computed[n], n = out.multiplier_residual, True, n + 1
+            if repeats and n < stop and all(a[n - 1].tobytes() == a[n].tobytes()
+                                            for a in (positions, velocities)):
+                # step n - 1 returned its input: so does every later step of size h_n,
+                # with the same multipliers and residual when step() computed it
+                positions[n + 1:stop + 1], velocities[n + 1:stop + 1] = positions[n], velocities[n]
+                multipliers[n:stop], residuals[n:stop], computed[n:stop] = (
+                    multipliers[n - 1], residuals[n - 1], computed[n - 1])
                 n = stop
-    positions, velocities = (np.concatenate(part) for part in zip(*blocks))
-    force_averages = (np.broadcast_to(field._average, (N, d)).copy() if constant
-                      else np.array([out.force_average for *_, out in spans]))
     # step()'s u^n + h f^n - u^{n+1}, elementwise, on every row
     increments = velocities[:-1] + np.array(sizes)[:, None] * force_averages - velocities[1:]
-    multipliers, residuals = np.zeros((N, sys.p)), np.sqrt(np.vecdot(increments, increments))
-    for first, stop, out in spans:
-        multipliers[first:stop], residuals[first:stop] = out.multipliers, out.multiplier_residual
+    residuals = np.where(computed, residuals, np.sqrt(np.vecdot(increments, increments)))
 
     return (Trajectory(times, positions, velocities),
             ContactMeasure(increments, multipliers, residuals, force_averages))

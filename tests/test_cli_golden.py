@@ -37,6 +37,8 @@ CASES = {
     # the benchmark's sizes: 1000-4000 rows, rest runs and the 512-row block edge
     "floor-bench": ["--scenario", "floor", "--sweep", "0.002,0.001", "--T", "2", "--verify"],
     "wedge-bench": ["--scenario", "wedge", "--sweep", "0.0005,0.00025", "--T", "1", "--verify"],
+    # T = 2 is no multiple of 0.003: the floor rests, then takes a shrunk last step
+    "floor-partial": ["--scenario", "floor", "--sweep", "0.003,0.0015", "--T", "2", "--verify"],
 }
 
 

@@ -17,6 +17,7 @@ from proxsweep.scenarios import lookup
 
 from conftest import H_SWEEP, disc_complement, half_space_1d, zero_force
 from oracles import analytic_reference
+from test_run_golden import CASES as RUN_CASES
 
 GRAV = ForceField(f=lambda t, q: np.array([-10.0]), bound_F=lambda t: 10.0, sup_F=10.0)
 
@@ -566,8 +567,7 @@ class TestRunLoop:
         self.assert_matches_by_hand(traj, contact, scn, h, T)
 
     # the stored average of a constant is the bits a callable returning it
-    # gives at every step; golden_runs.json pins neither force_averages nor
-    # residuals
+    # gives at every step, in all seven arrays
     @pytest.mark.parametrize("name, h, T", CASES)
     def test_constant_force_matches_callable(self, name, h, T):
         scn = self.scenario(name)
@@ -671,10 +671,11 @@ class TestRunLoop:
         run(scn.system, scn.force, scn.q0, scn.u0, h, 0.6)
         assert integrator._BLOCK == 512 and steps[0][0].n == flown
 
-    # run() holds flown rows as Python floats for one block at most, so a long
-    # flight's transient memory stays near the bytes of the arrays it returns:
-    # free flight over 200000 steps peaks at 1.7 times them, and at 3.3 when
-    # every flown row stayed a Python float until the end of the run
+    # run() writes every row into the arrays it returns and holds flown rows
+    # as Python floats for one block at most, so a long flight's transient
+    # memory stays near the bytes of those arrays: free flight over 200000
+    # steps peaks at 1.52 times them, and at 3.3 when every flown row stayed
+    # a Python float until the end of the run
     def test_flight_memory_bounded(self):
         scn = lookup("free")
         tracemalloc.start()
@@ -683,7 +684,17 @@ class TestRunLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.6 * sum(a.nbytes for a in self.arrays(traj, contact))
+        assert peak < 1.8 * sum(a.nbytes for a in self.arrays(traj, contact))
+
+    # diagnostics._impulses stores h f^n column by column so that its sum with
+    # the velocities runs along the grid: that needs positions and velocities
+    # stored so too, on every set, whether its rows are flown, filled or computed
+    @pytest.mark.parametrize("case", [f"{name}-h0.01" for name in
+                                      ("floor", "wedge", "piston", "pocket", "free")]
+                             + ["discs-n2"])
+    def test_grid_arrays_column_major(self, case):
+        traj, _ = run(*RUN_CASES[case]())
+        assert traj.positions.flags.f_contiguous and traj.velocities.flags.f_contiguous
 
     @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 3), ("wedge", 0.00025, 4)])
     def test_resting_steps_reused(self, name, h, calls, monkeypatch):

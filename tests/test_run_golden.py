@@ -1,9 +1,8 @@
 """run() outputs pinned bit for bit: sha256 of the grid arrays of each case.
 
 Each digest covers an array's shape and its raw float64 bytes: the times,
-positions and velocities of the Trajectory, the increments, multipliers and
-force averages of the ContactMeasure.  Residuals are left out, because they are roundoff-level sums
-whose last bits may move when the sum is reordered.  The cases are the five
+positions and velocities of the Trajectory, the increments, multipliers,
+residuals and force averages of the ContactMeasure.  The cases are the five
 built-in scenarios at h = 0.01 and 0.001 over their default horizon, and
 perfbench's falling discs at N = 2, 4 and 8 (seed 1, h = 0.005, T = 1).  The
 expected digests live in golden_runs.json.  After a change that is meant to
@@ -60,7 +59,7 @@ def run_digests(case: str) -> dict:
     traj, contact = run(*CASES[case]())
     return {"times": _sha(traj.times), "positions": _sha(traj.positions),
             "velocities": _sha(traj.velocities), "increments": _sha(contact.increments),
-            "multipliers": _sha(contact.multipliers),
+            "multipliers": _sha(contact.multipliers), "residuals": _sha(contact.residuals),
             "force_averages": _sha(contact.force_averages)}
 
 
