@@ -72,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidConstantsError, SimulationAbort
-from .geometry import ConstraintSystem, _active_mask, least_distance
+from .geometry import ConstraintSystem, _active_gradients, least_distance
 from .projection import project_point
 
 (_N0, _N1, _N2), (_W0, _W1, _W2) = (a.tolist() for a in np.polynomial.legendre.leggauss(3))
@@ -218,8 +218,7 @@ def extract_multipliers(increment: np.ndarray, sys: ConstraintSystem, t: float,
     """
     increment = np.asarray(increment, dtype=float)
     q = np.asarray(q, dtype=float)
-    mask = _active_mask(sys.values(t, q), q)
-    rows = sys.gradients(t, q)[mask]
+    mask, rows = _active_gradients(sys, t, q)
     move, lam = least_distance(rows, -rows @ increment)
     res = float(np.linalg.norm(increment + move))
     return MultiplierExtraction(lam, tuple(c.id for c, on in zip(sys.constraints, mask) if on),

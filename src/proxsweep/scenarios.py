@@ -1,18 +1,22 @@
 """Built-in analytic scenarios: constraint sets, forces, defaults, references.
 
-Every scenario passes ConstraintSystem the read constants (beta, eta, c0)
-that differ from its defaults, and supplies a boundary probe point for the
-good-direction certificate and an analytic reference, times (m,) -> positions
-(m, d).  Each reference is one closed form fed with data: per coordinate, free
-flight until the coordinate meets its (possibly moving) wall, then the wall's
-motion.  The builder returns None when overridden initial data fall outside
-its validity.
+Floor, wedge, piston and free are one picture: a particle under a constant
+force -g above axis walls q_i >= c_i + v_i t, where c_i = -inf is no wall.
+Each states its walls once, as (g, c, v) with q0, u0 and T, and _walls
+derives from them its rows, its force, its Lipschitz constant c0, the
+boundary probe for the good-direction certificate and the analytic
+reference.  The pocket, a curved wall over a floor, passes its constants
+(beta, eta) and its probe by hand.  Every reference is one closed form,
+times (m,) -> positions (m, d): per coordinate, free flight until the
+coordinate meets its (possibly moving) wall, then the wall's motion.  It is
+None when overridden initial data fall outside its validity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,10 +50,10 @@ class Scenario:
         return self.analytic(q0, u0)
 
 
-def _gravity_force(dim: int) -> ForceField:
-    pull = np.zeros(dim)
-    pull[-1] = -GRAVITY
-    return ForceField(f=pull, bound_F=lambda t: GRAVITY, sup_F=GRAVITY)
+def _falling(g) -> ForceField:
+    """The constant force -g, of norm |g|; 0.0 - g keeps a zero entry +0.0."""
+    size = float(np.linalg.norm(g))
+    return ForceField(f=0.0 - np.array(g, dtype=float), bound_F=lambda t: size, sup_F=size)
 
 
 def _wall_reference(g, c, v):
@@ -84,35 +88,22 @@ def _wall_reference(g, c, v):
     return build
 
 
-def _make_floor() -> Scenario:
-    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0]),))
-    # q0 = 1.25 puts the analytic impact at t = 0.5, well sampled by the
-    # standard h sweep; q0 = 1 lands it at sqrt(0.2) where the coarsest grid
-    # undersamples the impact speed by a full 10%
-    return Scenario(name="floor", system=sys, force=_gravity_force(1),
-                    q0=np.array([1.25]), u0=np.array([0.0]), T=2.0,
-                    probe=(0.0, np.array([0.0])),
-                    analytic=_wall_reference([GRAVITY], [0.0], [0.0]))
+def _walls(name, g, c, v, q0, u0, T) -> Scenario:
+    """The particle under -g above the axis walls q_i >= c_i + v_i t.
 
-
-def _make_wedge() -> Scenario:
-    sys = ConstraintSystem(dim=2,
-                           constraints=(affine_constraint(1, [1.0, 0.0]),
-                                        affine_constraint(2, [0.0, 1.0])))
-    return Scenario(name="wedge", system=sys, force=ForceField(f=np.zeros(2)),
-                    q0=np.array([1.0, 1.0]), u0=np.array([-2.0, -3.0]), T=1.0,
-                    probe=(0.0, np.array([0.0, 0.0])),
-                    analytic=_wall_reference([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]))
-
-
-def _make_piston() -> Scenario:
-    # the wall q = t moves at speed 1, so c0 = 1
-    sys = ConstraintSystem(dim=1, constraints=(affine_constraint(1, [1.0], rate=-1.0),),
-                           lipschitz_c0=1.0)
-    return Scenario(name="piston", system=sys, force=ForceField(f=np.zeros(1)),
-                    q0=np.array([1.0]), u0=np.array([-0.5]), T=2.0,
-                    probe=(0.0, np.array([0.0])),
-                    analytic=_wall_reference([0.0], [0.0], [1.0]))
+    Row k = 1, 2, ... is q_i - c_i - v_i t >= 0 for the k-th finite c_i, in
+    coordinate order (0.0 - x keeps a wall at 0 with +0.0 offset and rate).
+    C(t) is a product of half-lines, so its Hausdorff distance from C(s) is
+    at most |v| |t - s| with v over the walls (equal for one moving wall):
+    that |v| is c0.  The probe is the walls at t = 0, q0 where no wall is.
+    """
+    c, v, q0, u0 = (np.array(x, dtype=float) for x in (c, v, q0, u0))
+    wall = np.isfinite(c)
+    rows = tuple(affine_constraint(k, np.eye(len(c))[i], 0.0 - c[i], 0.0 - v[i])
+                 for k, i in enumerate(np.flatnonzero(wall), 1))
+    sys = ConstraintSystem(len(c), rows, lipschitz_c0=float(np.linalg.norm(v[wall])))
+    return Scenario(name=name, system=sys, force=_falling(g), q0=q0, u0=u0, T=T,
+                    probe=(0.0, np.where(wall, c, q0)), analytic=_wall_reference(g, c, v))
 
 
 def _make_pocket() -> Scenario:
@@ -130,23 +121,25 @@ def _make_pocket() -> Scenario:
     # form needs q0 on the symmetry axis (x0 = u0x = 0)
     drop = _wall_reference([0.0, GRAVITY], [-math.inf, 1.0], [0.0, 0.0])
     # drop height 1.25 above the pole: impact at t = 0.5 (see floor)
-    return Scenario(name="pocket", system=sys, force=_gravity_force(2),
+    return Scenario(name="pocket", system=sys, force=_falling([0.0, GRAVITY]),
                     q0=np.array([0.0, 2.25]), u0=np.array([0.0, 0.0]), T=1.0,
                     probe=(0.0, np.array([0.0, 1.0])),
                     analytic=lambda q0, u0: drop(q0, u0) if q0[0] == 0.0 == u0[0] else None)
 
 
-def _make_free() -> Scenario:
-    sys = ConstraintSystem(dim=1, constraints=())
-    return Scenario(name="free", system=sys, force=ForceField(f=np.zeros(1)),
-                    q0=np.array([1.0]), u0=np.array([-1.0]), T=2.0,
-                    probe=(0.0, np.array([1.0])),
-                    analytic=_wall_reference([0.0], [-math.inf], [0.0]))
-
-
 # name -> builder, in the CLI's help order; each call builds a fresh Scenario
-BUILDERS = {"floor": _make_floor, "wedge": _make_wedge, "piston": _make_piston,
-            "pocket": _make_pocket, "free": _make_free}
+BUILDERS = {
+    # q0 = 1.25 puts the analytic impact at t = 0.5, well sampled by the
+    # standard h sweep; q0 = 1 lands it at sqrt(0.2) where the coarsest grid
+    # undersamples the impact speed by a full 10%
+    "floor": partial(_walls, "floor", g=[GRAVITY], c=[0.0], v=[0.0], q0=[1.25], u0=[0.0], T=2.0),
+    "wedge": partial(_walls, "wedge", g=[0.0, 0.0], c=[0.0, 0.0], v=[0.0, 0.0],
+                     q0=[1.0, 1.0], u0=[-2.0, -3.0], T=1.0),
+    # the wall q = t moves at speed 1, so c0 = 1
+    "piston": partial(_walls, "piston", g=[0.0], c=[0.0], v=[1.0], q0=[1.0], u0=[-0.5], T=2.0),
+    "pocket": _make_pocket,
+    "free": partial(_walls, "free", g=[0.0], c=[-math.inf], v=[0.0], q0=[1.0], u0=[-1.0], T=2.0),
+}
 
 
 def registry() -> dict[str, Scenario]:

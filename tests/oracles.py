@@ -125,14 +125,15 @@ def enumerate_qp(poly, u) -> OracleResult:
 
     For each subset solve the equality-constrained least squares, keep the
     candidates that are primal feasible with nonnegative duals, and return
-    the closest one (unique by convexity).
+    the closest one (unique by convexity).  Each check is to 1e-9 (1 + |u| +
+    max|offset|) (1 + |w|), relative to the candidate w too, so that an
+    optimum far out is not rejected for its own roundoff.
     """
     u = np.asarray(u, dtype=float)
     m, d = poly.normals.shape
     if m > 12:
         raise ValueError("enumeration oracle supports <= 12 rows")
     scale = 1.0 + float(np.linalg.norm(u)) + (float(np.max(np.abs(poly.offsets))) if m else 0.0)
-    tol = 1e-9 * scale
 
     best, best_dist = None, math.inf
     for size in range(0, m + 1):
@@ -144,6 +145,8 @@ def enumerate_qp(poly, u) -> OracleResult:
                 rhs = -(poly.offsets[list(subset)] + a @ u)
                 lam, *_ = np.linalg.lstsq(a @ a.T, rhs, rcond=None)
                 w = u + a.T @ lam
+            tol = 1e-9 * scale * (1.0 + float(np.linalg.norm(w)))
+            if size:
                 # subset must actually be achieved and dual feasible
                 if np.max(np.abs(poly.offsets[list(subset)] + a @ w)) > tol:
                     continue

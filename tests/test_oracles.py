@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxsweep import VelocityPolyhedron
+from proxsweep.geometry import least_distance
 
 from conftest import disc_complement, half_space_1d
 from oracles import (OracleEmptyError, OracleInfeasibleError, analytic_reference,
@@ -55,6 +56,24 @@ class TestEnumerateQp:
         poly = VelocityPolyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
         with pytest.raises(OracleInfeasibleError):
             enumerate_qp(poly, np.array([0.0]))
+
+    # instances 515 and 14105 of 20000 Gaussian draws (default_rng(0): m in
+    # [1, 4], d in [1, 3], then N and b standard normal); nearly opposed rows
+    # put the optimum 1e4 out, where a tolerance absolute in the data's units
+    # rejected every subset
+    @pytest.mark.parametrize("normals, offsets", [
+        ([[0.7201031206553316, 0.9125161313920518], [-0.7360326300969797, 1.2052225873268263],
+          [0.5542605002521576, -0.9071315356980361], [-0.2343968147272289, 1.8419462963759816]],
+         [0.3989378058080268, -1.8854105134160066, -1.2365273656393294, 1.516466862844481]),
+        ([[-0.584258237930472, -0.11629352605697602], [1.6159780959060073, 0.3217882728156872]],
+         [-0.43444801135847105, -0.8140961282439354]),
+    ], ids=["draw-515", "draw-14105"])
+    def test_far_optimum_matches_kernel(self, normals, offsets):
+        normals, offsets = np.array(normals), np.array(offsets)
+        x, _ = least_distance(normals, -offsets)
+        assert np.linalg.norm(x) > 1e4
+        res = enumerate_qp(VelocityPolyhedron(normals, offsets), np.zeros(2))
+        assert np.linalg.norm(res.value - x) <= 1e-6 * np.linalg.norm(x)
 
 
 class TestAnalyticReference:

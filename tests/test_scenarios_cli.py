@@ -61,6 +61,46 @@ class TestRegistry:
         s = lookup("pocket").system
         assert (s.beta, s.eta) == (2.0, 1.0)
 
+    # each scenario's data as built before the axis scenarios were derived from
+    # one wall table: rows by repr so that signs of zero count, then (affine,
+    # still, eta, beta, c0), the force's (value, average, sup_F, bound_F(0)),
+    # the probe and (q0, u0, T), arrays as lists
+    PINNED = {
+        "floor": ("((0, 1.0, 0.0, 0.0),)", (True, True, math.inf, 1.0, 0.0),
+                  ("[-10.0]", "[-10.000000000000002]", 10.0, 10.0), (0.0, "[0.0]"),
+                  ("[1.25]", "[0.0]", 2.0)),
+        "wedge": ("((0, 1.0, 0.0, 0.0), (1, 1.0, 0.0, 0.0))", (True, True, math.inf, 1.0, 0.0),
+                  ("[0.0, 0.0]", "[0.0, 0.0]", 0.0, 0.0), (0.0, "[0.0, 0.0]"),
+                  ("[1.0, 1.0]", "[-2.0, -3.0]", 1.0)),
+        "piston": ("((0, 1.0, 0.0, -1.0),)", (True, False, math.inf, 1.0, 1.0),
+                   ("[0.0]", "[0.0]", 0.0, 0.0), (0.0, "[0.0]"), ("[1.0]", "[-0.5]", 2.0)),
+        "pocket": ("None", (False, False, 1.0, 2.0, 0.0),
+                   ("[0.0, -10.0]", "[0.0, -10.000000000000002]", 10.0, 10.0), (0.0, "[0.0, 1.0]"),
+                   ("[0.0, 2.25]", "[0.0, 0.0]", 1.0)),
+        "free": ("()", (True, True, math.inf, 1.0, 0.0),
+                 ("[0.0]", "[0.0]", 0.0, 0.0), (0.0, "[1.0]"), ("[1.0]", "[-1.0]", 2.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_scenario_data_pinned(self, name):
+        scn = lookup(name)
+        s, f = scn.system, scn.force
+        rows, constants, force, probe, start = self.PINNED[name]
+        assert repr(s.axis_rows) == rows
+        assert (s.affine, s.still, s.eta, s.beta, s.lipschitz_c0) == constants
+        assert (repr(f(0.0, scn.q0).tolist()), repr(f._average.tolist()), f.sup_F,
+                f.bound_F(0.0)) == force
+        assert (scn.probe[0], repr(scn.probe[1].tolist())) == probe
+        assert (repr(scn.q0.tolist()), repr(scn.u0.tolist()), scn.T) == start
+
+    def test_two_moving_walls_lipschitz(self):
+        # C(t) = [3t, inf) x [4t, inf): the corner of C(0) is |(3, 4)| = 5 from
+        # C(1), and no point moves further, so c0 = |v|, not max |v_i| = 4
+        scn = scenarios._walls("corner", g=[0.0, 0.0], c=[0.0, 0.0], v=[3.0, 4.0],
+                               q0=[1.0, 1.0], u0=[0.0, 0.0], T=1.0)
+        assert scn.system.lipschitz_c0 == 5.0
+        np.testing.assert_array_equal(scn.probe[1], [0.0, 0.0])
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             lookup("banana")
