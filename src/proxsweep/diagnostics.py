@@ -69,21 +69,6 @@ def _jumps(traj: Trajectory) -> np.ndarray:
     return np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
 
 
-def _grid_values(traj: Trajectory, sys: ConstraintSystem) -> np.ndarray:
-    """g at every grid point as (p, N+1), so that a reduction over the
-    constraints runs along the grid: across a row numpy pays per row."""
-    return np.ascontiguousarray(sys.values(traj.times, traj.positions).T)
-
-
-def _column_sums(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=0) bit for bit, for x (N, d): numpy sums one column pairwise
-    and several row by row in grid order, and that order costs half as much
-    run down each column."""
-    if x.shape[1] == 1 or not len(x):
-        return x.sum(axis=0)
-    return np.add.accumulate(x.T, axis=1)[:, -1]
-
-
 def total_variation(traj: Trajectory) -> float:
     """Sum of |u^{n+1} - u^n| over the grid, starting from u^0 = u0."""
     return float(np.sum(_jumps(traj)))
@@ -122,14 +107,16 @@ def max_intergrid_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
     an infeasible end are sampled, and a sample that roundoff would put a
     hair outside on any other step reads 0.  Other sets sample every step.
     """
-    return _intergrid_gap(traj, sys, _grid_values(traj, sys) if sys.affine else None)
+    g = sys.values(traj.times, traj.positions) if sys.affine else None
+    return _intergrid_gap(traj, sys, g)
 
 
 def _intergrid_gap(traj, sys, g) -> float:
-    """max_intergrid_gap given g = _grid_values(traj, sys) on an affine set."""
+    """max_intergrid_gap given g = sys.values(traj.times, traj.positions) on
+    an affine set."""
     steps = slice(None)
     if sys.affine:
-        out = np.any(g < 0.0, axis=0)
+        out = np.any(g < 0.0, axis=1)
         steps = np.flatnonzero(out[:-1] | out[1:])
         if not len(steps):
             return 0.0
@@ -160,16 +147,16 @@ def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
     consecutive steps and must count as one event.  Both thresholds are
     derived from the largest step h and the run's sup_F, each floored at 1e-7.
     """
-    return _impact_windows(traj, _grid_values(traj, sys), _jumps(traj), _largest_step(traj),
-                           sup_force)
+    return _impact_windows(traj, sys.values(traj.times, traj.positions), _jumps(traj),
+                           _largest_step(traj), sup_force)
 
 
 def _impact_windows(traj, g, jumps, h: float, sup_force: float) -> list[tuple[int, int]]:
-    """detect_impacts given g = _grid_values(traj, sys), jumps = _jumps(traj)
-    and the largest step h."""
+    """detect_impacts given g = sys.values(traj.times, traj.positions),
+    jumps = _jumps(traj) and the largest step h."""
     seed_tol = max(5.0 * h * sup_force, 1e-7)
     extend_tol = max(1.5 * h * sup_force, 1e-7)
-    in_contact = _active_mask(g[:, 1:].T, traj.positions[1:]).any(axis=1)
+    in_contact = _active_mask(g[1:], traj.positions[1:]).any(axis=1)
     # run edges of the extension mask; seed_tol >= extend_tol puts every seed in a run
     edges = np.flatnonzero(np.diff(np.concatenate(([False], (jumps > extend_tol) & in_contact,
                                                    [False])))).reshape(-1, 2)
@@ -261,10 +248,10 @@ def velocity_bound_ok(traj: Trajectory, contact: ContactMeasure,
 
 
 def _impulses(traj: Trajectory, contact: ContactMeasure) -> np.ndarray:
-    """h f^n for every step n, as (N, d) stored column by column: the sum with
-    the grid's velocities, and its row norms, then run along the grid when the
-    velocities are stored so too."""
-    return np.diff(traj.times)[:, None] * np.asfortranarray(contact.force_averages)
+    """h f^n for every step n, as (N, d) stored column by column like
+    run()'s force averages, so that its sum with the velocities runs along
+    the grid."""
+    return np.diff(traj.times)[:, None] * contact.force_averages
 
 
 def _velocity_bound_ok(traj, sys, speeds, impulses) -> bool:
@@ -279,8 +266,8 @@ def momentum_residual(traj: Trajectory, contact: ContactMeasure) -> float:
 
 
 def _momentum_residual(traj, contact, impulses) -> float:
-    lhs = (traj.velocities[-1] - traj.velocities[0] - _column_sums(impulses)
-           + _column_sums(contact.increments))
+    lhs = (traj.velocities[-1] - traj.velocities[0] - impulses.sum(axis=0)
+           + contact.increments.sum(axis=0))
     return float(np.linalg.norm(lhs))
 
 
@@ -336,7 +323,7 @@ def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
     h f^n) is built once and handed to the checks' private forms; the report
     equals the one the public functions give.
     """
-    g, jumps, h = _grid_values(traj, sys), _jumps(traj), _largest_step(traj)
+    g, jumps, h = sys.values(traj.times, traj.positions), _jumps(traj), _largest_step(traj)
     speeds, impulses = np.linalg.norm(traj.velocities, axis=1), _impulses(traj, contact)
     windows = _impact_windows(traj, g, jumps, h, force.sup_F)
     return DiagnosticsReport(

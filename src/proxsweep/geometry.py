@@ -128,13 +128,16 @@ class ConstraintSystem:
     set, M = 0) and may be overridden per scenario.
 
     values(t, q) maps a point q (d,) to (p,), and points q (m, d) at a time t
-    or at times t (m,) to (m, p); gradients (p, d) and dts (p,) take a point.
-    Affine constraints are stacked once into rows of A, b, r and evaluated as
-    q A^T + (b + r t); every other one is called point by point.  Derived:
-    affine (no callable constraint), still (affine with every rate 0) and
-    axis_rows: None unless the set is affine with at most one nonzero
-    coefficient per row, else each row as (j, a_j, b, r), whose value
-    a_j q_j + (b + r t) in floats has numpy's bits up to the sign of a zero.
+    or at times t (m,) to (m, p) stored column by column, as run() stores its
+    grid arrays, so that a reduction along the grid reads memory in order;
+    gradients (p, d) and dts (p,) take a point.  Affine constraints are
+    stacked once into rows of A, b, r and evaluated as A q + (b + r t), per
+    point or as one matrix product; every other one is called point by
+    point.  Derived: affine (no callable constraint), still (affine with
+    every rate 0) and axis_rows: None unless the set is affine with at most
+    one nonzero coefficient per row, else each row as (j, a_j, b, r), whose
+    value a_j q_j + (b + r t) in floats has numpy's bits up to the sign of a
+    zero.
     """
 
     dim: int
@@ -200,7 +203,9 @@ class ConstraintSystem:
         if q.ndim == 1:
             g = A.dot(q) + (b + r * t) if shifted else A.dot(q)
             return self._fill(g, "value", t, q)
-        g = q.dot(A.T) + (b + np.multiply.outer(t, r)) if shifted else q.dot(A.T)
+        g = A.dot(q.T).T  # (m, p) stored column by column
+        if shifted:
+            g += b + np.multiply.outer(t, r)
         if self._pointwise:
             for s, x, row in zip(np.broadcast_to(t, len(q)), q, g):
                 self._fill(row, "value", s, x)

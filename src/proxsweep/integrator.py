@@ -23,9 +23,11 @@ divided by h.  A step aborts unless its projection converges closer than
 eta, inside the prox-regular tube.  extract_multipliers, which run() does not
 call, cross-checks them with one least-distance solve on the active gradients.
 
-run() allocates positions and velocities, (N + 1, d) and stored column by
-column, and the per-step force averages, multipliers and residuals before
-its loop, and writes every row it makes into them in place.  A step is of
+run() allocates positions and velocities (N + 1, d), and the per-step
+force averages (N, d), multipliers (N, p) and residuals, before its loop,
+and writes every row it makes into them in place.  Every array of two
+dimensions is stored column by column, the increments too, so that the
+diagnostics' reductions along the grid read memory in order.  A step is of
 one of three kinds, and only the last calls step():
 
 * flown: on a set with sys.axis_rows (affine, at most one nonzero
@@ -347,8 +349,8 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     is finite and feasible; the step that ends a flight calls step().  Once
     a step returns its input on a still set under a constant force, the rest
     of the steps of its size are filled.  Every row is written in place into
-    the arrays returned, positions and velocities stored column by column,
-    and the increments are derived from them after the loop.
+    the arrays returned, and the increments are derived from them after the
+    loop; every array of two dimensions is stored column by column.
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
@@ -365,8 +367,10 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     axes = None if rows is None else [[r[1:] for r in rows if r[0] == j] for j in range(d)]
     # step n writes row n + 1 of positions and velocities, row n of the rest
     positions, velocities = (np.full((N + 1, d), row, order="F") for row in (q0, u0))
-    force_averages = np.full((N, d), field._average) if constant else np.empty((N, d))
-    multipliers, residuals, computed = np.zeros((N, sys.p)), np.zeros(N), np.zeros(N, dtype=bool)
+    # under a callable force step() writes every row of force_averages
+    force_averages = np.full((N, d), field._average if constant else np.nan, order="F")
+    multipliers = np.zeros((N, sys.p), order="F")
+    residuals, computed = np.zeros(N), np.zeros(N, dtype=bool)
     n, lead = 0, 0
     for h_n, stop in [(h, n_full), (sizes[-1], N)][:1 + partial]:
         c = None if rows is None else [h_n * h_n * fj for fj in f]  # step()'s h * h * f^n

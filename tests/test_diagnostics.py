@@ -412,8 +412,8 @@ class TestDiagnoseSharesGridArrays:
 
     @pytest.mark.parametrize("case", sorted(RUN_CASES))
     def test_momentum_sums_in_numpy_order(self, case):
-        # the sums over the grid keep sum(axis=0)'s order: pairwise down one
-        # column, row by row across several
+        # the sums over the grid are sum(axis=0) on the arrays as run() returns
+        # them, stored column by column: numpy sums each column pairwise
         traj, contact = run(*RUN_CASES[case]())
         forcing = (np.diff(traj.times)[:, None] * contact.force_averages).sum(axis=0)
         lhs = (traj.velocities[-1] - traj.velocities[0] - forcing

@@ -213,6 +213,27 @@ class TestBatchedEvaluation:
         assert np.any(1e-8 * (1.0 + np.linalg.norm(points, axis=1)) != expected)
 
 
+class TestGridValues:
+    """values on points (m, d) is (m, p) stored column by column, as run()
+    stores its grid, and equals the point path bit for bit."""
+
+    # a still set, a shifted one (piston), callables (pocket), p = 0 (free),
+    # and points stored either way, at one time and at one time per point
+    @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket", "free",
+                                      "disc-then-floor"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_values_column_major(self, name, order):
+        sys = BATCHED[name]
+        rng = np.random.default_rng(14)
+        times = rng.uniform(0.0, 2.0, 30)
+        points = np.asarray(rng.uniform(-3.0, 3.0, (30, sys.dim)), order=order)
+        for t in (times, times[0]):
+            g = sys.values(t, points)
+            assert g.shape == (30, sys.p) and g.flags.f_contiguous
+            rows = [sys.values(s, q) for s, q in zip(np.broadcast_to(t, 30), points)]
+            assert g.tobytes() == np.array(rows).reshape(30, sys.p).tobytes()
+
+
 class TestConstraintDerivatives:
     """Analytic derivatives must match finite differences of the values."""
 

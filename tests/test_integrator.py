@@ -686,15 +686,17 @@ class TestRunLoop:
             tracemalloc.stop()
         assert peak < 1.8 * sum(a.nbytes for a in self.arrays(traj, contact))
 
-    # diagnostics._impulses stores h f^n column by column so that its sum with
-    # the velocities runs along the grid: that needs positions and velocities
-    # stored so too, on every set, whether its rows are flown, filled or computed
+    # every array of two or more dimensions that run() returns is stored column
+    # by column, on every set, whether its rows are flown, filled or computed:
+    # diagnostics and the CSV writer reduce them along the grid as they come
     @pytest.mark.parametrize("case", [f"{name}-h0.01" for name in
                                       ("floor", "wedge", "piston", "pocket", "free")]
                              + ["discs-n2"])
     def test_grid_arrays_column_major(self, case):
-        traj, _ = run(*RUN_CASES[case]())
-        assert traj.positions.flags.f_contiguous and traj.velocities.flags.f_contiguous
+        traj, contact = run(*RUN_CASES[case]())
+        for array in (traj.positions, traj.velocities, contact.increments,
+                      contact.multipliers, contact.force_averages):
+            assert array.ndim == 2 and array.flags.f_contiguous
 
     @pytest.mark.parametrize("name, h, calls", [("floor", 0.001, 3), ("wedge", 0.00025, 4)])
     def test_resting_steps_reused(self, name, h, calls, monkeypatch):

@@ -293,6 +293,15 @@ class TestCliExitCodes:
         assert out.with_suffix(".csv").exists()
         assert out.with_suffix(".json").exists()
 
+    # stems are out_h{h:g}: two values alike to 6 digits would write one pair
+    # of files twice, so the sweep is refused before any run or file
+    @pytest.mark.parametrize("sweep", ["0.01,0.01", "0.0100000001,0.01"])
+    def test_sweep_repeated_stem(self, sweep, tmp_path, capsys):
+        rc = main(["--scenario", "floor", "--sweep", sweep, "--out", str(tmp_path / "o" / "s")])
+        assert rc == 1
+        assert "repeat an output stem" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_scenario(self):
         assert main(["--scenario", "nope"]) == 1
 
@@ -396,6 +405,16 @@ class TestVerifyGate:
         assert rc == 0
         assert "verify:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sweep", ["0.03,0.01", "0.025,0.0125", "0.015,0.0075",
+                                       "0.007,0.0035"])
+    def test_sweep_tv_at_roundoff(self, sweep, tmp_path, capsys):
+        # free flight's TVs are rounding error, 1.78e-15 and 8.88e-16 at
+        # 0.03,0.01: their relative spread is noise, not a varying TV(u)
+        rc = main(["--scenario", "free", "--sweep", sweep, "--verify",
+                   "--json-only", "--out", str(tmp_path / "s")])
+        assert rc == 0
+        assert "verify:" not in capsys.readouterr().out
+
     def test_sweep_checks(self):
         def reports(*pairs):
             return [SimpleNamespace(sup_velocity=s, total_variation=tv) for s, tv in pairs]
@@ -406,6 +425,10 @@ class TestVerifyGate:
             "TV(u) varies by >= 25% over the sweep",
             "final error 0.08 > 0.05 vs analytic reference"]
         assert cli._verify_sweep(reports((1.0, 1.0), (1.0, 1.0)), rows, False) == []
+        # TVs at the rounding level pass; a TV of 0 against a real one varies
+        assert cli._verify_sweep(reports((1.0, 1.8e-15), (1.0, 8.9e-16)), rows, False) == []
+        assert cli._verify_sweep(reports((1.0, 0.0), (1.0, 1.0)), rows, False) == [
+            "TV(u) varies by >= 25% over the sweep"]
 
 
 class TestOutputFiles:
