@@ -45,7 +45,13 @@ TOL_SINGULAR = 1.0e-6
 
 def activity_tolerance(q: np.ndarray):
     """Numerical threshold deciding g_i(t, q) == 0, per row of q (m, d); the
-    norm of each row is the 1-D np.linalg.norm bit for bit (axis=1 is not)."""
+    norm of each row is the 1-D np.linalg.norm bit for bit (axis=1 is not),
+    whatever the layout of q.  np.vecdot sums a strided row of d >= 4 entries
+    in another order than a contiguous one (rows of d <= 3 in the same), so
+    only such rows are made contiguous first: a grid of d <= 3 is not
+    copied."""
+    if np.shape(q)[-1] > 3:
+        q = np.ascontiguousarray(q)
     return 1e-8 * (1.0 + np.sqrt(np.vecdot(q, q)))
 
 

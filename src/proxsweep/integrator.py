@@ -40,9 +40,13 @@ one of three kinds, and only the last calls step():
   >= 0, the projection would return it unchanged with zero multipliers, so
   the row is step()'s outcome without the call: one nonzero coefficient
   leaves no summation order to disagree with numpy on.  The block's flight
-  ends at the first row where any coordinate's does.  _BLOCK is a fixed
-  size, not a setting: it bounds the rows one coordinate flies past the end
-  of another's flight, and how long flown rows stay Python floats.
+  ends at the first row where any coordinate's does.  A coordinate whose
+  rows all have rate 0 sees no t, so a flown row that returns its input
+  (q_j, u_j) bit for bit, signs of zero included, returns it on every later
+  row: the rest of the block is filled with it by one slice, and the
+  coordinate neither shortens the block nor leads the next.  _BLOCK is a
+  fixed size, not a setting: it bounds the rows one coordinate flies past
+  the end of another's flight, and how long flown rows stay Python floats.
 * filled: on a still set (no callable constraint, every affine rate 0)
   under a constant force, step() does not depend on t, so a step that
   returns its input (q^n, u^n) returns it at every later step of the same
@@ -50,8 +54,8 @@ one of three kinds, and only the last calls step():
   multipliers and residual of the step that began the rest when step()
   computed it.  The rest rule is checked at the end of each block and after
   each computed step, on the last two rows, by their bytes, so -0.0 and 0.0
-  stay distinct; a rest that begins inside a flown block flies the same
-  rows to its end, bit for bit.
+  stay distinct; a rest that begins inside a flown block is filled per
+  coordinate to its end, bit for bit.
 * computed: every other step is one step() call, the one place that
   projects; its multipliers and residual are written.
 
@@ -59,10 +63,11 @@ After the loop every increment is derived in one pass as
 u^n + h_n f^n - u^{n+1}, elementwise as step() forms it, where f^n is the
 constant's stored average or step()'s value.  A row no step() call made,
 flown or filled after a flown row, takes its residual from one np.vecdot,
-bit-equal to step()'s 1-D dot, selected by np.where.  The times are
-np.add.accumulate over the step sizes, which adds in sequence like step()'s
-t^n + h, as a flight does.  The arrays are those of a chain of step()
-calls, bit for bit.
+bit-equal to step()'s 1-D dot, selected by np.where.  The step sizes h_n
+are one float array, h with a partial last step in its tail; the times are
+np.add.accumulate over it, which adds in sequence like step()'s t^n + h, as
+a flight does.  The arrays are those of a chain of step() calls, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -317,11 +322,14 @@ def _fly(X: np.ndarray, u: list, c: list, axes: list, t: float, h: float,
     too.  Each coordinate flies alone, by step()'s expressions with t^{n+1} =
     t^n + h, no farther than the shortest flight so far; lead, the coordinate
     that ended the last flight, flies first, so a flight that ends at once
-    costs one row.
+    costs one row.  A coordinate whose rows all have rate 0 and whose row
+    returns its input bit for bit is at rest: its later rows are filled by
+    one slice, and its flight ends none.
     """
     m = len(X) - 1
     for j in sorted(range(len(u)), key=lambda j: j != lead):
-        qj, uj, cj, xs, tj = X[0, j].item(), u[j], c[j], [], t
+        qj, uj, cj, xs, tj, rest = X[0, j].item(), u[j], c[j], [], t, False
+        still = not any(r for _, _, r in axes[j])
         for _ in range(m):
             x, tj = qj + h * uj + cj, tj + h
             if math.isfinite(x):
@@ -329,12 +337,18 @@ def _fly(X: np.ndarray, u: list, c: list, axes: list, t: float, h: float,
                     if not a * x + (b + r * tj) >= 0.0:
                         break
                 else:
-                    qj, uj = x, (x - qj) / h
+                    v = (x - qj) / h
+                    # on rows of rate 0 a row that returns its input returns it on every later row
+                    if rest := still and x == qj and (x.hex(), v.hex()) == (qj.hex(), uj.hex()):
+                        break
+                    qj, uj = x, v
                     xs.append(x)
                     continue
             break
         X[1:len(xs) + 1, j] = xs
-        if len(xs) < m:
+        if rest:
+            X[len(xs) + 1:m + 1, j] = qj
+        elif len(xs) < m:
             m, lead = len(xs), j
     return m, lead
 
@@ -346,11 +360,14 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     Each step is flown, filled or computed (module docstring).  One loop per
     step size flies blocks of at most _BLOCK rows, one coordinate at a time,
     while sys.axis_rows is set, the force is a constant and the prediction
-    is finite and feasible; the step that ends a flight calls step().  Once
-    a step returns its input on a still set under a constant force, the rest
-    of the steps of its size are filled.  Every row is written in place into
-    the arrays returned, and the increments are derived from them after the
-    loop; every array of two dimensions is stored column by column.
+    is finite and feasible, and fills the rest of a block for a coordinate
+    at rest on rows of rate 0; the step that ends a flight calls step().
+    Once a step returns its input on a still set under a constant force,
+    the rest of the steps of its size are filled.  Every row is written in
+    place into the arrays returned.  The step sizes are one float array;
+    the times are its running sum, and the increments are derived from it
+    and the rows after the loop.  Every array of two dimensions is stored
+    column by column.
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the
@@ -359,8 +376,11 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     q0, u0 = _check_inputs(sys, field, q0, u0, h, T)
     n_full, partial = _grid(h, T)
     N, d = n_full + partial, sys.dim
-    sizes = [h] * n_full + ([T - n_full * h] if partial else [])
-    times = np.add.accumulate([0.0] + sizes)  # in sequence, like step()'s t^n + h
+    last = T - n_full * h  # the size of a partial last step
+    sizes = np.full(N, h, dtype=float)
+    sizes[n_full:] = last
+    # in sequence, like step()'s t^n + h, from t^1 = 0.0 + h = h
+    times = np.concatenate(([0.0], np.add.accumulate(sizes)))
     constant = not callable(field.f)
     rows, f = (sys.axis_rows, field._average.tolist()) if constant else (None, None)
     repeats = sys.still and constant
@@ -372,7 +392,7 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
     multipliers = np.zeros((N, sys.p), order="F")
     residuals, computed = np.zeros(N), np.zeros(N, dtype=bool)
     n, lead = 0, 0
-    for h_n, stop in [(h, n_full), (sizes[-1], N)][:1 + partial]:
+    for h_n, stop in [(h, n_full), (last, N)][:1 + partial]:
         c = None if rows is None else [h_n * h_n * fj for fj in f]  # step()'s h * h * f^n
         while n < stop:
             k, m = min(_BLOCK, stop - n), 0
@@ -396,7 +416,7 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
                     multipliers[n - 1], residuals[n - 1], computed[n - 1])
                 n = stop
     # step()'s u^n + h f^n - u^{n+1}, elementwise, on every row
-    increments = velocities[:-1] + np.array(sizes)[:, None] * force_averages - velocities[1:]
+    increments = velocities[:-1] + sizes[:, None] * force_averages - velocities[1:]
     residuals = np.where(computed, residuals, np.sqrt(np.vecdot(increments, increments)))
 
     return (Trajectory(times, positions, velocities),

@@ -39,6 +39,9 @@ CASES = {
     "wedge-bench": ["--scenario", "wedge", "--sweep", "0.0005,0.00025", "--T", "1", "--verify"],
     # T = 2 is no multiple of 0.003: the floor rests, then takes a shrunk last step
     "floor-partial": ["--scenario", "floor", "--sweep", "0.003,0.0015", "--T", "2", "--verify"],
+    # q2 rests on its wall from the first step while q1 flies across block edges
+    "wedge-wall": ["--scenario", "wedge", "--q0=1,0", "--u0=-2,0", "--sweep", "0.0005,0.00025",
+                   "--T", "1", "--verify"],
 }
 
 

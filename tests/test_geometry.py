@@ -205,12 +205,17 @@ class TestBatchedEvaluation:
         assert ConstraintSystem(2, (affine_constraint(1, [1.0, 1.0]),)).axis_rows is None
 
     def test_activity_tolerance_rows_are_one_dimensional_norms(self):
+        # row by row and column by column (run()'s grids), where np.vecdot on
+        # strided rows of d >= 4 entries sums in another order; a strided
+        # point of d = 4 too
         rng = np.random.default_rng(13)
-        points = rng.uniform(-3.0, 3.0, (2000, 3))
-        expected = [1e-8 * (1.0 + np.linalg.norm(q)) for q in points]
-        np.testing.assert_array_equal(activity_tolerance(points), expected)
-        # the row norm that the axis=1 form computes differs on some of these rows
-        assert np.any(1e-8 * (1.0 + np.linalg.norm(points, axis=1)) != expected)
+        for d, order in [(3, "C"), (2, "F"), (3, "F"), (4, "F"), (16, "F")]:
+            points = np.asarray(rng.uniform(-3.0, 3.0, (2000, d)), order=order)
+            expected = [1e-8 * (1.0 + np.linalg.norm(q)) for q in points]
+            np.testing.assert_array_equal(activity_tolerance(points), expected)
+            np.testing.assert_array_equal([activity_tolerance(q) for q in points], expected)
+            # the row norm that the axis=1 form computes differs on some of these rows
+            assert np.any(1e-8 * (1.0 + np.linalg.norm(points, axis=1)) != expected)
 
 
 class TestGridValues:

@@ -424,11 +424,12 @@ class TestRun:
             assert momentum_residual(traj, contact) <= 1e-8
 
     def test_partial_final_step(self):
-        # T / h farther than 1e-9 from an integer takes a partial step, however short
+        # T / h farther than 1e-9 from an integer takes a partial step, however
+        # short, and of its own size when h is an int
         scn = lookup("free")
         for h, T, nsteps, last in [(0.01, 0.205, 21, 0.005),
                                    (1.0 / (100 + 2e-7), 1.0, 101, 2e-9),
-                                   (1.0 / (100 - 2e-7), 1.0, 100, 0.01)]:
+                                   (1.0 / (100 - 2e-7), 1.0, 100, 0.01), (1, 2.5, 3, 0.5)]:
             traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, T)
             assert traj.nsteps == nsteps
             assert traj.times[-1] - traj.times[-2] == pytest.approx(last, rel=1e-6)
@@ -511,19 +512,26 @@ class TestRunLoop:
     # its moving row across the edge at row 512; the floor from 2^53, where
     # h u0 and h^2 g round away, rests in flight from row 1 and is filled
     # from its block's end; free flight to T = 0.6005 takes its half step
-    # after 600 flown rows
+    # after 600 flown rows.  "wedge-wall" starts the wedge on its wall q2 = 0
+    # at u0 = (-2, 0): q2 rests from row 1 while q1 flies across block edges
+    # to its wall at t = 0.5
     CASES = [("floor", 0.01, None), ("wedge", 0.01, None), ("pocket", 0.01, None),
              ("free", 0.01, 0.205), ("free", 0.1, 0.3), ("piston", 0.01, None),
              ("wedge", 0.00025, None), ("floor", 0.01, 0.525),
              ("floor", 0.000975, 0.6), ("floor", 0.000977, 0.6), ("floor", 0.000973, 0.6),
-             ("piston", 0.001, None), ("floor-far", 0.001, None), ("free", 0.001, 0.6005)]
+             ("piston", 0.001, None), ("floor-far", 0.001, None), ("free", 0.001, 0.6005),
+             ("wedge-wall", 0.00025, None)]
 
     @staticmethod
     def scenario(name):
-        """lookup(name), or "floor-far": the floor from q0 = 2^53 at u0 = -0.5."""
+        """lookup(name), "floor-far": the floor from q0 = 2^53 at u0 = -0.5, or
+        "wedge-wall": the wedge from q0 = (1, 0) at u0 = (-2, 0)."""
         if name == "floor-far":
             return dataclasses.replace(lookup("floor"), q0=np.array([2.0 ** 53]),
                                        u0=np.array([-0.5]))
+        if name == "wedge-wall":
+            return dataclasses.replace(lookup("wedge"), q0=np.array([1.0, 0.0]),
+                                       u0=np.array([-2.0, 0.0]))
         return lookup(name)
 
     @staticmethod
@@ -726,10 +734,14 @@ class TestRunLoop:
                 data.draw(st.lists(one, min_size=size, max_size=size)))
 
         d = data.draw(st.integers(1, 3))
-        # u0 or f times 0 starts at rest or feels no force, with some -0.0
-        q0 = floats(-1.0, 1.0, d)
-        u0 = floats(-3.0, 3.0, d) * data.draw(st.sampled_from([0, 1]))
-        f = floats(-10.0, 10.0, d) * data.draw(st.sampled_from([0, 1]))
+        # u0 or f times 0, per coordinate, starts it at rest or without force,
+        # with some -0.0: one coordinate may rest on or off its row, at block
+        # edges too, while another flies
+        def some_zero(lo, hi):
+            return floats(lo, hi, d) * np.array([data.draw(st.sampled_from([0, 1]))
+                                                 for _ in range(d)])
+
+        q0, u0, f = floats(-1.0, 1.0, d), some_zero(-3.0, 3.0), some_zero(-10.0, 10.0)
         still, rows = data.draw(st.booleans()), []
         for cid in range(1, data.draw(st.integers(1, 4)) + 1):
             # a = 0 or |a| >= 0.25: a tiny a squares to 0 in the projection
@@ -764,6 +776,21 @@ class TestRunLoop:
         for array, want in zip(self.arrays(traj, contact), expected):
             assert array.shape == want.shape and array.tobytes() == want.tobytes()
 
+    # a coordinate is filled only from a row that returns its input bit for
+    # bit: from q = -0.0 at rest the first row returns 0.0, and from q = 1 at
+    # u = 1.5 2^-52 under f = -3 2^-52 it returns q = 1 at u = 0, from which
+    # the force moves it
+    @pytest.mark.parametrize("q0, u0, f", [(-0.0, 0.0, 0.0),
+                                           (1.0, 1.5 * 2.0 ** -52, -3.0 * 2.0 ** -52)])
+    def test_rest_begins_on_a_row_that_returns_its_input(self, q0, u0, f):
+        force = ForceField(f=np.array([f]), bound_F=lambda t: abs(f), sup_F=abs(f))
+        scn = dataclasses.replace(lookup("free"), force=force, q0=np.array([q0]),
+                                  u0=np.array([u0]))
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.5, 4.0)
+        assert traj.positions[1].tobytes() == np.array([abs(q0)]).tobytes()
+        assert (traj.positions[-1, 0] == abs(q0)) == (f == 0.0)
+        self.assert_matches_by_hand(traj, contact, scn, 0.5, 4.0)
+
     def test_oblique_row_computes_every_step(self, monkeypatch):
         # the row q1 + q2 >= 0 has two nonzero coefficients, so no prediction
         # is flown: the particle meets it at t = 1 and slides along it at (-1, 1)
@@ -783,17 +810,18 @@ class TestRunLoop:
     # and pocket from k = 51, wedge from k = 50); the piston's wall moves with
     # t, so a restart at t = 0 is another problem.  At h = 0.00025 the wedge
     # restarts one row before, on and one row after the original's block edge
-    # at row 512, so the tail's blocks start mid-block of the original's
+    # at row 512, so the tail's blocks start mid-block of the original's; the
+    # wedge from its wall restarts at that edge, q2 at rest and q1 in flight
     RESTARTS = [(name, k, 0.01) for name, k in [
         ("floor", 10), ("floor", 40), ("floor", 49), ("floor", 51), ("floor", 60), ("floor", 150),
         ("wedge", 10), ("wedge", 30), ("wedge", 33), ("wedge", 50), ("wedge", 70),
         ("pocket", 10), ("pocket", 49), ("pocket", 51), ("pocket", 80), ("free", 7)]]
-    RESTARTS += [("wedge", k, 0.00025) for k in (511, 512, 513)]
+    RESTARTS += [("wedge", k, 0.00025) for k in (511, 512, 513)] + [("wedge-wall", 512, 0.00025)]
 
     @pytest.mark.parametrize("name, k, h", RESTARTS, ids=[
         f"{name}-{k}" if h == 0.01 else f"{name}-{h}-{k}" for name, k, h in RESTARTS])
     def test_restart_reproduces_tail(self, name, k, h):
-        scn = lookup(name)
+        scn = self.scenario(name)
         traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
         tail = run(scn.system, scn.force, traj.positions[k], traj.velocities[k], h,
                    scn.T - traj.times[k])
