@@ -9,10 +9,9 @@ then projected back onto C(t).
 """
 
 from .diagnostics import (ConstantsRecord, DiagnosticsReport, ImpactEvent,
-                          compute_constants, convergence_study, detect_impacts,
-                          diagnose, interpolant_sup_error, max_feasibility_gap,
-                          max_intergrid_gap, momentum_residual, sup_velocity,
-                          total_variation, velocity_bound_ok, verify_impact_law)
+                          compute_constants, convergence_study, diagnose,
+                          interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
+                          momentum_residual, velocity_bound_ok, verify_impact_law)
 from .errors import (ConfigError, ConstraintEvaluationError, InfeasibleConeError,
                      InvalidConstantsError, ProxsweepError, SimulationAbort)
 from .geometry import (AdmissibilityEstimate, ConstraintFunction, ConstraintSystem,
@@ -31,12 +30,11 @@ __all__ = [
     "MultiplierExtraction", "ProjectionResult", "ProxsweepError", "Scenario",
     "SchemeState", "SimulationAbort", "StepOutcome",
     "Trajectory", "VelocityPolyhedron", "active_set",
-    "affine_constraint", "compute_constants", "convergence_study", "detect_impacts",
+    "affine_constraint", "compute_constants", "convergence_study",
     "diagnose", "extract_multipliers", "good_direction", "initialize",
     "interpolant_sup_error", "lookup", "max_feasibility_gap", "max_intergrid_gap",
     "momentum_residual", "project_point", "project_velocity", "registry", "run",
-    "step", "sup_velocity", "total_variation", "velocity_bound_ok",
-    "velocity_polyhedron", "verify_impact_law",
+    "step", "velocity_bound_ok", "velocity_polyhedron", "verify_impact_law",
 ]
 
 __version__ = "0.1.0"

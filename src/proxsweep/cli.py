@@ -2,7 +2,9 @@
 
 Outputs per run: a CSV trajectory (t, position components, velocity
 components, |contact increment|, active-set bitmask; 17 significant digits)
-and a JSON diagnostics summary with the stable schema
+and a JSON diagnostics summary.  Both are written from run() and diagnose()
+alone: the bitmask is the report's activity mask, so the CLI evaluates no
+constraint itself.  The JSON has the stable schema
 
     {scenario, h, T, max_feasibility_gap, total_variation, sup_velocity,
      impacts: [{t, u_minus, u_plus, residual}],
@@ -34,7 +36,7 @@ import numpy as np
 from .diagnostics import (DiagnosticsReport, diagnose, error_table, finest_run_reference,
                           law_bound)
 from .errors import ConfigError, ProxsweepError, SimulationAbort
-from .geometry import _active_mask, good_direction
+from .geometry import good_direction
 from .integrator import _check_inputs, run
 from .scenarios import BUILDERS, Scenario, lookup
 
@@ -130,8 +132,9 @@ def _runs(differs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(starts), np.cumsum(starts) - 1
 
 
-def write_csv(path: str, scn: Scenario, traj, contact) -> None:
-    """One row per grid point; each run of equal values in a column, and of
+def write_csv(path: str, scn: Scenario, traj, contact, active) -> None:
+    """One row per grid point, active the run's (N+1, p) activity mask
+    (DiagnosticsReport.active); each run of equal values in a column, and of
     equal active rows, is formatted once."""
     d = scn.dim
     header = (["t"] + [f"q{i + 1}" for i in range(d)] + [f"u{i + 1}" for i in range(d)]
@@ -143,7 +146,6 @@ def write_csv(path: str, scn: Scenario, traj, contact) -> None:
         heads, runs = _runs(key[1:] != key[:-1])
         text = [f"%.{CSV_DIGITS}g" % x for x in column[heads].tolist()]
         columns.append(np.array(text, dtype=object)[runs].tolist())
-    active = _active_mask(scn.system.values(traj.times, traj.positions), traj.positions)
     heads, runs = _runs(np.any(active[1:] != active[:-1], axis=1))
     # Python-int bits keep the mask exact for any constraint id
     bits = np.array([1 << (c.id - 1) for c in scn.system.constraints], dtype=object)
@@ -251,7 +253,7 @@ def run_cli(args: argparse.Namespace) -> int:
         report = diagnose(traj, contact, scn.system, scn.force, admiss=admiss)
         stem = f"{cfg.out}_h{h:g}" if cfg.sweep else cfg.out
         if not cfg.json_only:
-            write_csv(f"{stem}.csv", scn, traj, contact)
+            write_csv(f"{stem}.csv", scn, traj, contact, report.active)
         write_json(f"{stem}.json", report_to_json(scn.name, h, T, report))
         problems += [f"h={h:g}: {p}" if cfg.sweep else p
                      for p in _verify_run(report, h, scn.force.sup_F)]

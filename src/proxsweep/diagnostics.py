@@ -60,6 +60,7 @@ class DiagnosticsReport:
     sup_velocity: float
     impacts: list[ImpactEvent]
     constants: ConstantsRecord
+    active: np.ndarray                    # (N+1, p) grid activity mask, the CSV's active column
     velocity_bound_ok: bool = True        # |u^{n+1}| <= 2|u^n + h f^n| + c0
     momentum_residual: float = 0.0        # |u(T) - u0 - sum h f + sum dk|
 
@@ -67,15 +68,6 @@ class DiagnosticsReport:
 def _jumps(traj: Trajectory) -> np.ndarray:
     """|u^{n+1} - u^n| for every step n."""
     return np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1)
-
-
-def total_variation(traj: Trajectory) -> float:
-    """Sum of |u^{n+1} - u^n| over the grid, starting from u^0 = u0."""
-    return float(np.sum(_jumps(traj)))
-
-
-def sup_velocity(traj: Trajectory) -> float:
-    return float(np.max(np.linalg.norm(traj.velocities, axis=1)))
 
 
 def max_feasibility_gap(traj: Trajectory, sys: ConstraintSystem) -> float:
@@ -137,26 +129,19 @@ def law_bound(h: float, sup_force: float) -> float:
     return 5.0 * h * (1.0 + sup_force)
 
 
-def detect_impacts(traj: Trajectory, sys: ConstraintSystem,
-                   sup_force: float) -> list[tuple[int, int]]:
-    """Index windows [a, b] of steps forming one contact-induced jump.
+def _impact_windows(in_contact, jumps, h: float, sup_force: float) -> list[tuple[int, int]]:
+    """Index windows [a, b] of steps forming one contact-induced jump, given
+    in_contact[n] whether some constraint is active at the end of step n,
+    jumps = _jumps(traj) and the largest step h.
 
     A window is a maximal run of steps that end in contact with a jump
     |u^{n+1} - u^n| above the smooth-forcing level, and that holds at least
     one jump above the seed threshold: an off-grid impact resolves over two
     consecutive steps and must count as one event.  Both thresholds are
-    derived from the largest step h and the run's sup_F, each floored at 1e-7.
+    derived from h and the run's sup_F, each floored at 1e-7.
     """
-    return _impact_windows(traj, sys.values(traj.times, traj.positions), _jumps(traj),
-                           _largest_step(traj), sup_force)
-
-
-def _impact_windows(traj, g, jumps, h: float, sup_force: float) -> list[tuple[int, int]]:
-    """detect_impacts given g = sys.values(traj.times, traj.positions),
-    jumps = _jumps(traj) and the largest step h."""
     seed_tol = max(5.0 * h * sup_force, 1e-7)
     extend_tol = max(1.5 * h * sup_force, 1e-7)
-    in_contact = _active_mask(g[1:], traj.positions[1:]).any(axis=1)
     # run edges of the extension mask; seed_tol >= extend_tol puts every seed in a run
     edges = np.flatnonzero(np.diff(np.concatenate(([False], (jumps > extend_tol) & in_contact,
                                                    [False])))).reshape(-1, 2)
@@ -165,7 +150,7 @@ def _impact_windows(traj, g, jumps, h: float, sup_force: float) -> list[tuple[in
 
 def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
                       sup_force: float) -> list[ImpactEvent]:
-    """Check u+ = P_V(u-) at every detect_impacts jump, by its residual and exactly.
+    """Check u+ = P_V(u-) at every _impact_windows jump, by its residual and exactly.
 
     law_residual is |u+ - P_V(u-)|.  variational_max tests the law's exact
     criterion: u+ = P_V(u-) iff u+ is in V and u- - u+ lies in the normal cone
@@ -176,12 +161,14 @@ def verify_impact_law(traj: Trajectory, sys: ConstraintSystem,
     decomposition is |P_K(u- - u+)| with K = {w : n_i . w >= 0}: one kernel
     call.  Events whose polyhedron is empty (infeasible) carry NaN in both.
     """
-    return _impact_events(traj, sys, detect_impacts(traj, sys, sup_force),
-                          law_bound(_largest_step(traj), sup_force))
+    h, positions = _largest_step(traj), traj.positions
+    in_contact = _active_mask(sys.values(traj.times, positions), positions)[1:].any(axis=1)
+    return _impact_events(traj, sys, _impact_windows(in_contact, _jumps(traj), h, sup_force),
+                          law_bound(h, sup_force))
 
 
 def _impact_events(traj, sys, windows, bound: float) -> list[ImpactEvent]:
-    """verify_impact_law on the detect_impacts windows, with bound its law_bound."""
+    """verify_impact_law on the _impact_windows windows, with bound its law_bound."""
     events: list[ImpactEvent] = []
     for a, b in windows:
         t_ev, q_ev = float(traj.times[b + 1]), traj.positions[b + 1]
@@ -319,13 +306,16 @@ def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
              ) -> DiagnosticsReport:
     """Assemble the full report for one finished run.
 
-    Each grid array that several checks read (g, |u^{n+1} - u^n|, |u^n|,
-    h f^n) is built once and handed to the checks' private forms; the report
-    equals the one the public functions give.
+    Each grid array that several checks read (g, the activity mask,
+    |u^{n+1} - u^n|, |u^n|, h f^n) is built once and handed to the checks'
+    private forms; each field with a public function equals what it gives.
+    The activity mask is _active_mask on every grid row, which the CLI
+    writes as the CSV's active column.
     """
     g, jumps, h = sys.values(traj.times, traj.positions), _jumps(traj), _largest_step(traj)
     speeds, impulses = np.linalg.norm(traj.velocities, axis=1), _impulses(traj, contact)
-    windows = _impact_windows(traj, g, jumps, h, force.sup_F)
+    active = _active_mask(g, traj.positions)
+    windows = _impact_windows(active[1:].any(axis=1), jumps, h, force.sup_F)
     return DiagnosticsReport(
         max_feasibility_gap=_feasibility_gap(g),
         max_intergrid_gap=_intergrid_gap(traj, sys, g),
@@ -334,6 +324,7 @@ def diagnose(traj: Trajectory, contact: ContactMeasure, sys: ConstraintSystem,
         impacts=_impact_events(traj, sys, windows, law_bound(h, force.sup_F)),
         constants=compute_constants(sys, admiss, traj.positions[0], traj.velocities[0], force,
                                     float(traj.times[1]), float(traj.times[-1])),
+        active=active,
         velocity_bound_ok=_velocity_bound_ok(traj, sys, speeds, impulses),
         momentum_residual=_momentum_residual(traj, contact, impulses),
     )

@@ -58,7 +58,8 @@ def activity_tolerance(q: np.ndarray):
 def _active_mask(values: np.ndarray, q: np.ndarray, rho: float = 0.0) -> np.ndarray:
     """values (p,) at q (d,), or (m, p) at the rows of q, <= max(rho,
     activity_tolerance(q)); the one activity rule behind active_set,
-    _active_gradients (so extract_multipliers), detect_impacts and the CSV mask.
+    _active_gradients (so extract_multipliers) and diagnose's grid mask, which
+    finds the impact windows and is the CSV's active column.
 
     The tolerance is a floor, not a default for rho = 0 alone: a rho below it
     still counts every numerically active constraint, so the set only grows

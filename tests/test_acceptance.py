@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from proxsweep import (InfeasibleConeError, active_set, compute_constants,
-                       convergence_study, good_direction, max_intergrid_gap,
+                       convergence_study, diagnose, good_direction, max_intergrid_gap,
                        momentum_residual, project_point, project_velocity, run,
-                       sup_velocity, total_variation, verify_impact_law)
+                       verify_impact_law)
 from proxsweep.scenarios import lookup, registry
 
 from conftest import (H_SWEEP, antipodal_pair, half_space_1d, reverse_triangle_constant,
@@ -100,8 +100,9 @@ def test_criterion_4_convergence(sweeps):
 def test_criterion_5_uniform_bounds(sweeps):
     ok, detail = True, []
     for name, (scn, runs) in sweeps.items():
-        sups = [sup_velocity(traj) for _, traj, _ in runs]
-        tvs = [total_variation(traj) for _, traj, _ in runs]
+        reports = [diagnose(traj, contact, scn.system, scn.force) for _, traj, contact in runs]
+        sups = [report.sup_velocity for report in reports]
+        tvs = [report.total_variation for report in reports]
         sup_ok = max(sups) - min(sups) < 0.10 * min(sups) or max(sups) <= 1e-9
         tv_ok = max(tvs) - min(tvs) < 0.25 * min(tvs) or max(tvs) <= 1e-9
         ok &= sup_ok and tv_ok

@@ -6,11 +6,11 @@ import pytest
 
 from proxsweep import (ConstraintEvaluationError, ConstraintFunction, ConstraintSystem,
                        ContactMeasure, DiagnosticsReport, SimulationAbort,
-                       Trajectory, affine_constraint, cli, compute_constants,
-                       convergence_study, detect_impacts, diagnose, diagnostics, good_direction,
+                       Trajectory, active_set, affine_constraint, cli, compute_constants,
+                       convergence_study, diagnose, diagnostics, good_direction,
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
-                       momentum_residual, project_point, registry, run, sup_velocity,
-                       total_variation, velocity_bound_ok, verify_impact_law)
+                       momentum_residual, project_point, registry, run, velocity_bound_ok,
+                       verify_impact_law)
 from proxsweep.diagnostics import law_bound
 from proxsweep.scenarios import lookup
 
@@ -25,11 +25,23 @@ def make_traj(times, positions, velocities):
                       velocities=np.asarray(velocities, dtype=float).reshape(len(times), -1))
 
 
+def no_contact(traj):
+    """A ContactMeasure with no force and no contact on every step of traj."""
+    zeros = np.zeros((traj.nsteps, traj.positions.shape[1]))
+    return ContactMeasure(increments=zeros, multipliers=zeros, residuals=np.zeros(traj.nsteps),
+                          force_averages=zeros)
+
+
+def total_variation(traj):
+    """diagnose's TV of a hand-built 1-D run."""
+    return diagnose(traj, no_contact(traj), half_space_1d(), zero_force(1)).total_variation
+
+
 class TestTotalVariation:
     def test_constant_velocity(self):
         traj = make_traj([0, 1, 2], [0, 1, 2], [1, 1, 1])
         assert total_variation(traj) == 0.0
-        assert total_variation(make_traj([0], [0], [1])) == 0.0
+        assert diagnostics._jumps(make_traj([0], [0], [1])).shape == (0,)  # no step, no jump
 
     def test_single_jump_then_reversal(self):
         traj = make_traj([0, 1, 2], [0, -2, -2], [-2, 0, 2])
@@ -38,8 +50,9 @@ class TestTotalVariation:
     def test_bouncing_ball_against_analytic(self):
         # fall variation |u-| plus the inelastic jump |u-|: TV -> 2 sqrt(2 g q0)
         scn = lookup("floor")
-        traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.005, scn.T)
-        assert abs(total_variation(traj) - 2.0 * math.sqrt(2 * 10.0 * 1.25)) <= 0.2
+        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.005, scn.T)
+        report = diagnose(traj, contact, scn.system, scn.force)
+        assert abs(report.total_variation - 2.0 * math.sqrt(2 * 10.0 * 1.25)) <= 0.2
 
 
 class TestImpactLaw:
@@ -378,22 +391,33 @@ def plain(x):
     return [plain(y) for y in x] if isinstance(x, list) else x
 
 
+def active_rows(sys, traj):
+    """The (N+1, p) activity mask of the grid, active_set row by row."""
+    return np.array([[c.id in active_set(sys, float(t), q) for c in sys.constraints]
+                     for t, q in zip(traj.times, traj.positions)],
+                    dtype=bool).reshape(len(traj.times), len(sys.constraints))
+
+
 def report_from_public_functions(traj, contact, sys, force, admiss):
+    """The report from the public checks, and from plain forms where there is none."""
     return DiagnosticsReport(
         max_feasibility_gap=max_feasibility_gap(traj, sys),
         max_intergrid_gap=max_intergrid_gap(traj, sys),
-        total_variation=total_variation(traj),
-        sup_velocity=sup_velocity(traj),
+        total_variation=float(np.sum(np.linalg.norm(np.diff(traj.velocities, axis=0), axis=1))),
+        sup_velocity=float(np.max(np.linalg.norm(traj.velocities, axis=1))),
         impacts=verify_impact_law(traj, sys, force.sup_F),
         constants=compute_constants(sys, admiss, traj.positions[0], traj.velocities[0], force,
                                     float(traj.times[1]), float(traj.times[-1])),
+        active=active_rows(sys, traj),
         velocity_bound_ok=velocity_bound_ok(traj, contact, sys),
         momentum_residual=momentum_residual(traj, contact),
     )
 
 
 class TestDiagnoseSharesGridArrays:
-    """diagnose builds each grid array once; its report is the public functions', bit for bit."""
+    """diagnose builds each grid array once; its report is the public
+    functions', bit for bit, with TV, sup |u| and the activity mask in plain
+    forms."""
 
     def assert_same_report(self, traj, contact, sys, force, admiss=None):
         report = diagnose(traj, contact, sys, force, admiss=admiss)
@@ -424,21 +448,30 @@ class TestDiagnoseSharesGridArrays:
         sys = lookup("wedge").system
         traj = make_traj([0.0, 0.1, 0.2, 0.3, 0.4], [[1.0, 1.0], [0.5, 0.8], [-0.4, 0.6],
                                                      [0.3, 0.4], [0.6, 0.2]], np.zeros((5, 2)))
-        zeros = np.zeros((4, 2))
-        contact = ContactMeasure(increments=zeros, multipliers=zeros, residuals=np.zeros(4),
-                                 force_averages=zeros)
+        contact = no_contact(traj)
         assert diagnose(traj, contact, sys, zero_force(2)).max_intergrid_gap > 0.0
         self.assert_same_report(traj, contact, sys, zero_force(2))
+
+
+def impact_windows(traj, sys, sup_force):
+    """The windows of contact-induced jumps that verify_impact_law checks, with
+    contact read from active_set row by row."""
+    in_contact = active_rows(sys, traj)[1:].any(axis=1)
+    return diagnostics._impact_windows(in_contact, diagnostics._jumps(traj),
+                                       diagnostics._largest_step(traj), sup_force)
 
 
 class TestDetectImpacts:
     def test_windows_merge_adjacent_steps(self):
         scn = lookup("floor")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
-        windows = detect_impacts(traj, scn.system, sup_force=10.0)
+        windows = impact_windows(traj, scn.system, sup_force=10.0)
         assert len(windows) == 1
         a, b = windows[0]
         assert b - a <= 2
+        [event] = verify_impact_law(traj, scn.system, sup_force=10.0)
+        assert event.time == traj.times[b + 1]
+        assert np.shares_memory(event.u_minus, traj.velocities[a])  # the row itself
 
     def test_forced_slide_is_not_an_impact(self):
         # the pocket from (0.3, 2.25) hits the disc at t = 0.509, slides along
@@ -448,15 +481,21 @@ class TestDetectImpacts:
         scn = lookup("pocket")
         traj, _ = run(scn.system, scn.force, np.array([0.3, 2.25]), np.zeros(2), 0.001, 1.5)
         sup_f = scn.force.sup_F
-        assert detect_impacts(traj, scn.system, sup_force=sup_f) == [(508, 509), (975, 976)]
-        assert max(ev.law_residual for ev in verify_impact_law(traj, scn.system, sup_f)) < 0.005
-        assert detect_impacts(traj, scn.system, sup_force=0.0)[0] == (508, 740)
+        assert impact_windows(traj, scn.system, sup_force=sup_f) == [(508, 509), (975, 976)]
+        events = verify_impact_law(traj, scn.system, sup_f)
+        assert [ev.time for ev in events] == [traj.times[510], traj.times[977]]
+        assert all(np.shares_memory(ev.u_minus, traj.velocities[a])
+                   for ev, a in zip(events, (508, 975)))
+        assert max(ev.law_residual for ev in events) < 0.005
+        assert impact_windows(traj, scn.system, sup_force=0.0)[0] == (508, 740)
+        assert verify_impact_law(traj, scn.system, 0.0)[0].time == traj.times[741]
 
     def test_wedge_two_separate_events(self):
         scn = lookup("wedge")
         traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, 0.01, scn.T)
-        windows = detect_impacts(traj, scn.system, sup_force=0.0)
+        windows = impact_windows(traj, scn.system, sup_force=0.0)
         assert len(windows) == 2
+        assert len(verify_impact_law(traj, scn.system, sup_force=0.0)) == 2
 
     @pytest.mark.parametrize("sup_force, expected", [
         (1.0, [(0, 1), (7, 9)]),
@@ -471,7 +510,10 @@ class TestDetectImpacts:
         contact = [1, 1, 0, 1, 1, 1, 0, 1, 1, 1]
         traj = make_traj(range(11), [1] + [1 - c for c in contact],
                          np.cumsum([0] + jumps))
-        assert detect_impacts(traj, lookup("floor").system, sup_force=sup_force) == expected
+        assert impact_windows(traj, lookup("floor").system, sup_force=sup_force) == expected
+        in_contact = np.array(contact, dtype=bool)
+        assert diagnostics._impact_windows(in_contact, np.array(jumps, dtype=float), 1.0,
+                                           sup_force) == expected
 
 
 def forces(*values):

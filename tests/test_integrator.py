@@ -836,12 +836,12 @@ class TestSweepBoundedness:
 
     @pytest.mark.parametrize("name", ["floor", "wedge", "piston", "pocket", "free"])
     def test_sweep_stability(self, name):
-        from proxsweep import sup_velocity, total_variation
         scn = lookup(name)
         sups, tvs = [], []
         for h in H_SWEEP:
-            traj, _ = run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T)
-            sups.append(sup_velocity(traj))
-            tvs.append(total_variation(traj))
+            report = diagnose(*run(scn.system, scn.force, scn.q0, scn.u0, h, scn.T),
+                              scn.system, scn.force)
+            sups.append(report.sup_velocity)
+            tvs.append(report.total_variation)
         assert max(sups) <= 2.0 * min(sups) + 1e-9
         assert max(tvs) <= 2.0 * min(tvs) + 1e-9

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from proxsweep import (ConfigError, ConstraintEvaluationError, active_set, cli, diagnose,
-                       diagnostics, run, scenarios)
+from proxsweep import (ConfigError, ConstraintEvaluationError, ConstraintSystem, active_set,
+                       cli, diagnose, diagnostics, run, scenarios)
 from proxsweep.cli import main, read_config_file
 from proxsweep.scenarios import lookup, registry
 
@@ -493,9 +493,11 @@ def last_active_height(head):
 
 
 def csv_masks(tmp_path, scn, traj, contact):
-    """write_csv's active column, and the masks active_set gives row by row."""
+    """write_csv's active column from diagnose's mask, as the CLI writes it,
+    and the masks active_set gives row by row."""
     path = tmp_path / "run.csv"
-    cli.write_csv(str(path), scn, traj, contact)
+    report = diagnose(traj, contact, scn.system, scn.force)
+    cli.write_csv(str(path), scn, traj, contact, report.active)
     masks = [int(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[1:]]
     expected = [sum(1 << (cid - 1) for cid in active_set(scn.system, float(t), q))
                 for t, q in zip(traj.times, traj.positions)]
@@ -526,14 +528,29 @@ class TestCsvActiveColumn:
         assert masks == expected
         assert max(masks) == 1 + 2**69
 
-    def test_one_values_call(self, tmp_path, monkeypatch):
+    def test_pocket_equals_active_set_per_row(self, tmp_path):
+        # the pocket from (0.3, 2) lands on the disc (id 1), slides along it
+        # and then along the floor (id 2): the disc's values come from its
+        # per-point callables, the floor's from its affine block
         scn = lookup("pocket")
-        traj, contact = run(scn.system, scn.force, scn.q0, scn.u0, 0.02, scn.T)
-        shapes, values = [], type(scn.system).values
-        monkeypatch.setattr(type(scn.system), "values",
+        traj, contact = run(scn.system, scn.force, np.array([0.3, 2.0]), scn.u0, 0.001, 1.5)
+        masks, expected = csv_masks(tmp_path, scn, traj, contact)
+        assert masks == expected
+        assert set(masks) == {0, 1, 2}
+
+    def test_one_values_call(self, tmp_path, monkeypatch):
+        # one grid evaluation per h, diagnose's, whose mask the CSV writes: the
+        # CLI evaluates no constraint itself, for a single h and in a sweep
+        shapes, values = [], ConstraintSystem.values
+        monkeypatch.setattr(ConstraintSystem, "values",
                             lambda self, t, q: shapes.append(np.shape(q)) or values(self, t, q))
-        cli.write_csv(str(tmp_path / "run.csv"), scn, traj, contact)
-        assert shapes == [(len(traj.times), 2)]
+        for stem, args in [("one", ["--h", "0.01"]), ("sweep", ["--sweep", "0.02,0.01"])]:
+            shapes.clear()
+            assert main(["--scenario", "pocket", "--q0", "0.3,2", "--T", "1.5", *args,
+                         "--out", str(tmp_path / stem)]) == 0
+            rows = sorted(len(path.read_text().splitlines()) - 1
+                          for path in tmp_path.glob(f"{stem}*.csv"))
+            assert sorted(s for s in shapes if s in {(n, 2) for n in rows}) == [(n, 2) for n in rows]
 
 
 class TestSweepExecution:
