@@ -20,7 +20,7 @@ from .geometry import (AdmissibilityEstimate, ConstraintFunction, ConstraintSyst
 from .integrator import (ContactMeasure, ForceField, MultiplierExtraction, SchemeState,
                          StepOutcome, Trajectory, extract_multipliers, initialize, run, step)
 from .projection import ProjectionResult, project_point, project_velocity
-from .scenarios import GRAVITY, Scenario, lookup, registry
+from .scenarios import GRAVITY, Scenario, lookup
 
 __all__ = [
     "AdmissibilityEstimate", "ConfigError", "ConstantsRecord",
@@ -33,7 +33,7 @@ __all__ = [
     "affine_constraint", "compute_constants", "convergence_study",
     "diagnose", "extract_multipliers", "good_direction", "initialize",
     "interpolant_sup_error", "lookup", "max_feasibility_gap", "max_intergrid_gap",
-    "momentum_residual", "project_point", "project_velocity", "registry", "run",
+    "momentum_residual", "project_point", "project_velocity", "run",
     "step", "velocity_bound_ok", "velocity_polyhedron", "verify_impact_law",
 ]
 

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         return run_cli(build_parser().parse_args(argv))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 1
     except SimulationAbort as exc:

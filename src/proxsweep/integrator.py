@@ -357,17 +357,9 @@ def run(sys: ConstraintSystem, field: ForceField, q0: np.ndarray, u0: np.ndarray
         h: float, T: float) -> tuple[Trajectory, ContactMeasure]:
     """Integrate from t = 0 to T; deterministic given its inputs.
 
-    Each step is flown, filled or computed (module docstring).  One loop per
-    step size flies blocks of at most _BLOCK rows, one coordinate at a time,
-    while sys.axis_rows is set, the force is a constant and the prediction
-    is finite and feasible, and fills the rest of a block for a coordinate
-    at rest on rows of rate 0; the step that ends a flight calls step().
-    Once a step returns its input on a still set under a constant force,
-    the rest of the steps of its size are filled.  Every row is written in
-    place into the arrays returned.  The step sizes are one float array;
-    the times are its running sum, and the increments are derived from it
-    and the rows after the loop.  Every array of two dimensions is stored
-    column by column.
+    The arrays returned equal those of a chain of step() calls from (q0, u0),
+    bit for bit.  Each step is flown, filled or computed, by the rules of the
+    module docstring.
 
     Inputs that break a rule of _check_inputs raise ValueError.  Step
     failures propagate as SimulationAbort carrying the step index and the

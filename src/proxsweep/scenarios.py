@@ -142,11 +142,6 @@ BUILDERS = {
 }
 
 
-def registry() -> dict[str, Scenario]:
-    """All built-in scenarios keyed by name."""
-    return {name: build() for name, build in BUILDERS.items()}
-
-
 def lookup(name: str) -> Scenario:
     """The named built-in scenario, built alone."""
     if name not in BUILDERS:

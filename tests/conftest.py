@@ -7,24 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxsweep import ConstraintFunction, ConstraintSystem, ForceField, good_direction, registry
+from proxsweep import ConstraintFunction, ConstraintSystem, ForceField, good_direction
+from proxsweep.scenarios import BUILDERS, lookup
 
 H_SWEEP = [0.04, 0.02, 0.01, 0.005]
 
 
 def run_child(code: str, *args: str, timeout: float = 300) -> subprocess.CompletedProcess:
-    """python -c code args in a fresh interpreter that imports proxsweep from src/."""
+    """python -W error -c code args in a fresh interpreter that imports proxsweep
+    from src/: any warning fails the child."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+    return subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="session")
 def scenarios():
-    return registry()
+    return {name: lookup(name) for name in BUILDERS}
 
 
 def zero_force(d: int) -> ForceField:

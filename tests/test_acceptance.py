@@ -13,7 +13,7 @@ from proxsweep import (InfeasibleConeError, active_set, compute_constants,
                        convergence_study, diagnose, good_direction, max_intergrid_gap,
                        momentum_residual, project_point, project_velocity, run,
                        verify_impact_law)
-from proxsweep.scenarios import lookup, registry
+from proxsweep.scenarios import lookup
 
 from conftest import (H_SWEEP, antipodal_pair, half_space_1d, reverse_triangle_constant,
                       sample_boundary, sample_feasible, sample_normal, zero_force)

@@ -9,7 +9,7 @@ from proxsweep import (ConstraintEvaluationError, ConstraintFunction, Constraint
                        Trajectory, active_set, affine_constraint, cli, compute_constants,
                        convergence_study, diagnose, diagnostics, good_direction,
                        interpolant_sup_error, max_feasibility_gap, max_intergrid_gap,
-                       momentum_residual, project_point, registry, run, velocity_bound_ok,
+                       momentum_residual, project_point, run, velocity_bound_ok,
                        verify_impact_law)
 from proxsweep.diagnostics import law_bound
 from proxsweep.scenarios import lookup
@@ -427,10 +427,10 @@ class TestDiagnoseSharesGridArrays:
             assert repr(plain(got)) == repr(plain(want)), field.name
 
     @pytest.mark.parametrize("case", sorted(RUN_CASES))
-    def test_golden_runs(self, case):
+    def test_golden_runs(self, case, scenarios):
         sys, force, *_ = args = RUN_CASES[case]()
         traj, contact = run(*args)
-        scn = registry().get(case.split("-")[0])  # None for the discs
+        scn = scenarios.get(case.split("-")[0])  # None for the discs
         self.assert_same_report(traj, contact, sys, force,
                                 scn and good_direction(sys, *scn.probe))
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsweep import (ConstraintEvaluationError, ForceField, SimulationAbort, active_set,
-                       diagnose, extract_multipliers, initialize, geometry, integrator,
-                       max_feasibility_gap, projection, run, step, verify_impact_law)
+                       diagnose, extract_multipliers, good_direction, initialize, geometry,
+                       integrator, max_feasibility_gap, projection, run, step,
+                       verify_impact_law)
+from proxsweep.diagnostics import law_bound
 from proxsweep.geometry import (ConstraintFunction, ConstraintSystem, affine_constraint,
                                 least_distance)
 from proxsweep.integrator import SchemeState
@@ -479,6 +481,35 @@ class TestRun:
             run(scn.system, force, scn.q0, scn.u0, 0.01, 1.0)
         with pytest.raises(ValueError, match=message):
             initialize(scn.system, force, scn.q0, scn.u0, 0.01)
+
+    # the exterior of the unit disc centred at (-2, 0) + w t, w = (1, 0): a
+    # particle at rest at the origin is met by the disc at t = 1 and then
+    # pushed along at its speed, q = max(t - 1, 0) w.  Up to t = 1 every step
+    # returns its input on a set that moves, so that rest must not be filled
+    @pytest.mark.parametrize("h", [0.01, 0.005, 0.0025])
+    def test_moving_disc_pushes_resting_particle(self, h):
+        centre, w = np.array([-2.0, 0.0]), np.array([1.0, 0.0])
+
+        def unit(t, q):
+            r = np.asarray(q, dtype=float) - centre - w * t
+            return r / np.linalg.norm(r)
+
+        wall = ConstraintFunction(
+            id=1,
+            value=lambda t, q: float(np.linalg.norm(np.asarray(q) - centre - w * t)) - 1.0,
+            gradient_q=unit,
+            dt=lambda t, q: -float(unit(t, q) @ w))
+        sys, force = ConstraintSystem(2, (wall,), lipschitz_c0=1.0, eta=1.0), zero_force(2)
+        traj, contact = run(sys, force, np.zeros(2), np.zeros(2), h, 2.0)
+        exact = np.maximum(traj.times - 1.0, 0.0)[:, None] * w
+        np.testing.assert_allclose(traj.positions, exact, rtol=0.0, atol=1e-12)
+        report = diagnose(traj, contact, sys, force,
+                          admiss=good_direction(sys, 1.0, np.zeros(2)))
+        [event] = report.impacts
+        assert max(event.law_residual, event.variational_max) <= law_bound(h, 0.0)
+        assert report.constants.kappa0 == 2.0  # c0 / delta + 1 with delta = 1
+        assert report.velocity_bound_ok
+        assert report.max_feasibility_gap <= 1e-12
 
     def test_margin_flag(self):
         # the start margin is read off the run: q0, u0, its first step and T

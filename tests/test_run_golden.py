@@ -23,14 +23,14 @@ import numpy as np
 import pytest
 import scipy
 
-from proxsweep import registry, run
+from proxsweep import lookup, run
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 DISCS = Path(__file__).resolve().parents[1] / "perfbench" / "discs.py"
 
 
 def _scenario(name, h):
-    scn = registry()[name]
+    scn = lookup(name)
     return scn.system, scn.force, scn.q0, scn.u0, h, scn.T
 
 

@@ -11,17 +11,16 @@ import pytest
 from proxsweep import (ConfigError, ConstraintEvaluationError, ConstraintSystem, active_set,
                        cli, diagnose, diagnostics, run, scenarios)
 from proxsweep.cli import main, read_config_file
-from proxsweep.scenarios import lookup, registry
+from proxsweep.scenarios import BUILDERS, lookup
 
 from conftest import run_child
 from oracles import analytic_reference
 
 
 class TestRegistry:
-    def test_contains_required_scenarios(self):
-        reg = registry()
-        assert {"floor", "wedge", "piston", "pocket", "free"} <= set(reg)
-        assert all(scn.name == name for name, scn in reg.items())
+    def test_contains_required_scenarios(self, scenarios):
+        assert {"floor", "wedge", "piston", "pocket", "free"} <= set(scenarios)
+        assert all(scn.name == name for name, scn in scenarios.items())
 
     def test_lookup_builds_only_the_named_scenario(self, monkeypatch):
         # every other builder raises, the pocket's by its module name too
@@ -282,7 +281,7 @@ class TestConfigFile:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("## Scenarios", 1)[1].split("\n\n", 2)[1]
         listed = [line.split("|")[1].strip() for line in table.splitlines()[2:]]
-        assert listed == list(registry())
+        assert listed == list(BUILDERS)
 
 
 class TestCliExitCodes:
@@ -301,6 +300,15 @@ class TestCliExitCodes:
         assert rc == 1
         assert "repeat an output stem" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        # the directory of --out is an existing file, so it cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        rc = main(["--scenario", "floor", "--out", str(blocker / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
 
     def test_unknown_scenario(self):
         assert main(["--scenario", "nope"]) == 1
